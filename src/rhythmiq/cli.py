@@ -13,9 +13,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
-from .core import BeatGrid, load_beats
+from .core import load_beats
 from .errors import (
     ConfigError,
     EmptyInputError,
@@ -37,7 +36,7 @@ from .metrics import (
 from .midi_io import load_midi
 from .musicxml import emit_musicxml, parse_musicxml
 from .quantize import QuantConfig, quantize_performance
-from .tempo import TempoBounds, estimate_tempo_ioi, tempo_bounds
+from .tempo import TempoBounds, enumerate_rotations, estimate_tempo_ioi, tempo_bounds
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,8 @@ class PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read ``key = value`` lines (# comments allowed) into a PipelineConfig."""
-    types = {f.name: f.type for f in fields(PipelineConfig)}
-    casts = {"alpha": float, "rest_threshold": float, "fallback_resolution": int,
-             "onset_tolerance": float, "beat_tolerance": float,
-             "cluster_width": float, "min_bpm": float, "max_bpm": float,
-             "on_error": str, "rotation_mode": str, "fifths": int}
+    defaults = PipelineConfig()
+    names = {f.name for f in fields(defaults)}
     overrides = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,13 +76,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        if key not in types:
+        if key not in names:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
-            overrides[key] = casts[key](value)
+            # each setting takes the type of its default
+            overrides[key] = type(getattr(defaults, key))(value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}")
-    return replace(PipelineConfig(), **overrides)
+    return replace(defaults, **overrides)
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -135,6 +132,9 @@ def _load_downbeats(path: Path) -> list[float]:
 
 def load_wav(path: str | Path) -> tuple[int, np.ndarray]:
     """Read a WAV file as float64 in [-1, 1], first channel only."""
+    # only `eval sdr` reads audio; scipy stays out of every other command
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     x = np.asarray(data)
     if x.ndim > 1:
@@ -220,34 +220,27 @@ def cmd_rotations(args) -> int:
     grammar = _load_grammar(args)
     ref = _load_downbeats(Path(args.ref)) if args.ref else None
 
-    report = {"beats_per_bar": grid.beats_per_bar, "rotations": []}
-    best = None
-    entries = []
-    for phase in range(grid.beats_per_bar):
-        rotated = BeatGrid(grid.beats, grid.beats_per_bar, phase,
-                           grid.time_signature)
-        entry = {"phase": phase, "first_downbeat": rotated.downbeats()[0]}
-        if ref is not None:
-            f = downbeat_fmeasure(ref, rotated.downbeats(), cfg.beat_tolerance)
+    rotations = enumerate_rotations(grid)
+    entries = [{"phase": phase, "first_downbeat": rotated.downbeats()[0]}
+               for phase, rotated in enumerate(rotations)]
+    report = {"beats_per_bar": grid.beats_per_bar, "rotations": entries}
+    best = 0
+    if ref is not None:
+        scores = [downbeat_fmeasure(ref, rotated.downbeats(), cfg.beat_tolerance)
+                  for rotated in rotations]
+        for entry, f in zip(entries, scores):
             entry["downbeat_f"] = _round(f)
-            if best is None or f > best[0]:
-                best = (f, phase)
-        entries.append((entry, rotated))
-        report["rotations"].append(entry)
-    if best is not None:
-        report["best_phase"] = best[1]
-        report["best_downbeat_f"] = _round(best[0])
+        best = scores.index(max(scores))  # ties go to the smallest phase
+        report["best_phase"] = best
+        report["best_downbeat_f"] = _round(scores[best])
     if args.out_dir:
-        keep = range(grid.beats_per_bar)
-        if cfg.rotation_mode == "best":
-            keep = [best[1] if best is not None else 0]
+        keep = [best] if cfg.rotation_mode == "best" else range(len(rotations))
         for phase in keep:
-            entry, rotated = entries[phase]
-            xml, _ = _quantize_to_xml(perf, rotated, grammar, cfg)
+            xml, _ = _quantize_to_xml(perf, rotations[phase], grammar, cfg)
             out = Path(args.out_dir) / f"{Path(args.midi).stem}.rot{phase}.musicxml"
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(xml)
-            entry["file"] = str(out)
+            entries[phase]["file"] = str(out)
     _print_json(report)
     return 0
 

@@ -23,6 +23,7 @@ from .trees import (
     RhythmTree,
     ScoreModel,
     decompose_measure,
+    slice_measure,
 )
 
 PROB_TOLERANCE = 1e-9
@@ -497,36 +498,22 @@ def sample_score(
         labels = tree.leaf_labels()
         sounding = labels[-1] in (NOTE, CONTINUATION)
 
-    # global onset/extent extraction with a pitch random walk
+    # global (onset, extent, pitch) extraction with a pitch random walk
     lo, hi = pitch_range
     pitch = (lo + hi) // 2
-    onsets_global: list[tuple[Fraction, int]] = []  # (global position, pitch)
-    extents_global: list[Fraction] = []
+    notes: list[tuple[Fraction, Fraction, int]] = []
     for m, tree in enumerate(raw):
         for leaf, left, right in tree.leaves():
-            g_left, g_right = m + left, m + right
             if leaf.label == NOTE:
                 pitch = min(hi, max(lo, pitch + rng.randint(-4, 4)))
-                onsets_global.append((Fraction(g_left), pitch))
-                extents_global.append(Fraction(g_right))
+                notes.append((m + left, m + right, pitch))
             elif leaf.label == CONTINUATION:
-                extents_global[-1] = Fraction(g_right)
+                onset, _, held = notes[-1]
+                notes[-1] = (onset, m + right, held)
 
     measures = []
     for m in range(n_measures):
-        onsets = [
-            (p - m, pch) for p, pch in onsets_global if m <= p < m + 1
-        ]
-        extents = [
-            e - m
-            for (p, _), e in zip(onsets_global, extents_global)
-            if m <= p < m + 1
-        ]
-        carried_pitch = None
-        carried_end = Fraction(0)
-        for (p, pch), e in zip(onsets_global, extents_global):
-            if p < m and e > m:
-                carried_pitch, carried_end = pch, e - m
+        onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
         measures.append(
             decompose_measure(
                 onsets, extents, time_signature,

@@ -20,6 +20,7 @@ from .trees import (
     NotatedEvent,
     ScoreModel,
     decompose_measure,
+    slice_measure,
 )
 
 _NATURAL_PC = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
@@ -412,14 +413,10 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
                     f"fewer than {quarters_per_measure}"
                 )
 
+    notes = [(onset, extent, pitch) for onset, extent, pitch, _ in events]
     measures = []
     for m in range(n):
-        onsets = [(ev[0] - m, ev[2]) for ev in events if m <= ev[0] < m + 1]
-        extents = [ev[1] - m for ev in events if m <= ev[0] < m + 1]
-        carried_pitch, carried_end = None, Fraction(0)
-        for ev in events:
-            if ev[0] < m and ev[1] > m:
-                carried_pitch, carried_end = ev[2], ev[1] - m
+        onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
         measures.append(
             decompose_measure(
                 onsets, extents, sig, max_depth=max_depth,

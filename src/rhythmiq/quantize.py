@@ -9,7 +9,7 @@ rule sequence, so results are deterministic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import fmean
@@ -29,6 +29,7 @@ from .trees import (
     RhythmTree,
     ScoreModel,
     decompose_measure,
+    slice_measure,
 )
 
 EPS = 1e-9
@@ -335,14 +336,6 @@ def time_to_beats(grid: BeatGrid, t: float) -> float:
     return i + (t - beats[i]) / dt
 
 
-@dataclass
-class _Event:
-    onset_u: float  # measure units, 0 = first downbeat
-    extent_u: float
-    pitch: int
-    penalty: float = 0.0  # displacement already paid by a barline deferral
-
-
 def _note_positions(grammar: RhythmGrammar, start: str) -> list[float]:
     """Left endpoints (measure units) where the grammar can put a note."""
     seen: set = set()
@@ -367,22 +360,6 @@ def _note_positions(grammar: RhythmGrammar, start: str) -> list[float]:
 
     rec(start, Fraction(0), Fraction(1), 0)
     return sorted(float(p) for p in points)
-
-
-def _measure_input(events: list[_Event], m: int) -> MeasureInput:
-    onsets, extents = [], []
-    carried_pitch, carried_end = None, 0.0
-    for ev in events:
-        if ev.onset_u < m and ev.extent_u > m + EPS:
-            carried_pitch, carried_end = ev.pitch, ev.extent_u - m
-        if m <= ev.onset_u < m + 1:
-            pos = ev.onset_u - m
-            ext = max(ev.extent_u - m, pos + 1e-6)
-            onsets.append((pos, ev.pitch))
-            extents.append(ext)
-    return MeasureInput(
-        tuple(onsets), tuple(extents), carried_pitch, carried_end
-    )
 
 
 def quantize_performance(
@@ -411,79 +388,88 @@ def quantize_performance(
 
     sig = grid.time_signature
     bpb = grid.beats_per_bar
-    events = []
-    for note in performance.notes:
-        onset_u = (time_to_beats(grid, note.onset) - grid.phase) / bpb
-        extent_u = (time_to_beats(grid, note.offset) - grid.phase) / bpb
-        events.append(_Event(onset_u, max(extent_u, onset_u + 1e-6), note.pitch))
 
-    m_lo = math.floor(min(ev.onset_u for ev in events) + EPS)
-    m_hi = math.floor(max(ev.onset_u for ev in events) - EPS)
-    m_hi = max(m_hi, math.ceil(max(ev.extent_u for ev in events) - EPS) - 1)
+    def units(t: float) -> float:
+        # measure units, 0 = first downbeat; a position within EPS of a
+        # barline is on it, so every later comparison can be exact
+        u = (time_to_beats(grid, t) - grid.phase) / bpb
+        bar = round(u)
+        return float(bar) if abs(u - bar) <= EPS else u
+
+    # (onset, extent, pitch), sorted by onset since the mapping is monotone
+    notes = []
+    for note in performance.notes:
+        onset = units(note.onset)
+        notes.append((onset, max(units(note.offset), onset + 1e-6), note.pitch))
+
+    m_lo = math.floor(notes[0][0])
+    m_hi = math.floor(notes[-1][0])
     # the annotated grid defines the score's extent: silent measures under
-    # it are real rest measures, not absence of music
+    # it are real rest measures, not absence of music, and a release past
+    # its last beat is cut at the final barline; past the grid, the last
+    # release decides
     grid_bars = math.floor((len(grid.beats) - 1 - grid.phase) / bpb + EPS)
     if grid_bars >= 1:
         m_lo = min(m_lo, 0)
-        m_hi = max(m_hi, grid_bars - 1)
-    m_hi = max(m_hi, m_lo)
+    if grid_bars > max(m_hi, 0):
+        m_hi = grid_bars - 1
+    else:
+        m_hi = max(m_hi, math.ceil(notes[-1][1]) - 1)
 
     warnings: list[str] = []
 
-    def attempt(m: int) -> tuple[RhythmTree, float]:
-        return quantize_measure(_measure_input(events, m), grammar, config, sig)
+    # the deferral below weighs the same measure contents more than once;
+    # each distinct input is parsed once, failures included
+    solved: dict[MeasureInput, tuple[RhythmTree, float] | RhythmiqError] = {}
+
+    def attempt(m: int):
+        inp = MeasureInput(*slice_measure(notes, m))
+        if inp not in solved:
+            try:
+                solved[inp] = quantize_measure(inp, grammar, config, sig)
+            except RhythmiqError as exc:
+                solved[inp] = exc
+        return inp, solved[inp]
 
     def soft(m: int) -> float:
-        try:
-            return attempt(m)[1]
-        except RhythmiqError:
-            return math.inf
+        result = attempt(m)[1]
+        return math.inf if isinstance(result, RhythmiqError) else result[1]
 
-    def solve(m: int) -> tuple[RhythmTree, float]:
-        try:
-            return attempt(m)
-        except RhythmiqError as exc:
-            if on_error == "raise":
-                raise
-            warnings.append(f"measure {m - m_lo}: {exc}; grid fallback applied")
-            inp = _measure_input(events, m)
-            return fallback_quantize(inp, sig, fallback_resolution), math.inf
+    def solve(m: int) -> RhythmTree:
+        inp, result = attempt(m)
+        if not isinstance(result, RhythmiqError):
+            return result[0]
+        if on_error == "raise":
+            raise result
+        warnings.append(f"measure {m - m_lo}: {result}; grid fallback applied")
+        return fallback_quantize(inp, sig, fallback_resolution)
 
     defer_window = 0.5 / bpb
     lattice = _note_positions(grammar, grammar.start_for(sig))
-    trees: dict[int, tuple[RhythmTree, float]] = {}
+    measures = []
     m = m_lo
     while m <= m_hi:
-        last = None
-        for ev in events:
-            if m <= ev.onset_u < m + 1:
-                last = ev
-        pos = (last.onset_u - m) if last is not None else 0.0
-        downbeat_taken = any(
-            ev is not last and m + 1 - EPS <= ev.onset_u < m + 1 + 1e-6
-            for ev in events
-        )
-        # an onset sitting exactly on a notatable grid position was played
-        # there on purpose; only off-grid stragglers may be early downbeats
-        on_lattice = last is not None and any(
-            abs(pos - p) < 1e-6 for p in lattice
-        )
-        if (last is not None and pos >= 1 - defer_window and pos > 0
-                and not downbeat_taken and not on_lattice):
-            plan_a = soft(m) + soft(m + 1)
-            saved = (last.onset_u, last.extent_u, last.penalty)
-            last.penalty = config.alpha * (m + 1 - last.onset_u)
-            last.extent_u = max(last.extent_u, m + 1 + 1e-6)
-            last.onset_u = float(m + 1)
-            plan_b = soft(m) + soft(m + 1) + last.penalty
-            if plan_b < plan_a:
-                m_hi = max(m_hi, m + 1)
-            else:
-                last.onset_u, last.extent_u, last.penalty = saved
-        trees[m] = solve(m)
+        nxt = bisect_left(notes, (m + 1,))  # first onset at or past the next barline
+        if nxt and notes[nxt - 1][0] >= m:
+            onset, extent, pitch = notes[nxt - 1]
+            pos = onset - m
+            downbeat_taken = nxt < len(notes) and notes[nxt][0] < m + 1 + 1e-6
+            # an onset sitting exactly on a notatable grid position was played
+            # there on purpose; only off-grid stragglers may be early downbeats
+            on_lattice = any(abs(pos - p) < 1e-6 for p in lattice)
+            if (pos >= 1 - defer_window and pos > 0
+                    and not downbeat_taken and not on_lattice):
+                plan_a = soft(m) + soft(m + 1)
+                notes[nxt - 1] = (float(m + 1), max(extent, m + 1 + 1e-6), pitch)
+                penalty = config.alpha * (m + 1 - onset)
+                plan_b = soft(m) + soft(m + 1) + penalty
+                if plan_b < plan_a:
+                    m_hi = max(m_hi, m + 1)
+                else:
+                    notes[nxt - 1] = (onset, extent, pitch)
+        measures.append(solve(m))
         m += 1
 
-    measures = tuple(trees[m][0] for m in range(m_lo, m_hi + 1))
     intervals = [b - a for a, b in zip(grid.beats, grid.beats[1:])]
     tempo = 60.0 / fmean(intervals)
 

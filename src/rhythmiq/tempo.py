@@ -94,7 +94,10 @@ def _cluster(iois: list[float], width: float) -> list[list[float]]:
 def _related_ratio(m1: float, m2: float) -> int | None:
     """Integer ratio 2..8 linking two cluster means, or None."""
     big, small = (m1, m2) if m1 >= m2 else (m2, m1)
-    ratio = big / small
+    # read to 1e-9 so that float noise in the intervals, which depends on
+    # where the onsets sit in absolute time, cannot tip a half-integer
+    # ratio such as 6.5 to a different k
+    ratio = round(big / small, 9)
     k = round(ratio)
     if 2 <= k <= MAX_RATIO and abs(ratio - k) <= RATIO_TOLERANCE * k:
         return k

@@ -8,6 +8,7 @@ canonical decomposition used for grammar training, so it lives in one place.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -214,6 +215,33 @@ def decompose_measure(
     tree = build(Fraction(0), Fraction(1), 0)
     tree.validate_flow(carried=carried_pitch is not None and carried_end > 0)
     return tree
+
+
+# ---------------------------------------------------------------------------
+# measure slicing
+
+
+def slice_measure(notes, m: int):
+    """Cut measure ``m`` out of a monophonic line.
+
+    ``notes`` holds (onset, extent, pitch) in global measure units, measure
+    ``m`` spanning [m, m + 1), sorted by onset; positions may be Fractions or
+    floats.  An onset belongs to the last barline at or before it, compared
+    exactly: a caller working in floats puts positions within its tolerance
+    of a barline on the barline first.  Returns the measure's relative
+    (position, pitch) onsets, their extents, and the pitch and relative end
+    of the note held over the opening barline (None and 0 when there is none).
+    """
+    lo = bisect_left(notes, (m,))
+    hi = bisect_left(notes, (m + 1,), lo)
+    inside = notes[lo:hi]
+    onsets = tuple((onset - m, pitch) for onset, _, pitch in inside)
+    extents = tuple(extent - m for _, extent, _ in inside)
+    # in a monophonic line only the note just before can still be sounding
+    if lo and notes[lo - 1][1] > m:
+        _, extent, pitch = notes[lo - 1]
+        return onsets, extents, pitch, extent - m
+    return onsets, extents, None, 0
 
 
 # ---------------------------------------------------------------------------

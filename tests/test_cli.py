@@ -71,6 +71,23 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
+def test_importing_cli_leaves_scipy_unloaded():
+    # only `eval sdr` reads WAV files, so the start-up of every other
+    # command must not pay for scipy.io
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rhythmiq
+
+    src = str(Path(rhythmiq.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rhythmiq.cli; "
+            "print('scipy.io' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(on_error="ignore")

@@ -263,6 +263,27 @@ def test_early_downbeat_defers_to_next_measure():
     assert first[1] == 0
 
 
+def test_deferral_parses_each_measure_input_once(monkeypatch):
+    # weighing the deferral needs both measures with and without the moved
+    # onset; solving the chosen plan afterwards must not parse them again
+    import rhythmiq.quantize as quantize
+
+    seen = []
+    solver = quantize.quantize_measure
+
+    def counted(measure, *args):
+        seen.append(measure)
+        return solver(measure, *args)
+
+    monkeypatch.setattr(quantize, "quantize_measure", counted)
+    perf = Performance(
+        [NoteEvent(0.5 * k, 0.5, 60) for k in range(3)]
+        + [NoteEvent(1.97, 1.0, 72)]
+    )
+    quantize_performance(perf, _grid(2), default_grammar())
+    assert len(seen) == len(set(seen)) == 4
+
+
 def test_on_lattice_onset_is_never_deferred():
     # a sixteenth pickup exactly on the grid stays in its own measure
     perf = Performance(
@@ -275,6 +296,43 @@ def test_on_lattice_onset_is_never_deferred():
     assert 72 in m1_pitches
     first = next(iter(score.measures[1].leaves()))
     assert first[0].pitch == 64
+
+
+def test_onset_a_rounding_error_before_a_barline_is_on_it():
+    # beat arithmetic puts this onset 1e-15 measure units before bar 2: it is
+    # bar 2's downbeat, not a note lost in no cell of bar 1
+    from rhythmiq import emit_musicxml
+
+    grid = _grid(2)
+    onset = 2.0 - 2e-15
+    assert 0 < 1 - time_to_beats(grid, onset) / 4 < 1e-9
+    perf = Performance([NoteEvent(0.5 * k, 0.5, 60) for k in range(3)]
+                       + [NoteEvent(onset, 1.0, 72)])
+    score, warnings = quantize_performance(perf, grid, default_grammar())
+    assert not warnings
+    assert score.measures[0].leaf_labels() == [NOTE, NOTE, NOTE, REST]
+    first, left, _ = next(iter(score.measures[1].leaves()))
+    assert (first.label, first.pitch, left) == (NOTE, 72, 0)
+    emit_musicxml(score)
+
+
+def test_release_past_the_last_beat_adds_no_measure():
+    # the last quarter is released 3.4 ms after the grid's final beat
+    perf = Performance([NoteEvent(0.5 * k, 0.5, 60) for k in range(15)]
+                       + [NoteEvent(7.5, 0.5034, 62)])
+    score, warnings = quantize_performance(perf, _grid(4), default_grammar())
+    assert not warnings
+    assert len(score.measures) == 4
+    assert score.measures[-1].leaf_labels() == [NOTE] * 4
+
+
+def test_notes_past_the_grid_extend_the_score():
+    # beyond the annotation the last release still sets the final measure
+    perf = Performance([NoteEvent(0.5 * k, 0.5, 60) for k in range(4)]
+                       + [NoteEvent(2.5, 1.5, 64)])
+    score, _ = quantize_performance(perf, _grid(1), default_grammar())
+    assert len(score.measures) == 2
+    assert score.measures[1].leaf_labels() == [REST, NOTE, CONTINUATION, CONTINUATION]
 
 
 def test_anacrusis_detected_before_first_downbeat():

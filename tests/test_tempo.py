@@ -88,6 +88,14 @@ def test_translation_invariance(period, shift, n):
     assert moved.bpm == pytest.approx(base.bpm, abs=1e-6)
 
 
+def test_translation_invariance_at_half_integer_ratios():
+    # 2.6 s / 0.4 s = 6.5: the relation between these two clusters must not
+    # depend on the float noise of intervals measured 30 s into the take
+    base = estimate_tempo_ioi(_perf([0.2 * k for k in range(14)]))
+    moved = estimate_tempo_ioi(_perf([30 + 0.2 * k for k in range(14)]))
+    assert moved.bpm == pytest.approx(base.bpm, abs=1e-6)
+
+
 def test_cluster_respects_width():
     clusters = _cluster([0.30, 0.31, 0.50, 0.52, 1.0], width=0.025)
     means = sorted(sum(c) / len(c) for c in clusters)

@@ -23,6 +23,7 @@ from rhythmiq.trees import (
     notatable,
     note,
     rest,
+    slice_measure,
     split,
     split_notatable,
 )
@@ -237,3 +238,41 @@ def test_render_performance_output_is_monophonic():
     m = split(note(60), split(note(62), note(64)), note(65), rest())
     perf = render_performance(ScoreModel(SIG, [m, m]))
     assert perf.is_monophonic(tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# measure slicing
+
+# (onset, extent, pitch) in measure units: a quarter, a note held from beat 4
+# of bar 0 through all of bar 1 into bar 2, then a note on bar 3's barline
+LINE = [(F(0), F(1, 4), 60), (F(3, 4), F(9, 4), 62), (F(3), F(7, 2), 64)]
+
+
+def test_slice_measure_note_held_over_the_barline_is_carried():
+    assert slice_measure(LINE, 0) == (
+        ((F(0), 60), (F(3, 4), 62)), (F(1, 4), F(9, 4)), None, 0)
+    assert slice_measure(LINE, 2) == ((), (), 62, F(1, 4))
+
+
+def test_slice_measure_empty_measure_under_a_held_note():
+    onsets, extents, carried_pitch, carried_end = slice_measure(LINE, 1)
+    assert (onsets, extents) == ((), ())
+    assert (carried_pitch, carried_end) == (62, F(5, 4))
+
+
+def test_slice_measure_onset_on_a_barline_opens_that_measure():
+    assert slice_measure(LINE, 3) == (((F(0), 64),), (F(1, 2),), None, 0)
+    # before the line and after its last release there is nothing
+    assert slice_measure(LINE, -1) == ((), (), None, 0)
+    assert slice_measure(LINE, 4) == ((), (), None, 0)
+
+
+def test_slice_measure_fractions_and_floats_agree():
+    floats = [(float(a), float(b), p) for a, b, p in LINE]
+    for m in range(-1, 5):
+        exact = slice_measure(LINE, m)
+        approx = slice_measure(floats, m)
+        assert [(float(a), p) for a, p in exact[0]] == list(approx[0])
+        assert [float(e) for e in exact[1]] == list(approx[1])
+        assert exact[2] == approx[2]
+        assert float(exact[3]) == approx[3]
