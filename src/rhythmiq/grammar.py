@@ -12,6 +12,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import TimeSignature
 from .errors import GrammarError, ValidationError
@@ -69,6 +70,97 @@ class GrammarRule:
         return f"{self.head} -> {self.body} : {self.probability:.6f}"
 
 
+class LatticeRule(NamedTuple):
+    """One rule of a lattice node's head: a leaf ``label``, or a split into
+    the ``children`` node ids (label None) with ``tuplet`` 1 for an arity
+    that is not a power of two."""
+
+    weight: float
+    label: str | None
+    children: tuple[int, ...]
+    tuplet: int
+
+
+class LatticeNode(NamedTuple):
+    """A reachable (head, cell, depth) of a measure's derivations.
+
+    ``left``/``right`` are the cell's endpoints in measure units, rounded
+    once from exact fractions.  ``rules`` are the head's rules in grammar
+    order, splits only above the depth bound.
+    """
+
+    left: float
+    right: float
+    rules: tuple[LatticeRule, ...]
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Every derivation of one measure in a time signature, as a DAG.
+
+    ``nodes`` list children before parents; the start symbol's node over the
+    whole measure is last.  ``note_positions`` are the sorted left edges of
+    the cells a note leaf may fill.
+    """
+
+    nodes: tuple[LatticeNode, ...]
+    note_positions: tuple[float, ...]
+
+    def max_leaves(self) -> int:
+        """Most leaves of any derivation of the whole measure."""
+        caps: list[int] = []
+        for node in self.nodes:
+            cap = 0
+            for rule in node.rules:
+                if rule.label is not None:
+                    cap = max(cap, 1)
+                    continue
+                sub = [caps[c] for c in rule.children]
+                if all(sub):  # a child with no derivation sinks the split
+                    cap = max(cap, sum(sub))
+            caps.append(cap)
+        return caps[-1]
+
+
+def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> Lattice:
+    """Expand the grammar's derivations of one measure into a ``Lattice``.
+
+    Raises GrammarError when the grammar has no start symbol for
+    ``time_signature``.
+    """
+    start = grammar.start_for(time_signature)
+    ids: dict[tuple, int] = {}
+    nodes: list[LatticeNode] = []
+
+    def visit(head: str, left: Fraction, right: Fraction, depth: int) -> int:
+        key = (head, left, right, depth)
+        if key in ids:
+            return ids[key]
+        rules = []
+        for rule in grammar.rules_for(head):
+            if isinstance(rule.body, Leaf):
+                rules.append(LatticeRule(rule.weight, rule.body.label, (), 0))
+            elif depth < grammar.max_depth:
+                k = len(rule.body.children)
+                width = (right - left) / k
+                children = tuple(
+                    visit(child, left + i * width, left + (i + 1) * width, depth + 1)
+                    for i, child in enumerate(rule.body.children)
+                )
+                rules.append(LatticeRule(rule.weight, None, children,
+                                         int(k & (k - 1) != 0)))
+        ids[key] = len(nodes)
+        nodes.append(LatticeNode(float(left), float(right), tuple(rules)))
+        return ids[key]
+
+    visit(start, Fraction(0), Fraction(1), 0)
+    note_positions = sorted({
+        node.left for node in nodes
+        if any(rule.label == NOTE for rule in node.rules)
+    })
+    return Lattice(tuple(nodes), tuple(note_positions))
+
+
 class RhythmGrammar:
     """An immutable weighted grammar with per-time-signature start symbols."""
 
@@ -82,6 +174,7 @@ class RhythmGrammar:
         self.starts = dict(starts)
         self.rules = tuple(rules)
         self.max_depth = int(max_depth)
+        self._lattices: dict[TimeSignature, Lattice] = {}
 
         self._by_head: dict[str, list[GrammarRule]] = {}
         for rule in self.rules:
@@ -160,6 +253,15 @@ class RhythmGrammar:
             return self.starts[time_signature]
         except KeyError:
             raise GrammarError(f"grammar has no start symbol for {time_signature}")
+
+    def lattice(self, time_signature: TimeSignature) -> Lattice:
+        """The compiled derivations of one measure, built on first use; the
+        grammar is immutable, so each time signature compiles once."""
+        lattice = self._lattices.get(time_signature)
+        if lattice is None:
+            lattice = compile_lattice(self, time_signature)
+            self._lattices[time_signature] = lattice
+        return lattice
 
     def min_depth(self, head: str) -> int:
         return int(self._min_depth[head])

@@ -22,8 +22,9 @@ from .errors import (
     RhythmiqError,
     ValidationError,
 )
-from .grammar import Leaf, RhythmGrammar
+from .grammar import RhythmGrammar
 from .trees import (
+    CONTINUATION,
     NOTE,
     REST,
     RhythmTree,
@@ -92,39 +93,6 @@ class MeasureInput:
             raise ValidationError("carried_end without carried_pitch")
 
 
-def _sounding_end(measure: MeasureInput, left: float) -> tuple[float, int | None]:
-    """End and pitch of whatever was sounding when ``left`` begins."""
-    end, pitch = 0.0, None
-    if measure.carried_pitch is not None:
-        end, pitch = measure.carried_end, measure.carried_pitch
-    for (pos, p), ext in zip(measure.onsets, measure.extents):
-        if pos < left - EPS:
-            end, pitch = ext, p
-        else:
-            break
-    return end, pitch
-
-
-def _max_leaves(grammar: RhythmGrammar, head: str, budget: int,
-                memo: dict) -> int:
-    key = (head, budget)
-    if key in memo:
-        return memo[key]
-    best = 0
-    for rule in grammar.rules_for(head):
-        if isinstance(rule.body, Leaf):
-            best = max(best, 1)
-        elif budget >= 1 and all(
-            grammar.min_depth(c) <= budget - 1 for c in rule.body.children
-        ):
-            best = max(
-                best,
-                sum(_max_leaves(grammar, c, budget - 1, memo) for c in rule.body.children),
-            )
-    memo[key] = best
-    return best
-
-
 def quantize_measure(
     measure: MeasureInput,
     grammar: RhythmGrammar,
@@ -137,118 +105,83 @@ def quantize_measure(
     the measure holds more onsets than any derivation within the grammar's
     depth bound can carry, ParseFailureError when the grammar simply lacks
     the rules the data requires.
+
+    One bottom-up pass over the grammar's compiled lattice: a cell holds the
+    onsets at or after its left edge and before its right edge (both less
+    EPS).  The rule sequence tie-break needs no sequences: every candidate of
+    a cell starts with a different rule, so on equal (cost, leaves, tuplets)
+    the earlier rule keeps the cell.
     """
     config = config or QuantConfig()
-    start = grammar.start_for(time_signature)
+    lattice = grammar.lattice(time_signature)
     alpha = config.alpha
     theta = config.rest_threshold
-    onsets = measure.onsets
+    onsets, extents = measure.onsets, measure.extents
+    positions = [pos for pos, _ in onsets]
+    carried_end = measure.carried_end if measure.carried_pitch is not None else 0.0
 
-    def inside(left: float, right: float):
-        return [
-            (pos, pitch, ext)
-            for (pos, pitch), ext in zip(onsets, measure.extents)
-            if left - EPS <= pos < right - EPS
-        ]
+    # per node, children first: (cost, leaves, tuplets, rule, first onset)
+    # of the best derivation, or None
+    results: list = []
+    for lf, rf, rules in lattice.nodes:
+        lo = bisect_left(positions, lf - EPS)
+        count = bisect_left(positions, rf - EPS, lo) - lo
+        # whatever was sounding when the cell begins
+        sound_end = extents[lo - 1] if lo else carried_end
 
-    def uncovered_after(end: float, left: float, right: float) -> float:
-        return (right - min(max(end, left), right)) / (right - left)
+        # a leaf's uncovered tail, silence after the note or the carried
+        # sound relative to the leaf width, may be at most theta; when no
+        # strict option fits, the relaxed leaves drop that bound the way the
+        # notation builder does at its depth limit
+        note_extra = 0.0
+        if count > 1:
+            strict = relaxed = ()
+        elif count == 1:
+            relaxed = (NOTE,)
+            tail = (rf - min(max(extents[lo], lf), rf)) / (rf - lf)
+            strict = relaxed if tail <= theta + EPS else ()
+            dist = abs(positions[lo] - lf)
+            note_extra = alpha * (dist if dist >= EPS else 0.0)
+        elif sound_end <= lf + EPS:
+            strict = relaxed = (REST,)
+        else:
+            # a continuation needs sound at the left edge; a rest there is
+            # only a relaxed option
+            relaxed = (REST, CONTINUATION)
+            tail = (rf - min(sound_end, rf)) / (rf - lf)
+            strict = (CONTINUATION,) if tail <= theta + EPS else ()
 
-    memo: dict = {}
-
-    def best(head: str, left: Fraction, right: Fraction, depth: int):
-        key = (head, left, right, depth)
-        if key in memo:
-            return memo[key]
-        lf, rf = float(left), float(right)
-        contained = inside(lf, rf)
-        sound_end, _ = _sounding_end(measure, lf)
-
-        # a leaf's uncovered tail: silence after the note (or carried sound)
-        # relative to the leaf width; theta bounds what a leaf may absorb
-        if len(contained) == 1:
-            note_gap = uncovered_after(contained[0][2], lf, rf)
-        empty_gap = uncovered_after(sound_end, lf, rf)
-
-        def leaf_legal(label: str, degraded: bool) -> bool:
-            if label == NOTE:
-                if len(contained) != 1:
-                    return False
-                return degraded or note_gap <= theta + EPS
-            if contained:
-                return False
-            if label == REST:
-                return sound_end <= lf + EPS or degraded
-            # continuation: something must still be sounding at the left edge
-            if sound_end <= lf + EPS:
-                return False
-            return degraded or empty_gap <= theta + EPS
-
-        def leaf_candidate(idx, rule):
-            if rule.body.label == NOTE:
-                pos, pitch, _ = contained[0]
-                dist = abs(pos - lf)
-                if dist < EPS:
-                    dist = 0.0
-                return (rule.weight + alpha * dist, 1, 0, (idx,),
-                        RhythmTree(label=NOTE, pitch=pitch))
-            return (rule.weight, 1, 0, (idx,),
-                    RhythmTree(label=rule.body.label))
-
-        winner = None
-        for idx, rule in enumerate(grammar.rules):
-            if rule.head != head:
-                continue
-            if isinstance(rule.body, Leaf):
-                if not leaf_legal(rule.body.label, degraded=False):
-                    continue
-                cand = leaf_candidate(idx, rule)
-            else:
-                if depth >= grammar.max_depth:
-                    continue
-                children = rule.body.children
-                k = len(children)
-                width = (right - left) / k
-                cost, leaves, tuplets = rule.weight, 0, (k & (k - 1) != 0)
-                seq: tuple[int, ...] = (idx,)
-                subtrees = []
-                ok = True
-                for i, child_head in enumerate(children):
-                    sub = best(child_head, left + i * width,
-                               left + (i + 1) * width, depth + 1)
+        best = choice = None
+        for rule in rules:
+            weight, label, children, tuplets = rule
+            if label is None:
+                cost, leaves = weight, 0
+                for child in children:
+                    sub = results[child]
                     if sub is None:
-                        ok = False
                         break
                     cost += sub[0]
                     leaves += sub[1]
                     tuplets += sub[2]
-                    seq = seq + sub[3]
-                    subtrees.append(sub[4])
-                if not ok:
-                    continue
-                cand = (cost, leaves, tuplets, seq,
-                        RhythmTree(children=tuple(subtrees)))
-            if winner is None or cand[:4] < winner[:4]:
-                winner = cand
+                else:
+                    cand = (cost, leaves, tuplets)
+                    if best is None or cand < best:
+                        best, choice = cand, rule
+            elif label in strict:
+                cand = (weight + note_extra if label == NOTE else weight, 1, 0)
+                if best is None or cand < best:
+                    best, choice = cand, rule
+        if best is None and relaxed:
+            for rule in rules:
+                if rule.label in relaxed:
+                    cand = (rule.weight + note_extra if rule.label == NOTE
+                            else rule.weight, 1, 0)
+                    if best is None or cand < best:
+                        best, choice = cand, rule
+        results.append(None if best is None else (*best, choice, lo))
 
-        if winner is None:
-            # nothing strict fits: relax the coverage rule the way the
-            # notation builder does at its depth limit, so a lone displaced
-            # onset or an awkward tail still gets some leaf
-            for idx, rule in enumerate(grammar.rules):
-                if rule.head != head or not isinstance(rule.body, Leaf):
-                    continue
-                if not leaf_legal(rule.body.label, degraded=True):
-                    continue
-                cand = leaf_candidate(idx, rule)
-                if winner is None or cand[:4] < winner[:4]:
-                    winner = cand
-        memo[key] = winner
-        return winner
-
-    result = best(start, Fraction(0), Fraction(1), 0)
-    if result is None:
-        cap = _max_leaves(grammar, start, grammar.max_depth, {})
+    if results[-1] is None:
+        cap = lattice.max_leaves()
         if len(onsets) > cap:
             raise CapacityError(
                 f"{len(onsets)} onsets exceed the {cap} leaves reachable "
@@ -257,8 +190,18 @@ def quantize_measure(
         raise ParseFailureError(
             "no derivation fits this measure; the grammar lacks a needed rule"
         )
-    cost, _, _, _, tree = result
-    return tree, cost
+    return _derivation(results, len(results) - 1, onsets), results[-1][0]
+
+
+def _derivation(results: list, node: int, onsets) -> RhythmTree:
+    """The tree of a node's winning derivation, from the solver's results."""
+    _, _, _, rule, lo = results[node]
+    if rule.label is None:
+        return RhythmTree(children=tuple(
+            _derivation(results, child, onsets) for child in rule.children))
+    if rule.label == NOTE:
+        return RhythmTree(label=NOTE, pitch=onsets[lo][1])
+    return RhythmTree(label=rule.label)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +217,12 @@ def _factor_count(n: int) -> int:
     return count
 
 
+def _grid_resolution(n_onsets: int, time_signature: TimeSignature,
+                     resolution: int) -> int:
+    """The smallest resolution >= ``resolution`` with a slot for each onset."""
+    return max(resolution, -(-n_onsets // time_signature.numerator))
+
+
 def fallback_quantize(
     measure: MeasureInput,
     time_signature: TimeSignature = TimeSignature(4, 4),
@@ -281,32 +230,23 @@ def fallback_quantize(
 ) -> RhythmTree:
     """Snap onsets to a uniform grid of ``resolution`` slots per beat.
 
-    Collisions shift to the nearest free slot (rightward first).  Used when
-    the grammar solver cannot explain a measure.
+    Each onset takes its nearest slot, but no earlier than the slot after
+    the previous onset's and no later than leaves a slot for each onset
+    after it, so a collision shifts right, at the bar's end left, and every
+    onset keeps its own slot and its order.  A measure with more onsets than
+    slots uses the smallest resolution above ``resolution`` that has a slot
+    for each.  Used when the grammar solver cannot explain a measure.
     """
     if resolution < 1:
         raise ValidationError(f"resolution must be >= 1, got {resolution}")
+    n = len(measure.onsets)
+    resolution = _grid_resolution(n, time_signature, resolution)
     total = time_signature.numerator * resolution
-    used: set[int] = set()
-    placed: list[tuple[int, int, float]] = []  # (slot, pitch, extent)
-    for (pos, pitch), ext in zip(measure.onsets, measure.extents):
-        slot = min(total - 1, max(0, round(pos * total)))
-        s = slot
-        while s in used and s < total:
-            s += 1
-        if s >= total:
-            s = slot
-            while s in used and s >= 0:
-                s -= 1
-            if s < 0:
-                continue  # measure denser than the grid; drop the onset
-        used.add(s)
-        placed.append((s, pitch, ext))
-
-    placed.sort()
     onsets = []
     extents = []
-    for slot, pitch, ext in placed:
+    slot = -1
+    for i, ((pos, pitch), ext) in enumerate(zip(measure.onsets, measure.extents)):
+        slot = min(total - (n - i), max(slot + 1, round(pos * total)))
         end_slot = max(slot + 1, round(ext * total))
         onsets.append((Fraction(slot, total), pitch))
         extents.append(Fraction(end_slot, total))
@@ -334,32 +274,6 @@ def time_to_beats(grid: BeatGrid, t: float) -> float:
     i = max(0, min(i, len(beats) - 2))
     dt = beats[i + 1] - beats[i]
     return i + (t - beats[i]) / dt
-
-
-def _note_positions(grammar: RhythmGrammar, start: str) -> list[float]:
-    """Left endpoints (measure units) where the grammar can put a note."""
-    seen: set = set()
-    points: set = set()
-
-    def rec(head: str, left: Fraction, right: Fraction, depth: int):
-        key = (head, left, right, depth)
-        if key in seen:
-            return
-        seen.add(key)
-        if grammar.leaf_rule(head, NOTE) is not None:
-            points.add(left)
-        if depth >= grammar.max_depth:
-            return
-        for rule in grammar.rules_for(head):
-            if isinstance(rule.body, Leaf):
-                continue
-            k = len(rule.body.children)
-            width = (right - left) / k
-            for i, child in enumerate(rule.body.children):
-                rec(child, left + i * width, left + (i + 1) * width, depth + 1)
-
-    rec(start, Fraction(0), Fraction(1), 0)
-    return sorted(float(p) for p in points)
 
 
 def quantize_performance(
@@ -441,11 +355,15 @@ def quantize_performance(
             return result[0]
         if on_error == "raise":
             raise result
-        warnings.append(f"measure {m - m_lo}: {result}; grid fallback applied")
+        n = len(inp.onsets)
+        resolution = _grid_resolution(n, sig, fallback_resolution)
+        finer = (f"; {n} onsets need {resolution} grid slots per beat"
+                 if resolution > fallback_resolution else "")
+        warnings.append(f"measure {m - m_lo}: {result}{finer}; grid fallback applied")
         return fallback_quantize(inp, sig, fallback_resolution)
 
     defer_window = 0.5 / bpb
-    lattice = _note_positions(grammar, grammar.start_for(sig))
+    lattice = grammar.lattice(sig).note_positions
     measures = []
     m = m_lo
     while m <= m_hi:
@@ -456,7 +374,8 @@ def quantize_performance(
             downbeat_taken = nxt < len(notes) and notes[nxt][0] < m + 1 + 1e-6
             # an onset sitting exactly on a notatable grid position was played
             # there on purpose; only off-grid stragglers may be early downbeats
-            on_lattice = any(abs(pos - p) < 1e-6 for p in lattice)
+            near = bisect_left(lattice, pos)
+            on_lattice = any(abs(pos - p) < 1e-6 for p in lattice[max(near - 1, 0):near + 1])
             if (pos >= 1 - defer_window and pos > 0
                     and not downbeat_taken and not on_lattice):
                 plan_a = soft(m) + soft(m + 1)

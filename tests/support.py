@@ -1,5 +1,6 @@
-"""Shared test helpers: random grammar construction, random measures, and an
-exhaustive derivation enumerator used as the optimality oracle.
+"""Shared test helpers: random grammar construction, random measures, an
+exhaustive derivation enumerator used as the optimality oracle, and the
+memoized recursive solver the compiled-lattice solver must reproduce.
 
 The enumerator builds every derivation of the grammar explicitly (no
 memoized minima), so agreement with the solver's DP is a real check and not
@@ -13,14 +14,18 @@ import random
 from fractions import Fraction
 
 from rhythmiq import (
+    CapacityError,
     GrammarRule,
     Leaf,
     MeasureInput,
+    ParseFailureError,
     QuantConfig,
     RhythmGrammar,
+    RhythmTree,
     Split,
     TimeSignature,
 )
+from rhythmiq.trees import NOTE, REST
 
 SIG44 = TimeSignature(4, 4)
 EPS = 1e-9
@@ -185,3 +190,175 @@ def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
 
     costs = derivations(grammar.start_for(sig), Fraction(0), Fraction(1), 0)
     return min(costs) if costs else None
+
+
+def _sounding_end(measure: MeasureInput, left: float) -> tuple[float, int | None]:
+    """End and pitch of whatever was sounding when ``left`` begins."""
+    end, pitch = 0.0, None
+    if measure.carried_pitch is not None:
+        end, pitch = measure.carried_end, measure.carried_pitch
+    for (pos, p), ext in zip(measure.onsets, measure.extents):
+        if pos < left - EPS:
+            end, pitch = ext, p
+        else:
+            break
+    return end, pitch
+
+
+def _max_leaves(grammar: RhythmGrammar, head: str, budget: int,
+                memo: dict) -> int:
+    key = (head, budget)
+    if key in memo:
+        return memo[key]
+    best = 0
+    for rule in grammar.rules_for(head):
+        if isinstance(rule.body, Leaf):
+            best = max(best, 1)
+        elif budget >= 1 and all(
+            grammar.min_depth(c) <= budget - 1 for c in rule.body.children
+        ):
+            best = max(
+                best,
+                sum(_max_leaves(grammar, c, budget - 1, memo) for c in rule.body.children),
+            )
+    memo[key] = best
+    return best
+
+
+def reference_quantize_measure(
+    measure: MeasureInput,
+    grammar: RhythmGrammar,
+    config: QuantConfig | None = None,
+    time_signature: TimeSignature = TimeSignature(4, 4),
+) -> tuple[RhythmTree, float]:
+    """The recursive Fraction solver that ``quantize_measure`` replaced,
+    kept as its reference: same trees, bit-identical costs, same errors.
+
+    Find the minimum-cost derivation explaining one measure.
+
+    Returns the winning tree and its total cost.  Raises CapacityError when
+    the measure holds more onsets than any derivation within the grammar's
+    depth bound can carry, ParseFailureError when the grammar simply lacks
+    the rules the data requires.
+    """
+    config = config or QuantConfig()
+    start = grammar.start_for(time_signature)
+    alpha = config.alpha
+    theta = config.rest_threshold
+    onsets = measure.onsets
+
+    def inside(left: float, right: float):
+        return [
+            (pos, pitch, ext)
+            for (pos, pitch), ext in zip(onsets, measure.extents)
+            if left - EPS <= pos < right - EPS
+        ]
+
+    def uncovered_after(end: float, left: float, right: float) -> float:
+        return (right - min(max(end, left), right)) / (right - left)
+
+    memo: dict = {}
+
+    def best(head: str, left: Fraction, right: Fraction, depth: int):
+        key = (head, left, right, depth)
+        if key in memo:
+            return memo[key]
+        lf, rf = float(left), float(right)
+        contained = inside(lf, rf)
+        sound_end, _ = _sounding_end(measure, lf)
+
+        # a leaf's uncovered tail: silence after the note (or carried sound)
+        # relative to the leaf width; theta bounds what a leaf may absorb
+        if len(contained) == 1:
+            note_gap = uncovered_after(contained[0][2], lf, rf)
+        empty_gap = uncovered_after(sound_end, lf, rf)
+
+        def leaf_legal(label: str, degraded: bool) -> bool:
+            if label == NOTE:
+                if len(contained) != 1:
+                    return False
+                return degraded or note_gap <= theta + EPS
+            if contained:
+                return False
+            if label == REST:
+                return sound_end <= lf + EPS or degraded
+            # continuation: something must still be sounding at the left edge
+            if sound_end <= lf + EPS:
+                return False
+            return degraded or empty_gap <= theta + EPS
+
+        def leaf_candidate(idx, rule):
+            if rule.body.label == NOTE:
+                pos, pitch, _ = contained[0]
+                dist = abs(pos - lf)
+                if dist < EPS:
+                    dist = 0.0
+                return (rule.weight + alpha * dist, 1, 0, (idx,),
+                        RhythmTree(label=NOTE, pitch=pitch))
+            return (rule.weight, 1, 0, (idx,),
+                    RhythmTree(label=rule.body.label))
+
+        winner = None
+        for idx, rule in enumerate(grammar.rules):
+            if rule.head != head:
+                continue
+            if isinstance(rule.body, Leaf):
+                if not leaf_legal(rule.body.label, degraded=False):
+                    continue
+                cand = leaf_candidate(idx, rule)
+            else:
+                if depth >= grammar.max_depth:
+                    continue
+                children = rule.body.children
+                k = len(children)
+                width = (right - left) / k
+                cost, leaves, tuplets = rule.weight, 0, (k & (k - 1) != 0)
+                seq: tuple[int, ...] = (idx,)
+                subtrees = []
+                ok = True
+                for i, child_head in enumerate(children):
+                    sub = best(child_head, left + i * width,
+                               left + (i + 1) * width, depth + 1)
+                    if sub is None:
+                        ok = False
+                        break
+                    cost += sub[0]
+                    leaves += sub[1]
+                    tuplets += sub[2]
+                    seq = seq + sub[3]
+                    subtrees.append(sub[4])
+                if not ok:
+                    continue
+                cand = (cost, leaves, tuplets, seq,
+                        RhythmTree(children=tuple(subtrees)))
+            if winner is None or cand[:4] < winner[:4]:
+                winner = cand
+
+        if winner is None:
+            # nothing strict fits: relax the coverage rule the way the
+            # notation builder does at its depth limit, so a lone displaced
+            # onset or an awkward tail still gets some leaf
+            for idx, rule in enumerate(grammar.rules):
+                if rule.head != head or not isinstance(rule.body, Leaf):
+                    continue
+                if not leaf_legal(rule.body.label, degraded=True):
+                    continue
+                cand = leaf_candidate(idx, rule)
+                if winner is None or cand[:4] < winner[:4]:
+                    winner = cand
+        memo[key] = winner
+        return winner
+
+    result = best(start, Fraction(0), Fraction(1), 0)
+    if result is None:
+        cap = _max_leaves(grammar, start, grammar.max_depth, {})
+        if len(onsets) > cap:
+            raise CapacityError(
+                f"{len(onsets)} onsets exceed the {cap} leaves reachable "
+                f"within depth {grammar.max_depth}"
+            )
+        raise ParseFailureError(
+            "no derivation fits this measure; the grammar lacks a needed rule"
+        )
+    cost, _, _, _, tree = result
+    return tree, cost

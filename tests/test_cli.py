@@ -88,6 +88,24 @@ def test_importing_cli_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_cli_compiles_no_lattice():
+    # grammars compile their lattice on first quantize, so commands that
+    # never quantize (eval, tempo) pay nothing for it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rhythmiq
+
+    src = str(Path(rhythmiq.__file__).resolve().parents[1])
+    code = ("import gc, sys; sys.path.insert(0, sys.argv[1]); import rhythmiq.cli; "
+            "from rhythmiq.grammar import Lattice; "
+            "print(any(isinstance(o, Lattice) for o in gc.get_objects()))")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(on_error="ignore")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from rhythmiq import (
     BeatGrid,
     CapacityError,
     EmptyInputError,
+    GrammarError,
     GrammarRule,
     Leaf,
     MeasureInput,
@@ -16,6 +18,7 @@ from rhythmiq import (
     Performance,
     QuantConfig,
     RhythmGrammar,
+    RhythmiqError,
     Split,
     TimeSignature,
     ValidationError,
@@ -74,6 +77,70 @@ def test_dp_matches_enumeration_randomized():
             assert abs(cost - oracle) <= 1e-9, (
                 f"trial {trial}: solver {cost} vs enumeration {oracle}"
             )
+
+
+def _boundary_measure(rng: random.Random) -> MeasureInput:
+    """Onsets, releases and a carried release within 2 EPS of cells k/96."""
+    def near(k: int) -> float:
+        return k / 96 + rng.choice((-2, -1, 0, 1, 2)) * support.EPS
+
+    step = rng.choice((1, 4, 8, 12, 24))  # coarse steps hit more cell edges
+    slots = sorted(rng.sample(range(0, 96, step), rng.randint(0, min(6, 96 // step))))
+    onsets, extents = [], []
+    for i, slot in enumerate(slots):
+        ceiling = slots[i + 1] if i + 1 < len(slots) else 120
+        onsets.append((max(0.0, near(slot)), 60 + i))
+        extents.append(near(rng.randint(slot + 1, ceiling)))
+    if rng.random() < 0.4:
+        return MeasureInput(tuple(onsets), tuple(extents), 59, near(rng.randint(1, 96)))
+    return MeasureInput(tuple(onsets), tuple(extents))
+
+
+def _equal_weights(grammar: RhythmGrammar) -> RhythmGrammar:
+    """The grammar with each head's rules equally likely, so costs tie."""
+    return RhythmGrammar(grammar.starts, [
+        GrammarRule(r.head, r.body, math.log(len(grammar.rules_for(r.head))))
+        for r in grammar.rules
+    ], grammar.max_depth)
+
+
+def _solve(solver, measure, grammar, config):
+    try:
+        return solver(measure, grammar, config)
+    except RhythmiqError as exc:
+        return type(exc)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_lattice_solver_matches_the_recursive_reference(seed, at_boundaries, ties):
+    # same tree, bit-identical cost (the fold order is part of the contract)
+    # and the same error class as the Fraction solver it replaced
+    rng = random.Random(seed)
+    grammar = support.random_grammar(rng)
+    if ties:
+        grammar = _equal_weights(grammar)
+    measure = _boundary_measure(rng) if at_boundaries else support.random_measure(rng)
+    config = QuantConfig(alpha=rng.choice((0.0, 8.0, 30.0)),
+                         rest_threshold=rng.choice((0.25, 0.5, 1.0)))
+    assert (_solve(quantize_measure, measure, grammar, config)
+            == _solve(support.reference_quantize_measure, measure, grammar, config))
+
+
+@pytest.mark.parametrize("flat_first", [True, False])
+def test_equal_cost_derivations_go_to_the_earlier_rule(flat_first):
+    # four quarters as (n n n n) or ((n n) (n n)): same cost, leaves and
+    # tuplets, so the rule listed first wins
+    flat, nested = "M -> (N N N N) : 0.5", "M -> (P P) : 0.5"
+    g = parse_grammar_file("\n".join([
+        "maxdepth = 2", "start 4/4 = M",
+        *((flat, nested) if flat_first else (nested, flat)),
+        "P -> (N N) : 1.0", "N -> note : 1.0",
+    ]))
+    measure = MeasureInput(tuple((k / 4, 60) for k in range(4)), (0.25, 0.5, 0.75, 1.0))
+    tree, cost = quantize_measure(measure, g)
+    assert tree.depth() == (1 if flat_first else 2)
+    assert (tree, cost) == support.reference_quantize_measure(measure, g)
 
 
 def test_quarter_notes_parse_as_beats():
@@ -197,6 +264,39 @@ def test_fallback_collision_shifts_right():
     got = [(left, leaf.pitch) for leaf, left, _ in tree.leaves()
            if leaf.label == NOTE]
     assert got == [(Fraction(0), 60), (Fraction(1, 16), 62)]
+
+
+def test_fallback_collision_at_the_bar_end_keeps_the_order():
+    # both onsets round to the last slot; the first makes room to its left
+    measure = MeasureInput(((0.96, 60), (0.98, 62)), (0.97, 1.0))
+    tree = fallback_quantize(measure, SIG, resolution=4)
+    got = [(left, leaf.pitch) for leaf, left, _ in tree.leaves()
+           if leaf.label == NOTE]
+    assert got == [(Fraction(14, 16), 60), (Fraction(15, 16), 62)]
+
+
+def test_fallback_keeps_every_onset_of_a_bar_denser_than_its_grid():
+    # 24 triplet sixteenths do not fit 16 slots: the grid refines to 6 per beat
+    measure = MeasureInput(tuple((k / 24, 48 + k) for k in range(24)),
+                           tuple((k + 1) / 24 for k in range(24)))
+    tree = fallback_quantize(measure, SIG, resolution=4)
+    got = [(left, leaf.pitch) for leaf, left, _ in tree.leaves()
+           if leaf.label == NOTE]
+    assert got == [(Fraction(k, 24), 48 + k) for k in range(24)]
+
+
+def test_fallback_warning_names_the_finer_grid():
+    # nine notes a beat: more onsets than the default grammar has leaves, and
+    # more than the 16 slots of the default grid
+    perf = Performance([NoteEvent(k / 18, 0.05, 40 + k) for k in range(36)])
+    score, warnings = quantize_performance(perf, _grid(1), default_grammar(),
+                                           on_error="fallback")
+    assert len(warnings) == 1
+    assert "36 onsets need 9 grid slots per beat" in warnings[0]
+    assert warnings[0].endswith("grid fallback applied")
+    got = [(left, leaf.pitch) for leaf, left, _ in score.measures[0].leaves()
+           if leaf.label == NOTE]
+    assert got == [(Fraction(k, 36), 40 + k) for k in range(36)]
 
 
 def test_fallback_resolution_validation():
@@ -387,3 +487,55 @@ def test_round_trip_through_rendered_midi():
         out, warnings = quantize_performance(perf, grid, g)
         assert not warnings
         assert out == score
+
+
+# ---------------------------------------------------------------------------
+# compiled lattice
+
+def _count_compiles(monkeypatch) -> list:
+    import rhythmiq.grammar as grammar_module
+
+    calls = []
+    compile_lattice = grammar_module.compile_lattice
+
+    def counted(grammar, time_signature):
+        calls.append(time_signature)
+        return compile_lattice(grammar, time_signature)
+
+    monkeypatch.setattr(grammar_module, "compile_lattice", counted)
+    return calls
+
+
+def test_lattice_compiles_once_per_grammar_and_signature(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    grammar = default_grammar()
+    assert calls == []  # building a grammar compiles nothing
+    perf = Performance(
+        [NoteEvent(0.5 * k, 0.5, 60) for k in range(3)]
+        + [NoteEvent(1.97, 1.0, 72)]  # weighs a deferral: several solves
+    )
+    quantize_performance(perf, _grid(2), grammar)
+    assert calls == [SIG]
+    for _ in range(3):
+        quantize_measure(MeasureInput(((0.25, 60),), (0.5,)), grammar)
+    assert calls == [SIG]
+    quantize_measure(MeasureInput(), default_grammar())
+    assert calls == [SIG, SIG]  # another grammar compiles its own
+
+
+def test_lattice_for_a_signature_without_start_symbol_raises(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    grammar = default_grammar()
+    for _ in range(2):
+        with pytest.raises(GrammarError):
+            quantize_measure(MeasureInput(), grammar, time_signature=TimeSignature(3, 4))
+    assert len(calls) == 2  # a failure is not kept
+
+
+def test_lattice_queries_of_the_default_grammar():
+    lattice = default_grammar().lattice(SIG)
+    assert len(lattice.nodes) == 97
+    assert lattice.max_leaves() == 32  # four beats of eight 32nds
+    # a note may start on every 32nd and every triplet-sixteenth position
+    grid = {Fraction(k, 32) for k in range(32)} | {Fraction(k, 24) for k in range(24)}
+    assert lattice.note_positions == tuple(sorted(float(p) for p in grid))
