@@ -45,7 +45,6 @@ from .grammar import (
 )
 from .metrics import (
     EditMetrics,
-    EvalReport,
     NoteMetrics,
     best_rotation_fmeasure,
     downbeat_fmeasure,
@@ -96,7 +95,7 @@ __all__ = [
     "GrammarRule", "Leaf", "RhythmGrammar", "Split", "adjust_rule_weight",
     "default_grammar", "parse_grammar_file", "sample_score", "sample_tree",
     "serialize_grammar", "train_grammar",
-    "EditMetrics", "EvalReport", "NoteMetrics", "best_rotation_fmeasure",
+    "EditMetrics", "NoteMetrics", "best_rotation_fmeasure",
     "downbeat_fmeasure", "note_metrics", "score_edit_metrics", "sdr",
     "summarize",
     "load_midi", "save_midi",

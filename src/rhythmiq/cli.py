@@ -8,11 +8,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import load_beats
 from .errors import (
@@ -37,6 +35,9 @@ from .midi_io import load_midi
 from .musicxml import emit_musicxml, parse_musicxml
 from .quantize import QuantConfig, quantize_performance
 from .tempo import TempoBounds, enumerate_rotations, estimate_tempo_ioi, tempo_bounds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,8 @@ def _load_downbeats(path: Path) -> list[float]:
 
 def load_wav(path: str | Path) -> tuple[int, np.ndarray]:
     """Read a WAV file as float64 in [-1, 1], first channel only."""
-    # only `eval sdr` reads audio; scipy stays out of every other command
+    # only `eval sdr` reads audio; numpy and scipy stay out of every other command
+    import numpy as np
     from scipy.io import wavfile
 
     rate, data = wavfile.read(path)
@@ -270,6 +272,8 @@ def _pair_paths(ref: str, est: str, suffixes: tuple[str, ...]):
 
 def _run_pairs(pairs, fn, jobs: int):
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(lambda pair: fn(pair[1], pair[2]), pairs))
     return [fn(r, e) for _, r, e in pairs]

@@ -180,7 +180,10 @@ class RhythmGrammar:
         for rule in self.rules:
             if rule.head in LEAF_LABELS:
                 raise GrammarError(f"{rule.head!r} is a reserved leaf label")
-            self._by_head.setdefault(rule.head, []).append(rule)
+            head_rules = self._by_head.setdefault(rule.head, [])
+            if any(r.body == rule.body for r in head_rules):
+                raise GrammarError(f"duplicate rule {rule.head} -> {rule.body}")
+            head_rules.append(rule)
 
         for sig, sym in self.starts.items():
             if sym not in self._by_head:
@@ -266,9 +269,6 @@ class RhythmGrammar:
     def min_depth(self, head: str) -> int:
         return int(self._min_depth[head])
 
-    def rule_index(self, rule: GrammarRule) -> int:
-        return self.rules.index(rule)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RhythmGrammar)
@@ -297,6 +297,7 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
     """
     starts: dict[TimeSignature, str] = {}
     raw_rules: list[tuple[str, Split | Leaf, float]] = []
+    first_line: dict[tuple[str, Split | Leaf], int] = {}
     max_depth = 4
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -328,6 +329,11 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
                 body = Leaf(body_text)
             else:
                 raise GrammarError(f"line {lineno}: bad rule body {body_text!r}")
+            first = first_line.setdefault((head, body), lineno)
+            if first != lineno:
+                raise GrammarError(
+                    f"line {lineno}: duplicate rule {head} -> {body} (first on line {first})"
+                )
             raw_rules.append((head, body, prob))
             continue
         raise GrammarError(f"line {lineno}: cannot parse {line!r}")
@@ -475,19 +481,16 @@ def adjust_rule_weight(grammar: RhythmGrammar, selector, factor: float) -> Rhyth
     if not matched_heads:
         return grammar
 
-    new_probs: dict[int, float] = {}
-    for head in matched_heads:
-        head_rules = grammar.rules_for(head)
-        scaled = [
-            r.probability * (factor if predicate(r) else 1.0) for r in head_rules
-        ]
-        total = sum(scaled)
-        for r, p in zip(head_rules, scaled):
-            new_probs[grammar.rule_index(r)] = p / total
+    scaled: dict[int, float] = {}
+    totals: dict[str, float] = {}
+    for i, r in enumerate(grammar.rules):
+        if r.head in matched_heads:
+            scaled[i] = r.probability * (factor if predicate(r) else 1.0)
+            totals[r.head] = totals.get(r.head, 0) + scaled[i]
 
     rules = [
-        GrammarRule(r.head, r.body, -math.log(new_probs[i]))
-        if i in new_probs
+        GrammarRule(r.head, r.body, -math.log(scaled[i] / totals[r.head]))
+        if i in scaled
         else r
         for i, r in enumerate(grammar.rules)
     ]

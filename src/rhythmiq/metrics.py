@@ -5,12 +5,8 @@ All F-measures and rates are percentages.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from fractions import Fraction
-
-import numpy as np
+from dataclasses import dataclass
 
 from .core import Performance
 from .errors import ValidationError
@@ -37,25 +33,25 @@ def _f_measure(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching size via augmenting paths."""
-    match_right = [-1] * n_right
+def _window_matches(ref: list[float], est: list[float], tolerance: float) -> int:
+    """Size of a maximum one-to-one matching of two sorted time lists, a
+    pair matching when its times differ by at most ``tolerance``.
 
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(len(adjacency)):
-        if augment(u, [False] * n_right):
-            size += 1
-    return size
+    Each reference's partners form a contiguous run of the estimates, and
+    both ends of that run only move forward, so matching the earliest
+    compatible pair first is maximal.
+    """
+    matched = i = j = 0
+    while i < len(ref) and j < len(est):
+        if abs(ref[i] - est[j]) <= tolerance:
+            matched += 1
+            i += 1
+            j += 1
+        elif est[j] < ref[i]:
+            j += 1
+        else:
+            i += 1
+    return matched
 
 
 def note_metrics(
@@ -69,15 +65,17 @@ def note_metrics(
     n_ref, n_est = len(ref), len(est)
     if n_ref == 0 or n_est == 0:
         return NoteMetrics(0.0, 0.0, 0.0, 0, n_ref, n_est)
-    adjacency = [
-        [
-            j
-            for j, e in enumerate(est.notes)
-            if e.pitch == r.pitch and abs(e.onset - r.onset) <= onset_tolerance
-        ]
-        for r in ref.notes
-    ]
-    matched = _max_matching(adjacency, n_est)
+    # a Performance keeps its notes sorted by onset, so each pitch's are too
+    ref_onsets: dict[int, list[float]] = {}
+    est_onsets: dict[int, list[float]] = {}
+    for notes, by_pitch in ((ref.notes, ref_onsets), (est.notes, est_onsets)):
+        for n in notes:
+            by_pitch.setdefault(n.pitch, []).append(n.onset)
+    matched = sum(
+        _window_matches(onsets, est_onsets[pitch], onset_tolerance)
+        for pitch, onsets in ref_onsets.items()
+        if pitch in est_onsets
+    )
     precision = 100.0 * matched / n_est
     recall = 100.0 * matched / n_ref
     return NoteMetrics(precision, recall, _f_measure(precision, recall),
@@ -96,17 +94,7 @@ def downbeat_fmeasure(
     est = sorted(est_times)
     if not ref or not est:
         return 0.0
-    matched = 0
-    i = j = 0
-    while i < len(ref) and j < len(est):
-        if abs(ref[i] - est[j]) <= tolerance:
-            matched += 1
-            i += 1
-            j += 1
-        elif est[j] < ref[i]:
-            j += 1
-        else:
-            i += 1
+    matched = _window_matches(ref, est, tolerance)
     precision = 100.0 * matched / len(est)
     recall = 100.0 * matched / len(ref)
     return _f_measure(precision, recall)
@@ -237,6 +225,8 @@ def score_edit_metrics(ref: ScoreModel, est: ScoreModel) -> EditMetrics:
 
 def sdr(ref, est) -> float:
     """Signal-to-distortion ratio in dB; identical signals return 200.0."""
+    import numpy as np  # only `eval sdr` needs numpy; other commands start without it
+
     ref = np.asarray(ref, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
     if ref.shape != est.shape:
@@ -257,28 +247,12 @@ def sdr(ref, est) -> float:
 
 def summarize(values) -> dict[str, float]:
     """Mean, population standard deviation, and max of a metric series."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
+    values = [float(v) for v in values]
+    if not values:
         raise ValidationError("no values to summarize")
+    mean = math.fsum(values) / len(values)
     return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=0)),
-        "max": float(arr.max()),
+        "mean": mean,
+        "std": math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values)),
+        "max": max(values),
     }
-
-
-@dataclass
-class EvalReport:
-    """A named bundle of per-item metric values with summary statistics."""
-
-    metrics: dict[str, list[float]]
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        return {name: summarize(vals) for name, vals in self.metrics.items()}
-
-    def to_json(self) -> str:
-        payload = {
-            "per_item": {k: list(v) for k, v in self.metrics.items()},
-            "summary": self.summary(),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)

@@ -10,7 +10,6 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .core import TimeSignature
 from .errors import FormatError, UnsupportedContentError, ValidationError
@@ -115,6 +114,11 @@ def _dots_and_type(notated: Fraction) -> tuple[str, int]:
         raise ValidationError(f"duration {notated} has no note type")
 
 
+def _escape(text: str) -> str:
+    """Escape character data for an XML element."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _format_bpm(bpm: float) -> str:
     if bpm == int(bpm):
         return str(int(bpm))
@@ -145,11 +149,11 @@ def emit_musicxml(
         '<score-partwise version="3.1">',
     ]
     if title:
-        lines += ["  <work>", f"    <work-title>{escape(title)}</work-title>", "  </work>"]
+        lines += ["  <work>", f"    <work-title>{_escape(title)}</work-title>", "  </work>"]
     lines += [
         "  <part-list>",
         '    <score-part id="P1">',
-        f"      <part-name>{escape(part_name)}</part-name>",
+        f"      <part-name>{_escape(part_name)}</part-name>",
         "    </score-part>",
         "  </part-list>",
         '  <part id="P1">',
@@ -276,6 +280,17 @@ def _note_xml(
 # ---------------------------------------------------------------------------
 # parsing
 
+def _integer(text: str | None, where: str, what: str, positive: bool = False) -> int:
+    """Read an integer element text; malformed input raises FormatError."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        raise FormatError(f"{where}{what} must be an integer, got {text!r}")
+    if positive and value <= 0:
+        raise FormatError(f"{where}{what} must be a positive integer, got {text!r}")
+    return value
+
+
 def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str]]:
     """Parse single-part partwise MusicXML back into a score.
 
@@ -311,19 +326,21 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
         raise FormatError("part has no measures")
 
     for m_index, measure in enumerate(measure_elems):
+        where = f"measure {m_index + 1}: "
         attributes = measure.find("attributes")
         if attributes is not None:
             d = attributes.findtext("divisions")
             if d is not None:
-                divisions = int(d)
+                divisions = _integer(d, where, "divisions", positive=True)
             t = attributes.find("time")
             if t is not None:
                 sig = TimeSignature(
-                    int(t.findtext("beats")), int(t.findtext("beat-type"))
+                    _integer(t.findtext("beats"), where, "time beats"),
+                    _integer(t.findtext("beat-type"), where, "time beat-type"),
                 )
             k = attributes.find("key")
             if k is not None and k.findtext("fifths") is not None:
-                fifths = int(k.findtext("fifths"))
+                fifths = _integer(k.findtext("fifths"), where, "key fifths")
         if sig is None:
             sig = TimeSignature(4, 4)
             warnings.append("no time signature; assuming 4/4")
@@ -333,7 +350,15 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
 
         sound = measure.find(".//sound[@tempo]")
         if sound is not None and tempo_marking is None:
-            tempo_marking = float(sound.get("tempo")) * sig.denominator / 4
+            tempo_text = sound.get("tempo")
+            try:
+                tempo = float(tempo_text)
+            except ValueError:
+                tempo = math.nan
+            if not (math.isfinite(tempo) and tempo > 0):
+                raise FormatError(
+                    f"{where}sound tempo must be a positive number, got {tempo_text!r}")
+            tempo_marking = tempo * sig.denominator / 4
 
         quarters_per_measure = Fraction(sig.numerator * 4, sig.denominator)
         cursor = Fraction(0)  # in quarters
@@ -341,16 +366,24 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
             if elem.tag == "backup":
                 raise UnsupportedContentError("backup element (multiple voices)")
             if elem.tag == "forward":
-                cursor += Fraction(int(elem.findtext("duration")), divisions)
+                cursor += Fraction(
+                    _integer(elem.findtext("duration"), where, "forward duration",
+                             positive=True),
+                    divisions,
+                )
                 continue
             if elem.tag != "note":
                 continue
             if elem.find("chord") is not None:
                 raise UnsupportedContentError("chord (polyphony)")
             if elem.find("grace") is not None:
-                warnings.append(f"measure {m_index + 1}: grace note skipped")
+                warnings.append(f"{where}grace note skipped")
                 continue
-            dur = Fraction(int(elem.findtext("duration")), divisions)
+            dur = Fraction(
+                _integer(elem.findtext("duration"), where, "note duration",
+                         positive=True),
+                divisions,
+            )
             if elem.find("rest") is not None:
                 cursor += dur
                 continue
@@ -358,8 +391,10 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
             if pitch_el is None:
                 raise FormatError("note without pitch or rest")
             step = pitch_el.findtext("step")
-            alter = int(pitch_el.findtext("alter") or 0)
-            octave = int(pitch_el.findtext("octave"))
+            if step not in _NATURAL_PC:
+                raise FormatError(f"{where}pitch step must be one of A-G, got {step!r}")
+            alter = _integer(pitch_el.findtext("alter") or "0", where, "pitch alter")
+            octave = _integer(pitch_el.findtext("octave"), where, "pitch octave")
             midi = _NATURAL_PC[step] + alter + 12 * (octave + 1)
             if not 0 <= midi <= 127:
                 raise ValidationError(f"pitch {step}{alter}/{octave} out of range")
@@ -384,7 +419,7 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
             else:
                 if tie_stop:
                     warnings.append(
-                        f"measure {m_index + 1}: dangling tie stop treated as onset"
+                        f"{where}dangling tie stop treated as onset"
                     )
                 events.append([onset_u, extent_u, midi, tie_start])
             cursor += dur

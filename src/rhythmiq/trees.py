@@ -8,10 +8,10 @@ canonical decomposition used for grammar training, so it lives in one place.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .core import TimeSignature
 from .errors import DecompositionError, ValidationError
@@ -65,8 +65,20 @@ class RhythmTree:
         for i, child in enumerate(self.children):
             yield from child.leaves(left + i * width, left + (i + 1) * width)
 
+    def _leaf_nodes(self) -> list["RhythmTree"]:
+        """The leaves in order, without their spans."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                out.append(node)
+        return out
+
     def leaf_labels(self) -> list[str]:
-        return [leaf.label for leaf, _, _ in self.leaves()]
+        return [leaf.label for leaf in self._leaf_nodes()]
 
     def depth(self) -> int:
         if self.is_leaf:
@@ -74,12 +86,12 @@ class RhythmTree:
         return 1 + max(c.depth() for c in self.children)
 
     def count_leaves(self) -> int:
-        return sum(1 for _ in self.leaves())
+        return len(self._leaf_nodes())
 
     def validate_flow(self, carried: bool = False) -> None:
         """Check that every continuation leaf has a sounding predecessor."""
         prev_sounding = carried
-        for leaf, _, _ in self.leaves():
+        for leaf in self._leaf_nodes():
             if leaf.label == CONTINUATION and not prev_sounding:
                 raise ValidationError("continuation leaf with nothing to continue")
             prev_sounding = leaf.label in (NOTE, CONTINUATION)
@@ -105,25 +117,30 @@ def split(*children: RhythmTree) -> RhythmTree:
 # canonical decomposition
 
 
-def _split_arity(boundaries: list[Fraction], left: Fraction, right: Fraction) -> int:
+def _split_arity(boundaries, left, right) -> int:
     """Preferred arity for an interval holding the given inner boundaries.
 
     Binary, unless some boundary sits at an odd denominator relative to the
     interval (thirds, ninths, fifths, ...).  Halving can never reach such a
     point, so the smallest odd prime factor involved forces the split.
+    Positions are integer ticks or Fractions; only integers are computed.
     """
     width = right - left
-    forced: set[int] = set()
+    forced = 0
     for b in boundaries:
-        rel = (b - left) / width
-        den = rel.denominator
+        offset = b - left
+        # denominator of offset / width in lowest terms
+        num = offset.numerator * width.denominator
+        den = offset.denominator * width.numerator
+        den //= gcd(num, den)
         if den == 1 or den % 2 == 0:
             continue
         p = 3
         while den % p:
             p += 2
-        forced.add(p)
-    return min(forced) if forced else 2
+        if not forced or p < forced:
+            forced = p
+    return forced or 2
 
 
 def decompose_measure(
@@ -148,71 +165,78 @@ def decompose_measure(
     Raises DecompositionError when an onset cannot be placed within
     ``max_depth`` levels.
     """
-    positions = [p for p, _ in onsets]
-    if any(not 0 <= p < 1 for p in positions):
-        raise ValidationError("onset positions must lie in [0, 1)")
-    if any(p2 <= p1 for p1, p2 in zip(positions, positions[1:])):
-        raise ValidationError("onset positions must be strictly increasing")
     if len(extents) != len(onsets):
         raise ValidationError("one extent per onset required")
-    if any(e <= p for p, e in zip(positions, extents)):
+    positions = [p for p, _ in onsets]
+
+    # The measure is ``ticks`` integer ticks long, and every split edge is a
+    # tick: the top split divides by the numerator; an odd arity divides a
+    # boundary's denominator relative to the cell, which divides the width;
+    # and at most ``max_depth`` splits lie on any path, so each binary one
+    # halves a width that still holds one of the ``max_depth`` factors of 2.
+    numerator = time_signature.numerator
+    exact = [*positions, *extents]
+    if carried_pitch is not None:
+        exact.append(carried_end)
+    ticks = numerator * lcm(*(x.denominator for x in exact)) << max(max_depth, 0)
+    starts = [p.numerator * (ticks // p.denominator) for p in positions]
+    ends = [e.numerator * (ticks // e.denominator) for e in extents]
+    if any(not 0 <= p < ticks for p in starts):
+        raise ValidationError("onset positions must lie in [0, 1)")
+    if any(p2 <= p1 for p1, p2 in zip(starts, starts[1:])):
+        raise ValidationError("onset positions must be strictly increasing")
+    if any(e <= p for p, e in zip(starts, ends)):
         raise ValidationError("extents must lie beyond their onsets")
+    pitches = [pitch for _, pitch in onsets]
+    carried_until = 0
+    if carried_pitch is not None:
+        carried_until = carried_end.numerator * (ticks // carried_end.denominator)
+    threshold = Fraction(rest_threshold)
+    absorb_num, absorb_den = threshold.numerator, threshold.denominator
+    rest_leaf, continuation_leaf = rest(), continuation()
 
-    def sounding_end(left: Fraction) -> Fraction:
-        """End of whatever note is sounding at ``left``."""
-        end = carried_end if carried_pitch is not None else Fraction(0)
-        for (p, _), e in zip(onsets, extents):
-            if p <= left:
-                end = e
-            else:
-                break
-        return end
-
-    def build(left: Fraction, right: Fraction, depth: int) -> RhythmTree:
-        inner = [p for p in positions if left < p < right]
-        at_left = None
-        for (p, pitch) in onsets:
-            if p == left:
-                at_left = pitch
-        if not inner:
+    def build(left: int, right: int, depth: int) -> RhythmTree:
+        # onsets at or before ``left`` are starts[:i]; inside are starts[i:j]
+        i = bisect_right(starts, left)
+        j = bisect_left(starts, right, i)
+        end = ends[i - 1] if i else carried_until  # what sounds at ``left`` ends here
+        if i == j:
             width = right - left
-            end = sounding_end(left)
             covered = min(max(end, left), right)
-            uncovered = (right - covered) / width
-            if at_left is not None:
-                if uncovered <= rest_threshold or depth >= max_depth:
-                    return note(at_left)
+            absorbed = (right - covered) * absorb_den <= absorb_num * width
+            if i and starts[i - 1] == left:
+                if absorbed or depth >= max_depth:
+                    return note(pitches[i - 1])
             else:
                 if end <= left:
-                    return rest()
-                if uncovered <= rest_threshold:
-                    return continuation()
+                    return rest_leaf
+                if absorbed:
+                    return continuation_leaf
                 if depth >= max_depth:
-                    return rest() if uncovered > rest_threshold else continuation()
+                    return rest_leaf
             # a sounding end strictly inside wants finer leaves
             boundaries = [end] if left < end < right else []
         else:
             if depth >= max_depth:
                 raise DecompositionError(
-                    f"onsets at {[str(p) for p in inner]} unreachable at depth {max_depth}"
+                    f"onsets at {[str(p) for p in positions[i:j]]} "
+                    f"unreachable at depth {max_depth}"
                 )
-            boundaries = list(inner)
-            end = sounding_end(left)
+            boundaries = starts[i:j]
             if left < end < right:
                 boundaries.append(end)
 
-        if depth == 0 and time_signature.numerator >= 2:
-            k = time_signature.numerator
+        if depth == 0 and numerator >= 2:
+            k = numerator
         else:
             k = _split_arity(boundaries, left, right)
-        width = (right - left) / k
-        children = tuple(
-            build(left + i * width, left + (i + 1) * width, depth + 1)
-            for i in range(k)
-        )
-        return RhythmTree(children=children)
+        step = (right - left) // k
+        return RhythmTree(children=tuple(
+            build(left + c * step, left + (c + 1) * step, depth + 1)
+            for c in range(k)
+        ))
 
-    tree = build(Fraction(0), Fraction(1), 0)
+    tree = build(0, ticks, 0)
     tree.validate_flow(carried=carried_pitch is not None and carried_end > 0)
     return tree
 
@@ -301,6 +325,161 @@ def _nominal_power(k: int) -> int:
     return power
 
 
+class _Notator:
+    """Printed events of the measures of one time signature, in ticks.
+
+    A node's context is its notated duration (whole-note units) and its
+    tuplet ratio; ``contexts`` lists those met so far.  The context step of
+    each (context, arity) pair and the printed pieces of each run length are
+    worked out once per notator, so no node or leaf builds a Fraction.
+    """
+
+    def __init__(self, time_signature: TimeSignature):
+        self.whole = Fraction(time_signature.numerator, time_signature.denominator)
+        self.contexts: list[tuple[Fraction, tuple[int, int]]] = [(self.whole, (1, 1))]
+        self._ids = {self.contexts[0]: 0}
+        self._steps: dict[tuple[int, int], tuple[int, bool]] = {}
+        self._pieces: dict[tuple[int, int], list[Fraction]] = {}
+
+    def _step(self, ctx: int, k: int) -> tuple[int, bool]:
+        """Context of the children of a k-way split, and whether the split
+        opens a tuplet group."""
+        notated, timemod = self.contexts[ctx]
+        child = (notated / k, timemod)
+        normal = _nominal_power(k)
+        tuplet = False
+        if not notatable(child[0]) and notatable(notated / normal):
+            a, n = timemod[0] * k, timemod[1] * normal
+            g = gcd(a, n)
+            child = (notated / normal, (a // g, n // g))
+            tuplet = True
+        child_ctx = self._ids.setdefault(child, len(self.contexts))
+        if child_ctx == len(self.contexts):
+            self.contexts.append(child)
+        self._steps[ctx, k] = (child_ctx, tuplet)
+        return child_ctx, tuplet
+
+    def walk(self, tree: RhythmTree):
+        """Flatten ``tree`` in one walk into (leaf, start, end, timemod,
+        group) records and the tree's tick count: the LCM of the arity
+        products along its root-to-leaf paths, so every leaf edge is a tick.
+        """
+        steps = self._steps
+        found = []
+        groups = 0
+        # a node spans cell ``index`` of ``cells`` equal cells of the measure
+        stack = [(tree, 0, 1, 0, None)]
+        while stack:
+            node, index, cells, ctx, group = stack.pop()
+            children = node.children
+            if not children:
+                found.append((node, index, cells, ctx, group))
+                continue
+            k = len(children)
+            child_ctx, tuplet = steps.get((ctx, k)) or self._step(ctx, k)
+            if tuplet:
+                groups += 1
+                group = groups
+            index *= k
+            cells *= k
+            for c in range(k - 1, -1, -1):
+                stack.append((children[c], index + c, cells, child_ctx, group))
+        ticks = lcm(*{cells for _, _, cells, _, _ in found})
+        contexts = self.contexts
+        records = []
+        for leaf, index, cells, ctx, group in found:
+            size = ticks // cells
+            records.append((leaf, index * size, (index + 1) * size,
+                            contexts[ctx][1], group))
+        return records, ticks
+
+    def events(self, records, ticks: int,
+               carried_pitch: int | None) -> list[NotatedEvent]:
+        """Group walk records into runs and print them, as in
+        ``tree_to_notation``."""
+        events: list[NotatedEvent] = []
+        idx = 0
+        while idx < len(records):
+            leaf = records[idx][0]
+            if leaf.label == REST:
+                self._print_run(records, idx, idx + 1, ticks, None, False, events)
+                idx += 1
+                continue
+            if leaf.label == NOTE:
+                pitch, tied, end = leaf.pitch, False, idx + 1
+            else:  # leading continuation, tied from previous measure
+                if carried_pitch is None:
+                    raise ValidationError(
+                        "measure starts with continuation but nothing carried")
+                pitch, tied, end = carried_pitch, True, idx
+            while end < len(records) and records[end][0].label == CONTINUATION:
+                end += 1
+            self._print_run(records, idx, end, ticks, pitch, tied, events)
+            idx = end
+
+        # recompute tie_to cleanly: a note is tied to the next event when that
+        # event is a note with tie_from and the same pitch
+        for a, b in zip(events, events[1:]):
+            a.tie_to = a.kind == NOTE and b.kind == NOTE and b.tie_from and b.pitch == a.pitch
+        return events
+
+    def _print_run(self, records, lo: int, hi: int, ticks: int,
+                   pitch: int | None, tie_from_prev: bool,
+                   events: list[NotatedEvent]) -> None:
+        """Print records[lo:hi], one note (or rest) and its continuations.
+
+        Leaves merge while they share a tuplet ratio and group and their
+        notated sum stays printable; each merged chunk prints as its pieces,
+        tied.  Within one tuplet ratio the notated duration is proportional
+        to the tick width, so sums are tick counts.
+        """
+        kind = NOTE if pitch is not None else REST
+        whole = self.whole
+        i = lo
+        while i < hi:
+            _, start, end, timemod, group = records[i]
+            # notated whole notes per tick = num / den
+            num = whole.numerator * timemod[0]
+            den = whole.denominator * timemod[1] * ticks
+            j = i + 1
+            while j < hi and records[j][3] == timemod and records[j][4] == group:
+                wider = (records[j][2] - start) * num
+                g = gcd(wider, den)
+                d = den // g
+                if d & (d - 1) or wider // g not in _NOTATABLE_NUMERATORS:
+                    break
+                end = records[j][2]
+                j += 1
+            width = end - start
+            g = gcd(width * num, den)
+            total = (width * num // g, den // g)
+            pieces = self._pieces.get(total)
+            if pieces is None:
+                pieces = self._pieces[total] = split_notatable(Fraction(*total))
+            if len(pieces) == 1:
+                durations = [Fraction(width, ticks)]
+            else:  # width * piece / total, in sounding measure units
+                durations = [Fraction(width * piece.numerator * total[1],
+                                      ticks * piece.denominator * total[0])
+                             for piece in pieces]
+            onset = Fraction(start, ticks)
+            for piece_index, (piece, duration) in enumerate(zip(pieces, durations)):
+                if piece_index:
+                    onset += durations[piece_index - 1]
+                events.append(NotatedEvent(
+                    kind=kind,
+                    onset=onset,
+                    duration=duration,
+                    notated=piece,
+                    pitch=pitch,
+                    timemod=None if timemod == (1, 1) else timemod,
+                    tuplet_group=group,
+                    tie_from=(kind == NOTE)
+                    and (tie_from_prev or i > lo or piece_index > 0),
+                ))
+            i = j
+
+
 def tree_to_notation(
     tree: RhythmTree,
     time_signature: TimeSignature,
@@ -314,103 +493,9 @@ def tree_to_notation(
     continuation run becomes a note tied from the previous measure
     (``carried_pitch`` supplies its pitch).
     """
-    measure_whole = Fraction(time_signature.numerator, time_signature.denominator)
-
-    # walk leaves carrying notated duration and tuplet context
-    flat: list[tuple[RhythmTree, Fraction, Fraction, Fraction, tuple[int, int], int | None]] = []
-    group_counter = [0]
-
-    def walk(node, left, right, notated, timemod, group):
-        if node.is_leaf:
-            flat.append((node, left, right, notated, timemod, group))
-            return
-        k = len(node.children)
-        width = (right - left) / k
-        child_notated = notated / k
-        child_timemod = timemod
-        child_group = group
-        if not notatable(child_notated) and notatable(notated / _nominal_power(k)):
-            normal = _nominal_power(k)
-            child_notated = notated / normal
-            a, n = timemod[0] * k, timemod[1] * normal
-            g = gcd(a, n)
-            child_timemod = (a // g, n // g)
-            group_counter[0] += 1
-            child_group = group_counter[0]
-        for i, child in enumerate(node.children):
-            walk(child, left + i * width, left + (i + 1) * width,
-                 child_notated, child_timemod, child_group)
-
-    walk(tree, Fraction(0), Fraction(1), measure_whole, (1, 1), None)
-
-    # group into runs: note + following continuations, rests standalone
-    events: list[NotatedEvent] = []
-
-    def emit_run(leaves, pitch, tie_from_prev):
-        kind = NOTE if pitch is not None else REST
-        i = 0
-        first_chunk = True
-        while i < len(leaves):
-            _, left, right, notated, timemod, group = leaves[i]
-            j = i + 1
-            total = notated
-            end = right
-            while (
-                j < len(leaves)
-                and leaves[j][4] == timemod
-                and leaves[j][5] == group
-                and notatable(total + leaves[j][3])
-            ):
-                total += leaves[j][3]
-                end = leaves[j][2]
-                j += 1
-            run_width = end - left
-            pos = left
-            for piece_index, piece in enumerate(split_notatable(total)):
-                width = run_width * piece / total
-                events.append(NotatedEvent(
-                    kind=kind,
-                    onset=pos,
-                    duration=width,
-                    notated=piece,
-                    pitch=pitch,
-                    timemod=None if timemod == (1, 1) else timemod,
-                    tuplet_group=group,
-                    tie_from=(kind == NOTE)
-                    and (tie_from_prev or not first_chunk or piece_index > 0),
-                ))
-                pos += width
-                first_chunk = False
-            i = j
-
-    idx = 0
-    while idx < len(flat):
-        leaf = flat[idx][0]
-        if leaf.label == REST:
-            run = [flat[idx]]
-            idx += 1
-            emit_run(run, None, False)
-        elif leaf.label == NOTE:
-            run = [flat[idx]]
-            idx += 1
-            while idx < len(flat) and flat[idx][0].label == CONTINUATION:
-                run.append(flat[idx])
-                idx += 1
-            emit_run(run, leaf.pitch, False)
-        else:  # leading continuation, tied from previous measure
-            if carried_pitch is None:
-                raise ValidationError("measure starts with continuation but nothing carried")
-            run = []
-            while idx < len(flat) and flat[idx][0].label == CONTINUATION:
-                run.append(flat[idx])
-                idx += 1
-            emit_run(run, carried_pitch, True)
-
-    # recompute tie_to cleanly: a note is tied to the next event when that
-    # event is a note with tie_from and the same pitch
-    for a, b in zip(events, events[1:]):
-        a.tie_to = a.kind == NOTE and b.kind == NOTE and b.tie_from and b.pitch == a.pitch
-    return events
+    notator = _Notator(time_signature)
+    records, ticks = notator.walk(tree)
+    return notator.events(records, ticks, carried_pitch)
 
 
 @dataclass(frozen=True)
@@ -444,24 +529,25 @@ class ScoreModel:
 
     def notated_measures(self) -> list[list[NotatedEvent]]:
         """Printed events per measure with cross-measure ties resolved."""
+        notator = _Notator(self.time_signature)
         out: list[list[NotatedEvent]] = []
+        starts_tied: list[bool] = []
         carried: int | None = None
         for tree in self.measures:
-            events = tree_to_notation(tree, self.time_signature, carried)
-            out.append(events)
-            labels = tree.leaf_labels()
-            last_note_pitch = None
-            for leaf, _, _ in tree.leaves():
-                if leaf.label == NOTE:
-                    last_note_pitch = leaf.pitch
-            if labels and labels[-1] in (NOTE, CONTINUATION):
-                carried = last_note_pitch if last_note_pitch is not None else carried
+            records, ticks = notator.walk(tree)
+            out.append(notator.events(records, ticks, carried))
+            starts_tied.append(records[0][0].label == CONTINUATION)
+            if records[-1][0].label in (NOTE, CONTINUATION):
+                # sound runs into the next measure: carry the last note's pitch
+                for leaf, *_ in reversed(records):
+                    if leaf.label == NOTE:
+                        carried = leaf.pitch
+                        break
             else:
                 carried = None
-        for prev, nxt, tree in zip(out, out[1:], self.measures[1:]):
-            starts_tied = tree.leaf_labels()[0] == CONTINUATION
+        for prev, tied in zip(out, starts_tied[1:]):
             if prev and prev[-1].kind == NOTE:
-                prev[-1].tie_to = starts_tied
+                prev[-1].tie_to = tied
         return out
 
 

@@ -1,6 +1,8 @@
 """Shared test helpers: random grammar construction, random measures, an
-exhaustive derivation enumerator used as the optimality oracle, and the
-memoized recursive solver the compiled-lattice solver must reproduce.
+exhaustive derivation enumerator used as the optimality oracle, the
+memoized recursive solver the compiled-lattice solver must reproduce, and
+the Fraction-based decomposition, notation walk and augmenting-path note
+matcher that the integer-tick trees layer and the window matcher replaced.
 
 The enumerator builds every derivation of the grammar explicitly (no
 memoized minima), so agreement with the solver's DP is a real check and not
@@ -13,8 +15,11 @@ import math
 import random
 from fractions import Fraction
 
+from math import gcd
+
 from rhythmiq import (
     CapacityError,
+    DecompositionError,
     GrammarRule,
     Leaf,
     MeasureInput,
@@ -24,8 +29,20 @@ from rhythmiq import (
     RhythmTree,
     Split,
     TimeSignature,
+    ValidationError,
 )
-from rhythmiq.trees import NOTE, REST
+from rhythmiq.trees import (
+    CONTINUATION,
+    NOTE,
+    REST,
+    NotatedEvent,
+    _nominal_power,
+    continuation,
+    notatable,
+    note,
+    rest,
+    split_notatable,
+)
 
 SIG44 = TimeSignature(4, 4)
 EPS = 1e-9
@@ -101,6 +118,32 @@ def random_measure(rng: random.Random) -> MeasureInput:
         carried_pitch,
         carried_end,
     )
+
+
+def random_notated_measure(rng: random.Random):
+    """Random exact content of one notated measure for ``decompose_measure``:
+    (position, pitch) onsets on a few families of grids (binary, ternary,
+    quintuple, mixed, and odd primes up to 11), their extents, some held
+    over the barline, and half the time a note carried in."""
+    dens = rng.choice([(2, 4, 8, 16), (3, 6, 12), (5, 10), (2, 3, 4, 6, 8, 12, 16, 24),
+                       (7, 9, 11, 32, 64)])
+    positions = sorted({
+        Fraction(rng.randrange(d), d)
+        for d in (rng.choice(dens) for _ in range(rng.randint(0, 8)))
+    })
+    extents = []
+    for i, pos in enumerate(positions):
+        d = rng.choice(dens)
+        end = pos + Fraction(rng.randint(1, d), d)
+        if i + 1 < len(positions) and rng.random() < 0.6:
+            end = min(end, positions[i + 1])  # legato up to the next onset
+        extents.append(end)
+    carried_pitch, carried_end = None, Fraction(0)
+    if rng.random() < 0.5:
+        d = rng.choice(dens)
+        carried_pitch, carried_end = 55, Fraction(rng.randint(0, 2 * d), d)
+    onsets = [(pos, 60 + i) for i, pos in enumerate(positions)]
+    return onsets, extents, carried_pitch, carried_end
 
 
 def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
@@ -362,3 +405,260 @@ def reference_quantize_measure(
         )
     cost, _, _, _, tree = result
     return tree, cost
+
+
+# ---------------------------------------------------------------------------
+# trees and note-matching references
+
+
+def _reference_split_arity(boundaries: list[Fraction], left: Fraction, right: Fraction) -> int:
+    """Preferred arity for an interval holding the given inner boundaries.
+
+    Binary, unless some boundary sits at an odd denominator relative to the
+    interval (thirds, ninths, fifths, ...).  Halving can never reach such a
+    point, so the smallest odd prime factor involved forces the split.
+    """
+    width = right - left
+    forced: set[int] = set()
+    for b in boundaries:
+        rel = (b - left) / width
+        den = rel.denominator
+        if den == 1 or den % 2 == 0:
+            continue
+        p = 3
+        while den % p:
+            p += 2
+        forced.add(p)
+    return min(forced) if forced else 2
+
+
+def reference_decompose_measure(
+    onsets: list[tuple[Fraction, int]],
+    extents: list[Fraction],
+    time_signature: TimeSignature,
+    max_depth: int = 4,
+    rest_threshold: Fraction = Fraction(1, 2),
+    carried_pitch: int | None = None,
+    carried_end: Fraction = Fraction(0),
+) -> RhythmTree:
+    """The Fraction decomposition that ``decompose_measure`` replaced, kept
+    as its reference: same trees, same errors.
+
+    Build the canonical rhythm tree of one notated measure.
+
+    Positions are fractions of the measure.  ``extents[i]`` is where note i
+    stops sounding (it may exceed 1 when the note is held over the barline).
+    The measure splits into ``numerator`` beats at the top, then binary
+    subdivisions, switching to ternary (or a higher odd prime) only where a
+    boundary cannot be reached by halving.  Silence merges into the coarsest
+    leaves; a gap covering no more than ``rest_threshold`` of a leaf is
+    absorbed into the preceding note instead of becoming a rest.
+
+    Raises DecompositionError when an onset cannot be placed within
+    ``max_depth`` levels.
+    """
+    positions = [p for p, _ in onsets]
+    if any(not 0 <= p < 1 for p in positions):
+        raise ValidationError("onset positions must lie in [0, 1)")
+    if any(p2 <= p1 for p1, p2 in zip(positions, positions[1:])):
+        raise ValidationError("onset positions must be strictly increasing")
+    if len(extents) != len(onsets):
+        raise ValidationError("one extent per onset required")
+    if any(e <= p for p, e in zip(positions, extents)):
+        raise ValidationError("extents must lie beyond their onsets")
+
+    def sounding_end(left: Fraction) -> Fraction:
+        """End of whatever note is sounding at ``left``."""
+        end = carried_end if carried_pitch is not None else Fraction(0)
+        for (p, _), e in zip(onsets, extents):
+            if p <= left:
+                end = e
+            else:
+                break
+        return end
+
+    def build(left: Fraction, right: Fraction, depth: int) -> RhythmTree:
+        inner = [p for p in positions if left < p < right]
+        at_left = None
+        for (p, pitch) in onsets:
+            if p == left:
+                at_left = pitch
+        if not inner:
+            width = right - left
+            end = sounding_end(left)
+            covered = min(max(end, left), right)
+            uncovered = (right - covered) / width
+            if at_left is not None:
+                if uncovered <= rest_threshold or depth >= max_depth:
+                    return note(at_left)
+            else:
+                if end <= left:
+                    return rest()
+                if uncovered <= rest_threshold:
+                    return continuation()
+                if depth >= max_depth:
+                    return rest() if uncovered > rest_threshold else continuation()
+            # a sounding end strictly inside wants finer leaves
+            boundaries = [end] if left < end < right else []
+        else:
+            if depth >= max_depth:
+                raise DecompositionError(
+                    f"onsets at {[str(p) for p in inner]} unreachable at depth {max_depth}"
+                )
+            boundaries = list(inner)
+            end = sounding_end(left)
+            if left < end < right:
+                boundaries.append(end)
+
+        if depth == 0 and time_signature.numerator >= 2:
+            k = time_signature.numerator
+        else:
+            k = _reference_split_arity(boundaries, left, right)
+        width = (right - left) / k
+        children = tuple(
+            build(left + i * width, left + (i + 1) * width, depth + 1)
+            for i in range(k)
+        )
+        return RhythmTree(children=children)
+
+    tree = build(Fraction(0), Fraction(1), 0)
+    tree.validate_flow(carried=carried_pitch is not None and carried_end > 0)
+    return tree
+
+
+def reference_tree_to_notation(
+    tree: RhythmTree,
+    time_signature: TimeSignature,
+    carried_pitch: int | None = None,
+) -> list[NotatedEvent]:
+    """The Fraction walk that ``tree_to_notation`` replaced, kept as its
+    reference: equal events, same errors.
+
+    Flatten a measure tree into printed events.
+
+    Runs of a note leaf followed by continuation leaves merge into a single
+    printed duration when the sum is printable and the run stays inside one
+    tuplet group; otherwise the run is split into tied events.  A leading
+    continuation run becomes a note tied from the previous measure
+    (``carried_pitch`` supplies its pitch).
+    """
+    measure_whole = Fraction(time_signature.numerator, time_signature.denominator)
+
+    # walk leaves carrying notated duration and tuplet context
+    flat: list[tuple[RhythmTree, Fraction, Fraction, Fraction, tuple[int, int], int | None]] = []
+    group_counter = [0]
+
+    def walk(node, left, right, notated, timemod, group):
+        if node.is_leaf:
+            flat.append((node, left, right, notated, timemod, group))
+            return
+        k = len(node.children)
+        width = (right - left) / k
+        child_notated = notated / k
+        child_timemod = timemod
+        child_group = group
+        if not notatable(child_notated) and notatable(notated / _nominal_power(k)):
+            normal = _nominal_power(k)
+            child_notated = notated / normal
+            a, n = timemod[0] * k, timemod[1] * normal
+            g = gcd(a, n)
+            child_timemod = (a // g, n // g)
+            group_counter[0] += 1
+            child_group = group_counter[0]
+        for i, child in enumerate(node.children):
+            walk(child, left + i * width, left + (i + 1) * width,
+                 child_notated, child_timemod, child_group)
+
+    walk(tree, Fraction(0), Fraction(1), measure_whole, (1, 1), None)
+
+    # group into runs: note + following continuations, rests standalone
+    events: list[NotatedEvent] = []
+
+    def emit_run(leaves, pitch, tie_from_prev):
+        kind = NOTE if pitch is not None else REST
+        i = 0
+        first_chunk = True
+        while i < len(leaves):
+            _, left, right, notated, timemod, group = leaves[i]
+            j = i + 1
+            total = notated
+            end = right
+            while (
+                j < len(leaves)
+                and leaves[j][4] == timemod
+                and leaves[j][5] == group
+                and notatable(total + leaves[j][3])
+            ):
+                total += leaves[j][3]
+                end = leaves[j][2]
+                j += 1
+            run_width = end - left
+            pos = left
+            for piece_index, piece in enumerate(split_notatable(total)):
+                width = run_width * piece / total
+                events.append(NotatedEvent(
+                    kind=kind,
+                    onset=pos,
+                    duration=width,
+                    notated=piece,
+                    pitch=pitch,
+                    timemod=None if timemod == (1, 1) else timemod,
+                    tuplet_group=group,
+                    tie_from=(kind == NOTE)
+                    and (tie_from_prev or not first_chunk or piece_index > 0),
+                ))
+                pos += width
+                first_chunk = False
+            i = j
+
+    idx = 0
+    while idx < len(flat):
+        leaf = flat[idx][0]
+        if leaf.label == REST:
+            run = [flat[idx]]
+            idx += 1
+            emit_run(run, None, False)
+        elif leaf.label == NOTE:
+            run = [flat[idx]]
+            idx += 1
+            while idx < len(flat) and flat[idx][0].label == CONTINUATION:
+                run.append(flat[idx])
+                idx += 1
+            emit_run(run, leaf.pitch, False)
+        else:  # leading continuation, tied from previous measure
+            if carried_pitch is None:
+                raise ValidationError("measure starts with continuation but nothing carried")
+            run = []
+            while idx < len(flat) and flat[idx][0].label == CONTINUATION:
+                run.append(flat[idx])
+                idx += 1
+            emit_run(run, carried_pitch, True)
+
+    # recompute tie_to cleanly: a note is tied to the next event when that
+    # event is a note with tie_from and the same pitch
+    for a, b in zip(events, events[1:]):
+        a.tie_to = a.kind == NOTE and b.kind == NOTE and b.tie_from and b.pitch == a.pitch
+    return events
+
+
+def reference_max_matching(adjacency: list[list[int]], n_right: int) -> int:
+    """Maximum bipartite matching size via augmenting paths: the matcher
+    ``note_metrics`` used before its per-pitch window matcher, kept as its
+    reference."""
+    match_right = [-1] * n_right
+
+    def augment(u: int, seen: list[bool]) -> bool:
+        for v in adjacency[u]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            if match_right[v] == -1 or augment(match_right[v], seen):
+                match_right[v] = u
+                return True
+        return False
+
+    size = 0
+    for u in range(len(adjacency)):
+        if augment(u, [False] * n_right):
+            size += 1
+    return size

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from rhythmiq import (
     ConfigError,
     NoteEvent,
     Performance,
+    ScoreModel,
+    TimeSignature,
     default_grammar,
     emit_musicxml,
     parse_grammar_file,
@@ -19,6 +22,7 @@ from rhythmiq import (
 )
 from rhythmiq.cli import PipelineConfig, load_config, main
 from rhythmiq.musicxml import parse_musicxml
+from rhythmiq.trees import note, rest, split
 
 TINY_GRAMMAR = "maxdepth = 1\nstart 4/4 = S\nS -> note : 0.6\nS -> rest : 0.4\n"
 
@@ -71,9 +75,10 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
-def test_importing_cli_leaves_scipy_unloaded():
-    # only `eval sdr` reads WAV files, so the start-up of every other
-    # command must not pay for scipy.io
+@pytest.mark.parametrize("module", ["scipy.io", "numpy", "urllib.request"])
+def test_importing_cli_leaves_module_unloaded(module):
+    # only `eval sdr` needs numpy and scipy.io, and escaping XML text needs
+    # no urllib, so the start-up of every other command pays for none of them
     import subprocess
     import sys
     from pathlib import Path
@@ -82,8 +87,8 @@ def test_importing_cli_leaves_scipy_unloaded():
 
     src = str(Path(rhythmiq.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import rhythmiq.cli; "
-            "print('scipy.io' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src],
+            "print(sys.argv[2] in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, module],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
@@ -327,6 +332,27 @@ def test_eval_score_identical(tmp_path, capsys):
     payload = _json_out(capsys)
     assert payload["total_error_rate"] == 0.0
     assert payload["timesig_mismatches"] == 0
+
+
+@pytest.mark.parametrize("pattern, replacement", [
+    (r"<divisions>\d+</divisions>", "<divisions>0</divisions>"),
+    (r"<duration>\d+</duration>", ""),
+    (r"<step>C</step>", "<step>H</step>"),
+    (r"<octave>\d</octave>", "<octave>x</octave>"),
+    (r'<sound tempo="[^"]*"/>', '<sound tempo="fast"/>'),
+], ids=["zero-divisions", "no-duration", "bad-step", "bad-octave", "bad-tempo"])
+def test_eval_score_malformed_musicxml_exits_1(tmp_path, capsys, pattern, replacement):
+    good = emit_musicxml(ScoreModel(TimeSignature(4, 4),
+                                    [split(note(60), note(62), rest(), note(64))]))
+    bad = re.sub(pattern, replacement, good, count=1)
+    assert bad != good
+    ref, est = tmp_path / "ref.musicxml", tmp_path / "est.musicxml"
+    ref.write_text(good)
+    est.write_text(bad)
+    assert main(["eval", "score", str(ref), str(est)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_eval_sdr_identity(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -94,6 +95,20 @@ def test_grammar_structural_validation():
         # probabilities sum to 2
         RhythmGrammar({SIG: "S"}, [GrammarRule("S", Leaf(NOTE), 0.0),
                                    GrammarRule("S", Leaf("rest"), 0.0)])
+
+
+def test_duplicate_rules_are_rejected():
+    # a repeated rule line used to make adjust_rule_weight rescale only the
+    # first copy and then fail its own normalization check
+    text = ("start 4/4 = M\nM -> (B B) : 0.25\nM -> (B B) : 0.25\n"
+            "M -> note : 0.5\nB -> note : 1.0\n")
+    with pytest.raises(GrammarError, match=r"line 3: duplicate rule M -> \(B B\)"):
+        parse_grammar_file(text)
+    twice = GrammarRule("M", Split(("B", "B")), -math.log(0.25))
+    with pytest.raises(GrammarError, match="duplicate rule"):
+        RhythmGrammar({SIG: "M"}, [twice, twice,
+                                   GrammarRule("M", Leaf(NOTE), -math.log(0.5)),
+                                   GrammarRule("B", Leaf(NOTE), 0.0)])
 
 
 def test_depth_infeasible_symbol_rejected():

@@ -1,12 +1,11 @@
-import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhythmiq import (
-    EvalReport,
     NoteEvent,
     Performance,
     ScoreModel,
@@ -23,6 +22,8 @@ from rhythmiq import (
 )
 from rhythmiq.metrics import ZERO_RESIDUAL_DB
 from rhythmiq.trees import note, rest, split
+
+import support
 
 SIG = TimeSignature(4, 4)
 
@@ -78,6 +79,30 @@ def test_matching_equals_brute_force_randomized():
         assert got.matched == want
         assert got.precision == pytest.approx(100.0 * want / n_est)
         assert got.recall == pytest.approx(100.0 * want / n_ref)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=50, max_value=300),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_window_matcher_matches_augmenting_paths(seed, n, tol_slots):
+    # same-pitch takes dense enough that most windows hold several notes, on
+    # a grid of 1/64 s so that differences are exact and many pairs sit right
+    # on the tolerance: the per-pitch window matcher finds as many pairs as
+    # augmenting paths
+    rng = random.Random(seed)
+    slots = n * rng.choice([1, 2, 4])
+    tol = tol_slots / 64
+    ref = _perf((rng.randrange(slots) / 64, 60) for _ in range(n))
+    est = [(max(0, round(r.onset * 64) + rng.randint(-4, 4)) / 64, 60)
+           for r in ref.notes if rng.random() < 0.9]
+    est += [(rng.randrange(slots) / 64, 60) for _ in range(rng.randint(0, n // 5))]
+    est = _perf(est)
+    adjacency = [
+        [j for j, e in enumerate(est.notes) if abs(e.onset - r.onset) <= tol]
+        for r in ref.notes
+    ]
+    want = support.reference_max_matching(adjacency, len(est))
+    assert note_metrics(ref, est, tol).matched == want
 
 
 def test_one_wrong_pitch_in_four_gives_75():
@@ -254,12 +279,3 @@ def test_summarize_population_std():
     with pytest.raises(ValidationError):
         summarize([])
 
-
-def test_eval_report_json_shape():
-    report = EvalReport({"f": [50.0, 100.0], "sdr": [20.0, 22.0]})
-    payload = json.loads(report.to_json())
-    assert set(payload) == {"per_item", "summary"}
-    assert payload["per_item"]["f"] == [50.0, 100.0]
-    for stats in payload["summary"].values():
-        assert set(stats) == {"mean", "std", "max"}
-    assert payload["summary"]["f"]["mean"] == 75.0

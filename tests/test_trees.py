@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhythmiq import (
     CONTINUATION,
@@ -10,6 +12,7 @@ from rhythmiq import (
     NoteEvent,
     Performance,
     RhythmTree,
+    RhythmiqError,
     ScoreModel,
     TimeSignature,
     ValidationError,
@@ -17,6 +20,7 @@ from rhythmiq import (
     render_performance,
     tree_to_notation,
 )
+from rhythmiq.grammar import sample_tree
 from rhythmiq.trees import (
     _split_arity,
     continuation,
@@ -28,8 +32,19 @@ from rhythmiq.trees import (
     split_notatable,
 )
 
+import support
+
 SIG = TimeSignature(4, 4)
 F = Fraction
+SIGNATURES = [TimeSignature(*sig) for sig in ((4, 4), (3, 4), (6, 8), (5, 8), (2, 2), (1, 4))]
+
+
+def _outcome(fn, *args):
+    """The function's result, or the class of the package error it raised."""
+    try:
+        return fn(*args)
+    except RhythmiqError as exc:
+        return type(exc)
 
 
 def test_tree_validation():
@@ -120,6 +135,41 @@ def test_decompose_validation():
         decompose_measure([(F(1), 60)], [F(2)], SIG)  # onset outside [0, 1)
     with pytest.raises(ValidationError):
         decompose_measure([(F(0), 60)], [F(0)], SIG)  # extent not past onset
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(SIGNATURES),
+       st.sampled_from([F(1, 2), F(0), F(1, 4), F(3, 4), F(1), 0.3]))
+@settings(max_examples=300, deadline=None)
+def test_decompose_measure_matches_the_fraction_reference(seed, sig, rest_threshold):
+    # the tick decomposition gives the Fraction version's tree, or its error
+    # class, at every depth bound
+    onsets, extents, carried_pitch, carried_end = support.random_notated_measure(
+        random.Random(seed))
+    for max_depth in range(2, 11):
+        args = (onsets, extents, sig, max_depth, rest_threshold,
+                carried_pitch, carried_end)
+        assert _outcome(decompose_measure, *args) == _outcome(
+            support.reference_decompose_measure, *args), max_depth
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(SIGNATURES),
+       st.sampled_from([None, 62]))
+@settings(max_examples=300, deadline=None)
+def test_tree_to_notation_matches_the_fraction_reference(seed, sig, carried_pitch):
+    # random grammars give nested duplets and triplets; decomposed measures
+    # add quintuplets, septuplets and deeper odd splits
+    rng = random.Random(seed)
+    grammar = support.random_grammar(rng)
+    sampled = _outcome(sample_tree, grammar, rng, grammar.start_for(support.SIG44),
+                       rng.random() < 0.3)
+    onsets, extents, carried, carried_end = support.random_notated_measure(rng)
+    decomposed = _outcome(decompose_measure, onsets, extents, sig, 6, F(1, 2),
+                          carried, carried_end)
+    for tree in (sampled, decomposed):
+        if not isinstance(tree, RhythmTree):
+            continue  # no tree within the grammar's depth bound
+        assert _outcome(tree_to_notation, tree, sig, carried_pitch) == _outcome(
+            support.reference_tree_to_notation, tree, sig, carried_pitch)
 
 
 def test_notatable():
