@@ -16,6 +16,7 @@ from .core import (
     save_beats,
 )
 from .errors import (
+    AlignmentError,
     CapacityError,
     ConfigError,
     DecompositionError,
@@ -88,9 +89,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BeatGrid", "NoteEvent", "Performance", "TimeSignature",
     "enforce_monophony", "load_beats", "save_beats",
-    "CapacityError", "ConfigError", "DecompositionError", "EmptyInputError",
-    "FormatError", "GrammarError", "InsufficientDataError", "NoTempoError",
-    "PairingError", "ParseFailureError", "RhythmiqError",
+    "AlignmentError", "CapacityError", "ConfigError", "DecompositionError",
+    "EmptyInputError", "FormatError", "GrammarError", "InsufficientDataError",
+    "NoTempoError", "PairingError", "ParseFailureError", "RhythmiqError",
     "UnsupportedContentError", "ValidationError",
     "GrammarRule", "Leaf", "RhythmGrammar", "Split", "adjust_rule_weight",
     "default_grammar", "parse_grammar_file", "sample_score", "sample_tree",

@@ -33,7 +33,7 @@ from .metrics import (
 )
 from .midi_io import load_midi
 from .musicxml import emit_musicxml, parse_musicxml
-from .quantize import QuantConfig, quantize_performance
+from .quantize import DEFAULT_ALPHA, DEFAULT_REST_THRESHOLD, QuantConfig, quantize_performance
 from .tempo import TempoBounds, enumerate_rotations, estimate_tempo_ioi, tempo_bounds
 
 if TYPE_CHECKING:
@@ -44,8 +44,8 @@ if TYPE_CHECKING:
 class PipelineConfig:
     """Tunable pipeline settings, overridable from a key=value config file."""
 
-    alpha: float = 8.0
-    rest_threshold: float = 0.5
+    alpha: float = DEFAULT_ALPHA
+    rest_threshold: float = DEFAULT_REST_THRESHOLD
     fallback_resolution: int = 4
     onset_tolerance: float = 0.05
     beat_tolerance: float = 0.07

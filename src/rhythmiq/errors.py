@@ -49,6 +49,11 @@ class ParseFailureError(RhythmiqError):
     """No derivation of the measure exists under the grammar."""
 
 
+class AlignmentError(ParseFailureError):
+    """Two onsets of a measure, or its last onset and the closing barline,
+    align to one boundary even in the finest cells."""
+
+
 class UnsupportedContentError(RhythmiqError):
     """The input is well formed but uses features outside the monophonic model."""
 

@@ -85,13 +85,18 @@ class LatticeNode(NamedTuple):
     """A reachable (head, cell, depth) of a measure's derivations.
 
     ``left``/``right`` are the cell's endpoints in measure units, rounded
-    once from exact fractions.  ``rules`` are the head's rules in grammar
-    order, splits only above the depth bound.
+    once from exact fractions.  ``pushers`` are the (midpoint, left) of the
+    leaf cells that end at ``left``, in ascending order: only such a leaf
+    can align an onset onto the cell's left edge, one past its midpoint.
+    ``rules`` are the head's rules in grammar order, splits only above the
+    depth bound, and ``parents`` the nodes whose splits use this one.
     """
 
     left: float
     right: float
+    pushers: tuple[tuple[float, float], ...]
     rules: tuple[LatticeRule, ...]
+    parents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -99,12 +104,10 @@ class Lattice:
     """Every derivation of one measure in a time signature, as a DAG.
 
     ``nodes`` list children before parents; the start symbol's node over the
-    whole measure is last.  ``note_positions`` are the sorted left edges of
-    the cells a note leaf may fill.
+    whole measure is last.
     """
 
     nodes: tuple[LatticeNode, ...]
-    note_positions: tuple[float, ...]
 
     def max_leaves(self) -> int:
         """Most leaves of any derivation of the whole measure."""
@@ -130,7 +133,7 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
     """
     start = grammar.start_for(time_signature)
     ids: dict[tuple, int] = {}
-    nodes: list[LatticeNode] = []
+    cells: list[tuple[Fraction, Fraction, tuple[LatticeRule, ...]]] = []
 
     def visit(head: str, left: Fraction, right: Fraction, depth: int) -> int:
         key = (head, left, right, depth)
@@ -149,16 +152,25 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
                 )
                 rules.append(LatticeRule(rule.weight, None, children,
                                          int(k & (k - 1) != 0)))
-        ids[key] = len(nodes)
-        nodes.append(LatticeNode(float(left), float(right), tuple(rules)))
+        ids[key] = len(cells)
+        cells.append((left, right, tuple(rules)))
         return ids[key]
 
     visit(start, Fraction(0), Fraction(1), 0)
-    note_positions = sorted({
-        node.left for node in nodes
-        if any(rule.label == NOTE for rule in node.rules)
-    })
-    return Lattice(tuple(nodes), tuple(note_positions))
+    ends: dict[float, set[float]] = {}  # right edge -> left edges of leaf cells
+    parents: list[set[int]] = [set() for _ in cells]
+    for node, (left, right, rules) in enumerate(cells):
+        if any(rule.label is not None for rule in rules):
+            ends.setdefault(float(right), set()).add(float(left))
+        for rule in rules:
+            for child in rule.children:
+                parents[child].add(node)
+    nodes = []
+    for (left, right, rules), up in zip(cells, parents):
+        lf = float(left)
+        pushers = tuple(sorted(((edge + lf) / 2, edge) for edge in ends.get(lf, ())))
+        nodes.append(LatticeNode(lf, float(right), pushers, rules, tuple(sorted(up))))
+    return Lattice(tuple(nodes))
 
 
 class RhythmGrammar:
@@ -505,9 +517,9 @@ _DEFAULT_GRAMMAR_TEXT = """\
 #
 # Sixteenth and finer symbols emit notes only, so fine rhythms appear as
 # dense clusters and silence always aligns with eighth-or-coarser leaves.
-# The weights are calibrated against alpha = 8: true structure beats every
-# onset-displacing coarser reading, triplets win for exact triplet spacing,
-# and a swung pair (no middle onset) cannot be written as a tuplet at all.
+# At the default alpha = 256 true structure beats every onset-displacing
+# coarser reading, triplets win for exact triplet spacing, and a swung pair
+# (no middle onset) cannot be written as a tuplet at all.
 maxdepth = 4
 start 4/4 = M
 

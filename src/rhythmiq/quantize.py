@@ -1,10 +1,11 @@
 """Grammar-guided rhythm quantization.
 
 The core solver searches all derivations of a weighted grammar for the tree
-whose leaf onsets best explain a measure of performed onsets.  The objective
-is alpha * sum(|onset - leaf onset|) + sum(rule weights); ties break toward
-fewer leaves, then fewer tuplet nodes, then the lexicographically smallest
-rule sequence, so results are deterministic.
+whose leaves best explain a measure of performed onsets, each onset aligned
+to the nearer edge of its leaf.  The objective is
+alpha * sum(|onset - aligned edge|) + sum(rule weights); ties break toward
+fewer leaves, then fewer tuplet nodes, then the rule listed first, so
+results are deterministic.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from statistics import fmean
 
 from .core import BeatGrid, Performance, TimeSignature, enforce_monophony
 from .errors import (
+    AlignmentError,
     CapacityError,
     EmptyInputError,
     ParseFailureError,
@@ -34,7 +36,8 @@ from .trees import (
 )
 
 EPS = 1e-9
-DEFAULT_ALPHA = 8.0
+DEFAULT_ALPHA = 256.0
+DEFAULT_REST_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,15 @@ class QuantConfig:
     """Solver knobs.
 
     alpha trades data fit against grammar probability: distances are measured
-    in fractions of a measure, so alpha = 8 prices a half-beat displacement in
-    4/4 like a rule of probability exp(-1).
+    in fractions of a measure, so alpha = 256 prices a displacement of a
+    64th of a 4/4 measure (half a 32nd-note cell) like a rule of probability
+    exp(-4).  The default comes from a sweep over sampled scores rendered
+    with 2-15 ms of timing jitter at 120 and 200 bpm: per-bar onset and
+    pitch agreement rises with alpha up to about 192 and is flat above.
     """
 
     alpha: float = DEFAULT_ALPHA
-    rest_threshold: float = 0.5
+    rest_threshold: float = DEFAULT_REST_THRESHOLD
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -65,7 +71,10 @@ class MeasureInput:
     onsets: (position in [0, 1), pitch) per note, strictly increasing.
     extents: sounding end of each note, > its onset; may pass the barline.
     carried_pitch/carried_end: note held over from the previous measure and
-    where (in this measure's units) it stops sounding.
+    where (in this measure's units) it stops sounding.  For the k_in = 1
+    entries of ``quantize_measure(..., states=True)`` it is the note the
+    previous measure may align onto the downbeat, with carried_end 0 when
+    it stopped before the barline.
     """
 
     onsets: tuple[tuple[float, int], ...] = ()
@@ -98,110 +107,319 @@ def quantize_measure(
     grammar: RhythmGrammar,
     config: QuantConfig | None = None,
     time_signature: TimeSignature = TimeSignature(4, 4),
-) -> tuple[RhythmTree, float]:
+    *,
+    states: bool = False,
+    final: bool = False,
+) -> tuple[RhythmTree, float] | MeasureStates:
     """Find the minimum-cost derivation explaining one measure.
 
-    Returns the winning tree and its total cost.  Raises CapacityError when
-    the measure holds more onsets than any derivation within the grammar's
-    depth bound can carry, ParseFailureError when the grammar simply lacks
-    the rules the data requires.
+    Each onset aligns to the nearer edge of the leaf that holds it.  A leaf
+    [l, r) holds the onsets at or after l and before r (both less EPS); the
+    ones in its left half, midpoint included, are its note, at a cost of
+    alpha * (p - l).  At most one onset in its right half moves to r, where
+    it is the next leaf's note, and the leaf pays alpha * (r - p).  So every
+    node keeps its best derivation per (k_in, k_out) in {0, 1}^2, the number
+    of onsets aligned onto its left edge from before and past its right edge;
+    a split chains k through its children left to right.  In the ``final``
+    measure of a score nothing follows the closing barline, so a leaf that
+    ends there keeps an onset of its right half as its note, at
+    alpha * (p - l), and no entry gives an onset out.
 
-    One bottom-up pass over the grammar's compiled lattice: a cell holds the
-    onsets at or after its left edge and before its right edge (both less
-    EPS).  The rule sequence tie-break needs no sequences: every candidate of
-    a cell starts with a different rule, so on equal (cost, leaves, tuplets)
-    the earlier rule keeps the cell.
+    Returns the (0, 0) entry, where nothing crosses either barline: the
+    winning tree and its total cost.  Raises CapacityError when the measure
+    holds more onsets than any derivation within the grammar's depth bound
+    can carry, AlignmentError when two onsets, or the last onset and the
+    closing barline, align to one boundary even in the finest cells, and
+    ParseFailureError when the grammar lacks a rule for a needed leaf.
+
+    With ``states`` it returns the ``MeasureStates`` of all four entries
+    instead and raises none of these; there the k_in = 1 entries exist when
+    the measure has a ``carried_pitch``, which is then the note aligned onto
+    the downbeat (sounding until ``carried_end``, 0 when it stopped before).
+
+    One bottom-up pass over the grammar's compiled lattice.  A node no
+    alignment across its edges can reach keeps one entry and skips the
+    four-state work.  On equal (cost, leaves, tuplets) the earlier
+    rule keeps an entry, and a split's chain keeps, per k after each child,
+    the first best of k = 0, then k = 1, before it.
     """
     config = config or QuantConfig()
-    lattice = grammar.lattice(time_signature)
-    alpha = config.alpha
-    theta = config.rest_threshold
-    onsets, extents = measure.onsets, measure.extents
-    positions = [pos for pos, _ in onsets]
-    carried_end = measure.carried_end if measure.carried_pitch is not None else 0.0
+    table = MeasureStates(measure, grammar, config, time_signature, states, final)
+    if states:
+        return table
+    cost = table.cost(0, 0)
+    if cost == math.inf:
+        raise table.failure()
+    return table.tree(0, 0), cost
 
-    # per node, children first: (cost, leaves, tuplets, rule, first onset)
-    # of the best derivation, or None
-    results: list = []
-    for lf, rf, rules in lattice.nodes:
-        lo = bisect_left(positions, lf - EPS)
-        count = bisect_left(positions, rf - EPS, lo) - lo
-        # whatever was sounding when the cell begins
-        sound_end = extents[lo - 1] if lo else carried_end
 
-        # a leaf's uncovered tail, silence after the note or the carried
-        # sound relative to the leaf width, may be at most theta; when no
-        # strict option fits, the relaxed leaves drop that bound the way the
-        # notation builder does at its depth limit
-        note_extra = 0.0
-        if count > 1:
-            strict = relaxed = ()
-        elif count == 1:
-            relaxed = (NOTE,)
-            tail = (rf - min(max(extents[lo], lf), rf)) / (rf - lf)
-            strict = relaxed if tail <= theta + EPS else ()
-            dist = abs(positions[lo] - lf)
-            note_extra = alpha * (dist if dist >= EPS else 0.0)
-        elif sound_end <= lf + EPS:
-            strict = relaxed = (REST,)
-        else:
-            # a continuation needs sound at the left edge; a rest there is
-            # only a relaxed option
-            relaxed = (REST, CONTINUATION)
-            tail = (rf - min(sound_end, rf)) / (rf - lf)
-            strict = (CONTINUATION,) if tail <= theta + EPS else ()
+class MeasureStates:
+    """One measure solved for every (k_in, k_out): whether the previous
+    measure's last onset is aligned onto its downbeat, and whether its own
+    last onset is aligned onto the closing barline."""
 
-        best = choice = None
+    def __init__(self, measure: MeasureInput, grammar: RhythmGrammar,
+                 config: QuantConfig, time_signature: TimeSignature,
+                 lead_in: bool, final: bool):
+        self.measure = measure
+        self.grammar = grammar
+        self.final = final
+        self.lattice = grammar.lattice(time_signature)
+        alpha = config.alpha
+        theta = config.rest_threshold
+        onsets, extents = measure.onsets, measure.extents
+        positions = [pos for pos, _ in onsets]
+        carried_end = measure.carried_end if measure.carried_pitch is not None else 0.0
+        lead_in = lead_in and measure.carried_pitch is not None
+
+        # per node, children first: (cost, leaves, tuplets, rule, first
+        # onset) of its best (0, 0) derivation, or None.  A node with other
+        # entries also keeps all four in ``states``, indexed 2 * k_in + k_out,
+        # each ending in the k sequence of its rule.  A node needs the
+        # four-state pass when an onset may be aligned onto its left edge,
+        # out of its own cell, or out of a child's
+        nodes = self.lattice.nodes
+        self.results = results = []
+        self.states = states = [None] * len(nodes)
+        gives = [False] * len(nodes)  # does a child give an onset out?
+        for node, (lf, rf, pushers, rules, parents) in enumerate(nodes):
+            lo = bisect_left(positions, lf - EPS)
+            hi = bisect_left(positions, rf - EPS, lo)
+            count = hi - lo
+            # whatever was sounding when the cell begins
+            sound_end = extents[lo - 1] if lo else carried_end
+            # a leaf aligns at most one onset onto its right edge: the last
+            # of at most two, from its right half
+            if lo:
+                last = positions[lo - 1]
+                pushed_in = pushers and last > pushers[0][0] + EPS and any(
+                    last > edge_mid + EPS and (lo < 3 or positions[lo - 3] < edge - EPS)
+                    for edge_mid, edge in pushers)
+            else:
+                pushed_in = lead_in and lf == 0.0
+            closing = final and rf == 1.0
+            if (gives[node] or pushed_in or (0 < count <= 2 and not closing
+                                             and positions[hi - 1] > (lf + rf) / 2 + EPS)):
+                entries = self._four_states(lf, rf, rules, lo, hi, pushed_in, closing,
+                                            positions, sound_end, alpha, theta)
+                results.append(entries[0])
+                if any(entries[1:]):
+                    states[node] = entries
+                # a k_in = 1 entry is only reached after a sibling that
+                # gives out from k_in = 0, or when the parent takes in itself
+                if entries[1]:
+                    for parent in parents:
+                        gives[parent] = True
+                continue
+
+            note_extra = 0.0
+            if count == 1:
+                dist = abs(positions[lo] - lf)
+                note_extra = alpha * (dist if dist >= EPS else 0.0)
+            strict, relaxed = _leaf_labels(count, extents[lo] if count else 0.0,
+                                           sound_end, lf, rf, theta)
+            best = choice = None
+            for rule in rules:
+                weight, label, children, tuplets = rule
+                if label is None:
+                    cost, leaves = weight, 0
+                    for child in children:
+                        sub = results[child]
+                        if sub is None:
+                            break
+                        cost += sub[0]
+                        leaves += sub[1]
+                        tuplets += sub[2]
+                    else:
+                        cand = (cost, leaves, tuplets)
+                        if best is None or cand < best:
+                            best, choice = cand, rule
+                elif label in strict:
+                    cand = (weight + note_extra if label == NOTE else weight, 1, 0)
+                    if best is None or cand < best:
+                        best, choice = cand, rule
+            if best is None and relaxed:
+                for rule in rules:
+                    if rule.label in relaxed:
+                        cand = (rule.weight + note_extra if rule.label == NOTE
+                                else rule.weight, 1, 0)
+                        if best is None or cand < best:
+                            best, choice = cand, rule
+            results.append(None if best is None else (*best, choice, lo))
+
+    def _four_states(self, lf, rf, rules, lo, hi, pushed_in, closing, positions,
+                     sound_end, alpha, theta) -> list:
+        """The entries of a node an onset may be aligned into or out of."""
+        results, states, extents = self.results, self.states, self.measure.extents
+        k_ins = (0, 1) if pushed_in else (0,)
+        # as a leaf: per k_in, (k_out, strict labels, relaxed labels, cost
+        # on top of the rule weight)
+        leaf = []
+        # the first onset in the right half; at the score's end, none moves
+        right = hi if closing else bisect_right(positions, (lf + rf) / 2 + EPS, lo, hi)
+        k_out = hi - right
+        if k_out <= 1:
+            push = alpha * (rf - positions[right]) if k_out else 0.0
+            for k_in in k_ins:
+                notes = k_in + right - lo
+                extra = push
+                if notes == 1 and not k_in:  # one aligned in is already paid for
+                    dist = abs(positions[lo] - lf)
+                    extra = alpha * (dist if dist >= EPS else 0.0) + push
+                note_end = sound_end if k_in else extents[lo] if notes else 0.0
+                strict, relaxed = _leaf_labels(notes, note_end, sound_end, lf, rf, theta)
+                if relaxed:
+                    leaf.append((k_in, k_out, strict, relaxed, extra))
+
+        # (cost, leaves, tuplets, rule, first onset, k sequence) per entry;
+        # a candidate must beat an entry's (cost, leaves, tuplets) outright
+        entries: list = [None] * 4
         for rule in rules:
             weight, label, children, tuplets = rule
-            if label is None:
-                cost, leaves = weight, 0
+            if label is not None:
+                for k_in, k_out, strict, _, extra in leaf:
+                    if label in strict:
+                        i = 2 * k_in + k_out
+                        old = entries[i]
+                        cost = weight + extra
+                        if old is None or (cost, 1, 0) < (old[0], old[1], old[2]):
+                            entries[i] = (cost, 1, 0, rule, lo, (k_in, k_out))
+                continue
+            for k_in in k_ins:
+                # best (cost, leaves, tuplets, k sequence) so far per k
+                front = [None, None]
+                front[k_in] = (weight, 0, tuplets, (k_in,))
                 for child in children:
-                    sub = results[child]
-                    if sub is None:
+                    sub = states[child]
+                    if sub is None:  # takes and gives nothing
+                        sub, pre = results[child], front[0]
+                        if pre is None or sub is None:
+                            break
+                        front = [(pre[0] + sub[0], pre[1] + sub[1], pre[2] + sub[2],
+                                  pre[3] + (0,)), None]
+                        continue
+                    nxt = [None, None]
+                    for k, pre in enumerate(front):
+                        if pre is None:
+                            continue
+                        for k_next in (0, 1):
+                            e = sub[2 * k + k_next]
+                            if e is None:
+                                continue
+                            cand = (pre[0] + e[0], pre[1] + e[1], pre[2] + e[2])
+                            old = nxt[k_next]
+                            if old is None or cand < (old[0], old[1], old[2]):
+                                nxt[k_next] = (*cand, pre[3] + (k_next,))
+                    if nxt[0] is None and nxt[1] is None:
                         break
-                    cost += sub[0]
-                    leaves += sub[1]
-                    tuplets += sub[2]
+                    front = nxt
                 else:
-                    cand = (cost, leaves, tuplets)
-                    if best is None or cand < best:
-                        best, choice = cand, rule
-            elif label in strict:
-                cand = (weight + note_extra if label == NOTE else weight, 1, 0)
-                if best is None or cand < best:
-                    best, choice = cand, rule
-        if best is None and relaxed:
-            for rule in rules:
-                if rule.label in relaxed:
-                    cand = (rule.weight + note_extra if rule.label == NOTE
-                            else rule.weight, 1, 0)
-                    if best is None or cand < best:
-                        best, choice = cand, rule
-        results.append(None if best is None else (*best, choice, lo))
+                    for k_out, pre in enumerate(front):
+                        if pre is not None:
+                            i = 2 * k_in + k_out
+                            old = entries[i]
+                            if old is None or pre[:3] < old[:3]:
+                                entries[i] = (pre[0], pre[1], pre[2], rule, lo, pre[3])
+        for k_in, k_out, _, relaxed, extra in leaf:
+            i = 2 * k_in + k_out
+            if entries[i] is None:
+                for rule in rules:
+                    if rule.label in relaxed:
+                        old = entries[i]
+                        cost = rule.weight + extra
+                        if old is None or (cost, 1, 0) < (old[0], old[1], old[2]):
+                            entries[i] = (cost, 1, 0, rule, lo, (k_in, k_out))
+        return entries
 
-    if results[-1] is None:
-        cap = lattice.max_leaves()
+    def _entry(self, node: int, k_in: int, k_out: int):
+        if self.states[node] is not None:
+            return self.states[node][2 * k_in + k_out]
+        return None if k_in or k_out else self.results[node]
+
+    def cost(self, k_in: int, k_out: int) -> float:
+        """The entry's cost, inf when no derivation has these states."""
+        entry = self._entry(-1, k_in, k_out)
+        return math.inf if entry is None else entry[0]
+
+    def tree(self, k_in: int, k_out: int) -> RhythmTree:
+        """The entry's winning derivation as a tree."""
+        return self._tree(len(self.results) - 1, k_in, k_out)
+
+    def _tree(self, node: int, k_in: int, k_out: int) -> RhythmTree:
+        entry = self._entry(node, k_in, k_out)
+        rule, lo = entry[3], entry[4]
+        if rule.label is None:
+            # an entry of the four-state pass ends in its k sequence
+            ks = entry[5] if len(entry) > 5 else (0,) * (len(rule.children) + 1)
+            return RhythmTree(children=tuple(
+                self._tree(child, ks[i], ks[i + 1])
+                for i, child in enumerate(rule.children)))
+        if rule.label == NOTE:
+            if k_in:
+                pitch = self.measure.onsets[lo - 1][1] if lo else self.measure.carried_pitch
+            else:
+                pitch = self.measure.onsets[lo][1]
+            return RhythmTree(label=NOTE, pitch=pitch)
+        return RhythmTree(label=rule.label)
+
+    def failure(self) -> RhythmiqError:
+        """Why the (0, 0) entry has no derivation."""
+        onsets = self.measure.onsets
+        cap = self.lattice.max_leaves()
         if len(onsets) > cap:
-            raise CapacityError(
+            return CapacityError(
                 f"{len(onsets)} onsets exceed the {cap} leaves reachable "
-                f"within depth {grammar.max_depth}"
+                f"within depth {self.grammar.max_depth}"
             )
-        raise ParseFailureError(
-            "no derivation fits this measure; the grammar lacks a needed rule"
+        # align each onset in the narrowest cell a note may fill
+        cells = sorted((node.right - node.left, node.left, node.right)
+                       for node in self.lattice.nodes
+                       if any(rule.label == NOTE for rule in node.rules))
+        taken: dict[float, float] = {}
+        for pos, _ in onsets:
+            cell = next((c for c in cells if c[1] - EPS <= pos < c[2] - EPS), None)
+            if cell is None:
+                continue
+            _, lf, rf = cell
+            stays = pos <= (lf + rf) / 2 + EPS or (self.final and rf == 1.0)
+            edge = lf if stays else rf
+            if edge in taken:
+                return AlignmentError(
+                    f"onsets at {taken[edge]:.4f} and {pos:.4f} of the measure "
+                    f"align to one boundary even in the finest cells")
+            if edge == 1.0:
+                return AlignmentError(
+                    f"the onset at {pos:.4f} of the measure aligns to the "
+                    f"closing barline even in the finest cells")
+            taken[edge] = pos
+        return ParseFailureError(
+            "no derivation fits this measure; the grammar lacks a rule for a "
+            "needed leaf"
         )
-    return _derivation(results, len(results) - 1, onsets), results[-1][0]
 
 
-def _derivation(results: list, node: int, onsets) -> RhythmTree:
-    """The tree of a node's winning derivation, from the solver's results."""
-    _, _, _, rule, lo = results[node]
-    if rule.label is None:
-        return RhythmTree(children=tuple(
-            _derivation(results, child, onsets) for child in rule.children))
-    if rule.label == NOTE:
-        return RhythmTree(label=NOTE, pitch=onsets[lo][1])
-    return RhythmTree(label=rule.label)
+def _leaf_labels(notes: int, note_end: float, sound_end: float, lf: float,
+                 rf: float, theta: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The (strict, relaxed) labels a leaf [lf, rf) may take with ``notes``
+    notes in it: the one sounding until ``note_end``, or else whatever sounds
+    until ``sound_end``.
+
+    A leaf's uncovered tail, silence after the note or the carried sound
+    relative to the leaf width, may be at most theta; when no strict option
+    fits, the relaxed leaves drop that bound the way the notation builder
+    does at its depth limit.
+    """
+    if notes > 1:
+        return (), ()
+    if notes == 1:
+        tail = (rf - min(max(note_end, lf), rf)) / (rf - lf)
+        return ((NOTE,) if tail <= theta + EPS else ()), (NOTE,)
+    if sound_end <= lf + EPS:
+        return (REST,), (REST,)
+    # a continuation needs sound at the left edge; a rest there is only a
+    # relaxed option
+    tail = (rf - min(sound_end, rf)) / (rf - lf)
+    return ((CONTINUATION,) if tail <= theta + EPS else ()), (REST, CONTINUATION)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +505,22 @@ def quantize_performance(
     """Quantize a full performance against annotated beats.
 
     Onsets and offsets are mapped through the beat grid (piecewise linear,
-    extrapolated at both ends), sliced into measures, and solved one measure
-    at a time.  An onset landing in the last half beat of a measure is also
-    tried as the downbeat of the next measure; the joint two-measure cost
-    decides.  ``on_error='fallback'`` replaces unsolvable measures with the
-    grid fallback and reports them in the returned warnings list.
+    extrapolated at both ends) and sliced into measures; each measure is
+    solved once for all four (k_in, k_out) entries (see
+    ``quantize_measure``).  Whether a measure's last onset is aligned onto
+    the next downbeat is then one choice per barline, made by a two-state
+    Viterbi pass over the measures: the first measure takes nothing in and
+    the last, solved as ``final``, gives nothing out, so no note starts past
+    the grid.  A measure no entry fits is a grid-fallback measure with
+    nothing crossing its barlines; paths rank by fallback count, then by
+    cost.
+    ``on_error='fallback'`` applies the grid fallback and reports each such
+    measure and its cause in the returned warnings list; ``'raise'`` raises
+    the first one's cause.
     """
     if on_error not in ("raise", "fallback"):
-        raise ValidationError(f"on_error must be 'raise' or 'fallback'")
+        raise ValidationError(
+            f"on_error must be 'raise' or 'fallback', got {on_error!r}")
     config = config or QuantConfig()
     performance = enforce_monophony(performance)
     if len(performance) == 0:
@@ -330,64 +556,61 @@ def quantize_performance(
     else:
         m_hi = max(m_hi, math.ceil(notes[-1][1]) - 1)
 
+    tables: list[MeasureStates] = []
+    pushes = False  # may the previous measure align its last onset onto the downbeat?
+    for m in range(m_lo, m_hi + 1):
+        onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
+        if pushes and carried_pitch is None:  # that note stopped before the barline
+            carried_pitch = notes[bisect_left(notes, (m,)) - 1][2]
+        table = quantize_measure(MeasureInput(onsets, extents, carried_pitch, carried_end),
+                                 grammar, config, sig, states=True, final=m == m_hi)
+        tables.append(table)
+        pushes = min(table.cost(0, 1), table.cost(1, 1)) < math.inf
+
+    # per barline and k, the best (fallbacks, cost) of the measures before
+    # it; per measure and k_out, the (k_in, fallback) that reached it
+    best: list = [(0, 0.0), None]
+    back = []
+    for table in tables:
+        reached: list = [None, None]
+        choice: list = [None, None]
+        for k_in, prev in enumerate(best):
+            if prev is None:
+                continue
+            fallbacks, total = prev
+            options = [((fallbacks, total + table.cost(k_in, k_out)), k_out, False)
+                       for k_out in (0, 1)]
+            if k_in == 0:
+                options.append(((fallbacks + 1, total), 0, True))
+            for cand, k_out, fallback in options:
+                if cand[1] < math.inf and (reached[k_out] is None or cand < reached[k_out]):
+                    reached[k_out], choice[k_out] = cand, (k_in, fallback)
+        back.append(choice)
+        best = reached
+
+    chosen = []
+    k = 0
+    for choice in reversed(back):
+        k_in, fallback = choice[k]
+        chosen.append((k_in, k, fallback))
+        k = k_in
+    chosen.reverse()
+
     warnings: list[str] = []
-
-    # the deferral below weighs the same measure contents more than once;
-    # each distinct input is parsed once, failures included
-    solved: dict[MeasureInput, tuple[RhythmTree, float] | RhythmiqError] = {}
-
-    def attempt(m: int):
-        inp = MeasureInput(*slice_measure(notes, m))
-        if inp not in solved:
-            try:
-                solved[inp] = quantize_measure(inp, grammar, config, sig)
-            except RhythmiqError as exc:
-                solved[inp] = exc
-        return inp, solved[inp]
-
-    def soft(m: int) -> float:
-        result = attempt(m)[1]
-        return math.inf if isinstance(result, RhythmiqError) else result[1]
-
-    def solve(m: int) -> RhythmTree:
-        inp, result = attempt(m)
-        if not isinstance(result, RhythmiqError):
-            return result[0]
+    measures = []
+    for m, table, (k_in, k_out, fallback) in zip(range(m_lo, m_hi + 1), tables, chosen):
+        if not fallback:
+            measures.append(table.tree(k_in, k_out))
+            continue
+        error = table.failure()
         if on_error == "raise":
-            raise result
-        n = len(inp.onsets)
+            raise error
+        n = len(table.measure.onsets)
         resolution = _grid_resolution(n, sig, fallback_resolution)
         finer = (f"; {n} onsets need {resolution} grid slots per beat"
                  if resolution > fallback_resolution else "")
-        warnings.append(f"measure {m - m_lo}: {result}{finer}; grid fallback applied")
-        return fallback_quantize(inp, sig, fallback_resolution)
-
-    defer_window = 0.5 / bpb
-    lattice = grammar.lattice(sig).note_positions
-    measures = []
-    m = m_lo
-    while m <= m_hi:
-        nxt = bisect_left(notes, (m + 1,))  # first onset at or past the next barline
-        if nxt and notes[nxt - 1][0] >= m:
-            onset, extent, pitch = notes[nxt - 1]
-            pos = onset - m
-            downbeat_taken = nxt < len(notes) and notes[nxt][0] < m + 1 + 1e-6
-            # an onset sitting exactly on a notatable grid position was played
-            # there on purpose; only off-grid stragglers may be early downbeats
-            near = bisect_left(lattice, pos)
-            on_lattice = any(abs(pos - p) < 1e-6 for p in lattice[max(near - 1, 0):near + 1])
-            if (pos >= 1 - defer_window and pos > 0
-                    and not downbeat_taken and not on_lattice):
-                plan_a = soft(m) + soft(m + 1)
-                notes[nxt - 1] = (float(m + 1), max(extent, m + 1 + 1e-6), pitch)
-                penalty = config.alpha * (m + 1 - onset)
-                plan_b = soft(m) + soft(m + 1) + penalty
-                if plan_b < plan_a:
-                    m_hi = max(m_hi, m + 1)
-                else:
-                    notes[nxt - 1] = (onset, extent, pitch)
-        measures.append(solve(m))
-        m += 1
+        warnings.append(f"measure {m - m_lo}: {error}{finer}; grid fallback applied")
+        measures.append(fallback_quantize(table.measure, sig, fallback_resolution))
 
     intervals = [b - a for a, b in zip(grid.beats, grid.beats[1:])]
     tempo = 60.0 / fmean(intervals)

@@ -10,7 +10,6 @@ a tautology.  Costs are folded in the same order the solver folds them
 (rule weight first, then children left to right) so exact float comparison
 is meaningful.
 """
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from rhythmiq import (
+    AlignmentError,
     CapacityError,
     DecompositionError,
     GrammarRule,
@@ -148,12 +148,21 @@ def random_notated_measure(rng: random.Random):
 
 def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
                        config: QuantConfig | None = None,
-                       sig: TimeSignature = SIG44):
-    """Minimum derivation cost by complete enumeration, or None if no
-    derivation exists.  Legality matches the solver contract: a leaf may
-    absorb at most rest_threshold of uncovered tail, note leaves need exactly
-    one onset, rests silence, continuations running sound; when no strict
-    option exists at a subinterval the leaf coverage rule is relaxed there.
+                       sig: TimeSignature = SIG44, k_in: int = 0, k_out: int = 0,
+                       final: bool = False):
+    """Minimum cost of the measure's (k_in, k_out) entry by complete
+    enumeration, or None if no derivation has those states.
+
+    Legality matches the solver contract.  A leaf [l, r) holds the onsets in
+    [l - EPS, r - EPS).  Those at or before its midpoint (within EPS) are
+    its note, at alpha * (p - l); at most one past it moves to r, at
+    alpha * (r - p), as the next leaf's note.  k_in = 1 at the measure's
+    start makes the carried note the one aligned onto the downbeat.  In a
+    ``final`` measure a leaf ending at the closing barline keeps all its
+    onsets, none moves past the measure.  A leaf may absorb at most
+    rest_threshold of uncovered tail, note leaves need exactly one note,
+    rests silence, continuations running sound; when no strict option of an
+    entry exists at a subinterval, the leaf coverage rule is relaxed there.
     """
     config = config or QuantConfig()
     alpha, theta = config.alpha, config.rest_threshold
@@ -166,44 +175,59 @@ def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
         return end
 
     def derivations(head: str, left: Fraction, right: Fraction,
-                    depth: int) -> list[float]:
+                    depth: int, k_in: int) -> list[tuple[float, int]]:
+        """(cost, k_out) of every derivation taking k_in onsets in."""
         lf, rf = float(left), float(right)
+        if k_in and lf == 0 and measure.carried_pitch is None:
+            return []
         contained = [
             (pos, ext)
             for (pos, _), ext in zip(measure.onsets, measure.extents)
             if lf - EPS <= pos < rf - EPS
         ]
+        mid = (lf + rf) / 2
+        stay = [(pos, ext) for pos, ext in contained
+                if pos <= mid + EPS or (final and right == 1)]
+        moved = contained[len(stay):]
         end = sounding_at(lf)
         width = rf - lf
 
         def tail(e: float) -> float:
             return (rf - min(max(e, lf), rf)) / width
 
-        def leaf_costs(degraded: bool) -> list[float]:
+        def leaf_costs(degraded: bool) -> list[tuple[float, int]]:
+            if len(moved) > 1 or k_in + len(stay) > 1:
+                return []
+            push = alpha * (rf - moved[0][0]) if moved else 0.0
             out = []
             for rule in grammar.rules_for(head):
                 if not isinstance(rule.body, Leaf):
                     continue
                 label = rule.body.label
                 if label == "note":
-                    if len(contained) != 1:
+                    if k_in + len(stay) != 1:
                         continue
-                    if not degraded and tail(contained[0][1]) > theta + EPS:
+                    if k_in:
+                        note_end, extra = end, push
+                    else:
+                        (pos, note_end), = stay
+                        d = abs(pos - lf)
+                        extra = alpha * (0.0 if d < EPS else d) + push
+                    if not degraded and tail(note_end) > theta + EPS:
                         continue
-                    d = abs(contained[0][0] - lf)
-                    out.append(rule.weight + alpha * (0.0 if d < EPS else d))
+                    out.append((rule.weight + extra, len(moved)))
                 elif label == "rest":
-                    if contained:
+                    if k_in or stay:
                         continue
                     if not degraded and end > lf + EPS:
                         continue
-                    out.append(rule.weight)
+                    out.append((rule.weight + push, len(moved)))
                 else:
-                    if contained or end <= lf + EPS:
+                    if k_in or stay or end <= lf + EPS:
                         continue
                     if not degraded and tail(end) > theta + EPS:
                         continue
-                    out.append(rule.weight)
+                    out.append((rule.weight + push, len(moved)))
             return out
 
         found = leaf_costs(degraded=False)
@@ -213,25 +237,20 @@ def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
                     continue
                 k = len(rule.body.children)
                 w = (right - left) / k
-                child_lists = []
+                partial = [(rule.weight, k_in)]
                 for i, child in enumerate(rule.body.children):
-                    sub = derivations(child, left + i * w, left + (i + 1) * w,
-                                      depth + 1)
-                    if not sub:
-                        break
-                    child_lists.append(sub)
-                if len(child_lists) < k:
-                    continue
-                for combo in itertools.product(*child_lists):
-                    cost = rule.weight
-                    for c in combo:
-                        cost = cost + c
-                    found.append(cost)
-        if not found:
-            found = leaf_costs(degraded=True)
-        return found
+                    subs = {k_mid: derivations(child, left + i * w, left + (i + 1) * w,
+                                               depth + 1, k_mid)
+                            for k_mid in {k_mid for _, k_mid in partial}}
+                    partial = [(cost + c, k_next) for cost, k_mid in partial
+                               for c, k_next in subs[k_mid]]
+                found += partial
+        strict_outs = {k for _, k in found}
+        return found + [(cost, k) for cost, k in leaf_costs(degraded=True)
+                        if k not in strict_outs]
 
-    costs = derivations(grammar.start_for(sig), Fraction(0), Fraction(1), 0)
+    costs = [cost for cost, k in derivations(grammar.start_for(sig), Fraction(0),
+                                             Fraction(1), 0, k_in) if k == k_out]
     return min(costs) if costs else None
 
 
@@ -268,21 +287,58 @@ def _max_leaves(grammar: RhythmGrammar, head: str, budget: int,
     return best
 
 
+def _finest_alignment_clash(measure: MeasureInput, grammar: RhythmGrammar,
+                            start: str, final: bool) -> bool:
+    """Whether two onsets, or the last one and the closing barline, align to
+    one boundary in the narrowest cells a note may fill; in a ``final``
+    measure the last cell keeps its onsets."""
+    cells = set()
+
+    def visit(head: str, left: Fraction, right: Fraction, depth: int) -> None:
+        for rule in grammar.rules_for(head):
+            if isinstance(rule.body, Leaf):
+                if rule.body.label == NOTE:
+                    cells.add((right - left, left, right))
+            elif depth < grammar.max_depth:
+                w = (right - left) / len(rule.body.children)
+                for i, child in enumerate(rule.body.children):
+                    visit(child, left + i * w, left + (i + 1) * w, depth + 1)
+
+    visit(start, Fraction(0), Fraction(1), 0)
+    edges = []
+    for pos, _ in measure.onsets:
+        holding = [c for c in sorted(cells) if float(c[1]) - EPS <= pos < float(c[2]) - EPS]
+        if holding:
+            _, left, right = holding[0]
+            lf, rf = float(left), float(right)
+            moves = pos > (lf + rf) / 2 + EPS and not (final and right == 1)
+            edges.append(right if moves else left)
+    return len(set(edges)) < len(edges) or Fraction(1) in edges
+
+
 def reference_quantize_measure(
     measure: MeasureInput,
     grammar: RhythmGrammar,
     config: QuantConfig | None = None,
     time_signature: TimeSignature = TimeSignature(4, 4),
-) -> tuple[RhythmTree, float]:
-    """The recursive Fraction solver that ``quantize_measure`` replaced,
-    kept as its reference: same trees, bit-identical costs, same errors.
+    *,
+    states: bool = False,
+    final: bool = False,
+):
+    """The recursive Fraction solver, kept as the reference of
+    ``quantize_measure``: same trees, bit-identical costs, same errors.
 
-    Find the minimum-cost derivation explaining one measure.
+    Aligned semantics: a leaf [l, r) holds the onsets in [l - EPS, r - EPS);
+    those at or before its midpoint (within EPS) are its note, at
+    alpha * (p - l), and at most one past it moves to r, at alpha * (r - p),
+    as the next leaf's note; in a ``final`` measure a leaf ending at the
+    closing barline keeps all its onsets.  ``best`` keeps each cell's winner
+    per (k_in, k_out); a split chains k through its children left to right.
 
-    Returns the winning tree and its total cost.  Raises CapacityError when
-    the measure holds more onsets than any derivation within the grammar's
-    depth bound can carry, ParseFailureError when the grammar simply lacks
-    the rules the data requires.
+    Returns the (0, 0) entry's tree and cost, or raises CapacityError,
+    AlignmentError or ParseFailureError.  With ``states`` returns
+    {(k_in, k_out): (tree, cost) or None}; the k_in = 1 entries take the
+    carried note as the one aligned onto the downbeat.
     """
     config = config or QuantConfig()
     start = grammar.start_for(time_signature)
@@ -302,97 +358,117 @@ def reference_quantize_measure(
 
     memo: dict = {}
 
-    def best(head: str, left: Fraction, right: Fraction, depth: int):
-        key = (head, left, right, depth)
+    def best(head: str, left: Fraction, right: Fraction, depth: int, k_in: int):
+        """{k_out: (cost, leaves, tuplets, tree)} of the cell's winners."""
+        key = (head, left, right, depth, k_in)
         if key in memo:
             return memo[key]
         lf, rf = float(left), float(right)
         contained = inside(lf, rf)
-        sound_end, _ = _sounding_end(measure, lf)
-
-        # a leaf's uncovered tail: silence after the note (or carried sound)
-        # relative to the leaf width; theta bounds what a leaf may absorb
-        if len(contained) == 1:
-            note_gap = uncovered_after(contained[0][2], lf, rf)
-        empty_gap = uncovered_after(sound_end, lf, rf)
+        sound_end, sound_pitch = _sounding_end(measure, lf)
+        mid = (lf + rf) / 2
+        stay = [c for c in contained if c[0] <= mid + EPS or (final and right == 1)]
+        moved = contained[len(stay):]
+        k_out = len(moved)
+        push = alpha * (rf - moved[0][0]) if moved else 0.0
+        # the leaf's note: the onset aligned in from before, or its own
+        if k_in:
+            note = (sound_pitch, sound_end, 0.0) if sound_pitch is not None else None
+        elif stay:
+            pos, pitch, ext = stay[0]
+            dist = abs(pos - lf)
+            note = (pitch, ext, alpha * (0.0 if dist < EPS else dist))
+        else:
+            note = None
+        notes = k_in + len(stay)
 
         def leaf_legal(label: str, degraded: bool) -> bool:
+            if k_out > 1 or notes > 1:
+                return False
             if label == NOTE:
-                if len(contained) != 1:
+                if notes != 1 or note is None:
                     return False
-                return degraded or note_gap <= theta + EPS
-            if contained:
+                return degraded or uncovered_after(note[1], lf, rf) <= theta + EPS
+            if notes:
                 return False
             if label == REST:
                 return sound_end <= lf + EPS or degraded
             # continuation: something must still be sounding at the left edge
             if sound_end <= lf + EPS:
                 return False
-            return degraded or empty_gap <= theta + EPS
+            return degraded or uncovered_after(sound_end, lf, rf) <= theta + EPS
 
-        def leaf_candidate(idx, rule):
+        def leaf_candidate(rule):
             if rule.body.label == NOTE:
-                pos, pitch, _ = contained[0]
-                dist = abs(pos - lf)
-                if dist < EPS:
-                    dist = 0.0
-                return (rule.weight + alpha * dist, 1, 0, (idx,),
-                        RhythmTree(label=NOTE, pitch=pitch))
-            return (rule.weight, 1, 0, (idx,),
-                    RhythmTree(label=rule.body.label))
+                return (rule.weight + (note[2] + push), 1, 0,
+                        RhythmTree(label=NOTE, pitch=note[0]))
+            return (rule.weight + push, 1, 0, RhythmTree(label=rule.body.label))
 
-        winner = None
-        for idx, rule in enumerate(grammar.rules):
+        winners: dict = {}
+
+        def offer(k: int, cand) -> None:
+            if k not in winners or cand[:3] < winners[k][:3]:
+                winners[k] = cand
+
+        for rule in grammar.rules:
             if rule.head != head:
                 continue
             if isinstance(rule.body, Leaf):
-                if not leaf_legal(rule.body.label, degraded=False):
-                    continue
-                cand = leaf_candidate(idx, rule)
-            else:
-                if depth >= grammar.max_depth:
-                    continue
-                children = rule.body.children
-                k = len(children)
-                width = (right - left) / k
-                cost, leaves, tuplets = rule.weight, 0, (k & (k - 1) != 0)
-                seq: tuple[int, ...] = (idx,)
-                subtrees = []
-                ok = True
-                for i, child_head in enumerate(children):
-                    sub = best(child_head, left + i * width,
-                               left + (i + 1) * width, depth + 1)
-                    if sub is None:
-                        ok = False
-                        break
-                    cost += sub[0]
-                    leaves += sub[1]
-                    tuplets += sub[2]
-                    seq = seq + sub[3]
-                    subtrees.append(sub[4])
-                if not ok:
-                    continue
-                cand = (cost, leaves, tuplets, seq,
-                        RhythmTree(children=tuple(subtrees)))
-            if winner is None or cand[:4] < winner[:4]:
-                winner = cand
+                if leaf_legal(rule.body.label, degraded=False):
+                    offer(k_out, leaf_candidate(rule))
+                continue
+            if depth >= grammar.max_depth:
+                continue
+            children = rule.body.children
+            k = len(children)
+            width = (right - left) / k
+            # per k between children: (cost, leaves, tuplets, subtrees)
+            front = {k_in: (rule.weight, 0, int(k & (k - 1) != 0), ())}
+            for i, child_head in enumerate(children):
+                nxt: dict = {}
+                for k_mid in (0, 1):
+                    if k_mid not in front:
+                        continue
+                    cost, leaves, tuplets, subtrees = front[k_mid]
+                    subs = best(child_head, left + i * width,
+                                left + (i + 1) * width, depth + 1, k_mid)
+                    for k_next in (0, 1):
+                        if k_next not in subs:
+                            continue
+                        sub = subs[k_next]
+                        cand = (cost + sub[0], leaves + sub[1], tuplets + sub[2],
+                                subtrees + (sub[3],))
+                        if k_next not in nxt or cand[:3] < nxt[k_next][:3]:
+                            nxt[k_next] = cand
+                front = nxt
+            for k_end in (0, 1):
+                if k_end in front:
+                    cost, leaves, tuplets, subtrees = front[k_end]
+                    offer(k_end, (cost, leaves, tuplets, RhythmTree(children=subtrees)))
 
-        if winner is None:
+        if k_out not in winners:
             # nothing strict fits: relax the coverage rule the way the
             # notation builder does at its depth limit, so a lone displaced
             # onset or an awkward tail still gets some leaf
-            for idx, rule in enumerate(grammar.rules):
-                if rule.head != head or not isinstance(rule.body, Leaf):
-                    continue
-                if not leaf_legal(rule.body.label, degraded=True):
-                    continue
-                cand = leaf_candidate(idx, rule)
-                if winner is None or cand[:4] < winner[:4]:
-                    winner = cand
-        memo[key] = winner
-        return winner
+            for rule in grammar.rules:
+                if (rule.head == head and isinstance(rule.body, Leaf)
+                        and leaf_legal(rule.body.label, degraded=True)):
+                    offer(k_out, leaf_candidate(rule))
+        memo[key] = winners
+        return winners
 
-    result = best(start, Fraction(0), Fraction(1), 0)
+    def entries(k_in: int) -> dict:
+        if k_in and measure.carried_pitch is None:
+            return {}
+        return best(start, Fraction(0), Fraction(1), 0, k_in)
+
+    if states:
+        return {
+            (k_in, k_out): (winner[3], winner[0]) if winner else None
+            for k_in in (0, 1) for k_out in (0, 1)
+            for winner in [entries(k_in).get(k_out)]
+        }
+    result = entries(0).get(0)
     if result is None:
         cap = _max_leaves(grammar, start, grammar.max_depth, {})
         if len(onsets) > cap:
@@ -400,10 +476,12 @@ def reference_quantize_measure(
                 f"{len(onsets)} onsets exceed the {cap} leaves reachable "
                 f"within depth {grammar.max_depth}"
             )
+        if _finest_alignment_clash(measure, grammar, start, final):
+            raise AlignmentError("two onsets align to one boundary")
         raise ParseFailureError(
             "no derivation fits this measure; the grammar lacks a needed rule"
         )
-    cost, _, _, _, tree = result
+    cost, _, _, tree = result
     return tree, cost
 
 

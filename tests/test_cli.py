@@ -62,6 +62,13 @@ def test_load_config_overrides(tmp_path):
     assert cfg.rest_threshold == 0.5
 
 
+def test_pipeline_config_takes_the_quantizer_defaults():
+    from rhythmiq.quantize import DEFAULT_ALPHA, QuantConfig
+
+    assert PipelineConfig().alpha == DEFAULT_ALPHA == QuantConfig().alpha
+    assert PipelineConfig().rest_threshold == QuantConfig().rest_threshold
+
+
 def test_load_config_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")

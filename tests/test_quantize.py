@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhythmiq import (
+    AlignmentError,
     BeatGrid,
     CapacityError,
     EmptyInputError,
@@ -19,6 +20,7 @@ from rhythmiq import (
     QuantConfig,
     RhythmGrammar,
     RhythmiqError,
+    RhythmTree,
     Split,
     TimeSignature,
     ValidationError,
@@ -29,6 +31,7 @@ from rhythmiq import (
     quantize_performance,
     time_to_beats,
 )
+from rhythmiq.quantize import DEFAULT_ALPHA
 from rhythmiq.trees import CONTINUATION, NOTE, REST
 
 import support
@@ -65,18 +68,19 @@ def test_dp_matches_enumeration_randomized():
     for trial in range(150):
         grammar = support.random_grammar(rng)
         measure = support.random_measure(rng)
-        oracle = support.enumerate_min_cost(measure, grammar, cfg)
-        try:
-            _, cost = quantize_measure(measure, grammar, cfg)
-        except (CapacityError, ParseFailureError):
-            cost = None
-        if oracle is None:
-            assert cost is None, f"trial {trial}: solver found {cost}, oracle none"
-        else:
-            assert cost is not None, f"trial {trial}: solver failed, oracle {oracle}"
-            assert abs(cost - oracle) <= 1e-9, (
-                f"trial {trial}: solver {cost} vs enumeration {oracle}"
-            )
+        for final in (False, True):
+            oracle = support.enumerate_min_cost(measure, grammar, cfg, final=final)
+            try:
+                _, cost = quantize_measure(measure, grammar, cfg, final=final)
+            except (CapacityError, ParseFailureError):
+                cost = None
+            if oracle is None:
+                assert cost is None, f"trial {trial}: solver found {cost}, oracle none"
+            else:
+                assert cost is not None, f"trial {trial}: solver failed, oracle {oracle}"
+                assert abs(cost - oracle) <= 1e-9, (
+                    f"trial {trial}: solver {cost} vs enumeration {oracle}"
+                )
 
 
 def _boundary_measure(rng: random.Random) -> MeasureInput:
@@ -104,27 +108,59 @@ def _equal_weights(grammar: RhythmGrammar) -> RhythmGrammar:
     ], grammar.max_depth)
 
 
-def _solve(solver, measure, grammar, config):
+def _solve(solver, measure, grammar, config, final=False):
     try:
-        return solver(measure, grammar, config)
+        return solver(measure, grammar, config, final=final)
     except RhythmiqError as exc:
         return type(exc)
+
+
+def _entries(measure, grammar, config, final=False):
+    solved = quantize_measure(measure, grammar, config, states=True, final=final)
+    return {
+        (k_in, k_out): (solved.tree(k_in, k_out), solved.cost(k_in, k_out))
+        if solved.cost(k_in, k_out) < math.inf else None
+        for k_in in (0, 1) for k_out in (0, 1)
+    }
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.booleans(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_lattice_solver_matches_the_recursive_reference(seed, at_boundaries, ties):
     # same tree, bit-identical cost (the fold order is part of the contract)
-    # and the same error class as the Fraction solver it replaced
+    # and the same error class as the recursive Fraction solver, for the
+    # lone (0, 0) entry and for all four (k_in, k_out) entries, in a final
+    # measure and in one followed by another
     rng = random.Random(seed)
     grammar = support.random_grammar(rng)
     if ties:
         grammar = _equal_weights(grammar)
     measure = _boundary_measure(rng) if at_boundaries else support.random_measure(rng)
-    config = QuantConfig(alpha=rng.choice((0.0, 8.0, 30.0)),
+    config = QuantConfig(alpha=rng.choice((0.0, 8.0, 30.0, 128.0, DEFAULT_ALPHA)),
                          rest_threshold=rng.choice((0.25, 0.5, 1.0)))
-    assert (_solve(quantize_measure, measure, grammar, config)
-            == _solve(support.reference_quantize_measure, measure, grammar, config))
+    final = rng.random() < 0.5
+    assert (_solve(quantize_measure, measure, grammar, config, final)
+            == _solve(support.reference_quantize_measure, measure, grammar, config, final))
+    assert (_entries(measure, grammar, config, final)
+            == support.reference_quantize_measure(measure, grammar, config,
+                                                  states=True, final=final))
+
+
+def test_equal_cost_chains_keep_no_alignment_across_the_child_boundary():
+    # with alpha = 0 and equally likely rules, two chains through a split
+    # reach the same k with equal (cost, leaves, tuplets), one of them
+    # aligning an onset onto the later child's left edge; the chain without
+    # that alignment is kept, as in the reference
+    g = parse_grammar_file("\n".join([
+        "maxdepth = 3", "start 4/4 = A", "A -> continuation : 0.25",
+        "A -> note : 0.25", "A -> rest : 0.25", "A -> (A A A) : 0.25",
+    ]))
+    measure = MeasureInput(
+        ((0.534756344811055, 60), (0.7736606632152762, 61), (0.9583333333333334, 62)),
+        (0.7736606632152762, 0.9536078472886605, 1.056108945215787))
+    config = QuantConfig(alpha=0.0)
+    assert (_entries(measure, g, config)
+            == support.reference_quantize_measure(measure, g, config, states=True))
 
 
 @pytest.mark.parametrize("flat_first", [True, False])
@@ -179,7 +215,7 @@ def test_displaced_onset_pays_alpha():
     tree, c_late = quantize_measure(late, g)
     # same tree, cost differs by alpha * 0.01
     assert tree.leaf_labels()[1] == NOTE
-    assert c_late - c_exact == pytest.approx(8.0 * 0.01, abs=1e-9)
+    assert c_late - c_exact == pytest.approx(DEFAULT_ALPHA * 0.01, abs=1e-9)
 
 
 def test_empty_measure_is_whole_rest():
@@ -363,25 +399,25 @@ def test_early_downbeat_defers_to_next_measure():
     assert first[1] == 0
 
 
-def test_deferral_parses_each_measure_input_once(monkeypatch):
-    # weighing the deferral needs both measures with and without the moved
-    # onset; solving the chosen plan afterwards must not parse them again
+def test_quantize_performance_solves_each_measure_once(monkeypatch):
+    # the barline choices come from one solve per measure, not re-solves
     import rhythmiq.quantize as quantize
 
     seen = []
     solver = quantize.quantize_measure
 
-    def counted(measure, *args):
+    def counted(measure, *args, **kwargs):
         seen.append(measure)
-        return solver(measure, *args)
+        return solver(measure, *args, **kwargs)
 
     monkeypatch.setattr(quantize, "quantize_measure", counted)
     perf = Performance(
         [NoteEvent(0.5 * k, 0.5, 60) for k in range(3)]
         + [NoteEvent(1.97, 1.0, 72)]
+        + [NoteEvent(4.0 + 0.5 * k, 0.5, 60) for k in range(8)]
     )
-    quantize_performance(perf, _grid(2), default_grammar())
-    assert len(seen) == len(set(seen)) == 4
+    score, _ = quantize_performance(perf, _grid(4), default_grammar())
+    assert len(seen) == len(score.measures) == 4
 
 
 def test_on_lattice_onset_is_never_deferred():
@@ -396,6 +432,80 @@ def test_on_lattice_onset_is_never_deferred():
     assert 72 in m1_pitches
     first = next(iter(score.measures[1].leaves()))
     assert first[0].pitch == 64
+
+
+def test_onset_just_early_of_a_beat_aligns_to_it():
+    # the third quarter comes 2 ms early: it aligns to beat 3, the nearer
+    # edge of the beat-long leaf, not to some 32nd before it
+    perf = Performance([NoteEvent(0.0, 0.5, 60), NoteEvent(0.5, 0.498, 62),
+                        NoteEvent(0.998, 0.502, 64), NoteEvent(1.5, 0.5, 65)])
+    score, warnings = quantize_performance(perf, _grid(1), default_grammar())
+    assert not warnings
+    got = [(left, leaf.pitch) for leaf, left, _ in score.measures[0].leaves()]
+    assert got == [(Fraction(k, 4), p) for k, p in enumerate((60, 62, 64, 65))]
+
+
+def test_onset_just_before_the_final_barline_stays_in_the_last_bar():
+    # 20 ms before the grid's end the last onset would align to the final
+    # barline, but no note may start past the grid: the last bar's final
+    # leaf keeps it as its note
+    perf = Performance([NoteEvent(0.5 * k, 0.5, 60 + k) for k in range(7)]
+                       + [NoteEvent(3.98, 0.02, 72)])
+    score, warnings = quantize_performance(perf, _grid(2), default_grammar())
+    assert not warnings
+    assert len(score.measures) == 2
+    notes = [(left, leaf.pitch) for leaf, left, _ in score.measures[1].leaves()
+             if leaf.label == NOTE]
+    assert notes == [(Fraction(k, 4), 64 + k) for k in range(3)] + [(Fraction(7, 8), 72)]
+    assert score.measures[0].leaf_labels() == [NOTE] * 4
+    # a lone measure is followed by another: there the onset aligns to the
+    # closing barline, which even the finest cells cannot hold
+    measure = MeasureInput(((0.99, 72),), (1.0,), carried_pitch=67, carried_end=0.0625)
+    with pytest.raises(AlignmentError, match="aligns to the closing barline"):
+        quantize_measure(measure, default_grammar())
+    assert quantize_measure(measure, default_grammar(), final=True)[0].leaf_labels()[-1] == NOTE
+
+
+def test_downbeat_entry_takes_the_carried_note():
+    # with states, k_in = 1 puts the note before the barline on the downbeat
+    solved = quantize_measure(MeasureInput(carried_pitch=72, carried_end=0.5),
+                              default_grammar(), states=True)
+    assert solved.cost(0, 0) < math.inf and solved.cost(1, 0) < math.inf
+    assert solved.cost(0, 1) == solved.cost(1, 1) == math.inf
+    assert solved.tree(0, 0).leaf_labels() == [CONTINUATION]
+    assert solved.tree(1, 0) == RhythmTree(label=NOTE, pitch=72)
+    # a lone call is the (0, 0) entry
+    alone = MeasureInput(carried_pitch=72, carried_end=0.5)
+    assert quantize_measure(alone, default_grammar()) == (
+        solved.tree(0, 0), solved.cost(0, 0))
+
+
+_CAUSES = {
+    # 36 onsets in one bar of the default grammar
+    "capacity": (None, [NoteEvent(k / 18, 0.05, 40 + k) for k in range(36)],
+                 "36 onsets exceed the 32 leaves reachable within depth 4"),
+    # 4 ms either side of beat 2 both align to it, even in 32nd cells
+    "alignment": (None, [NoteEvent(0.0, 0.4, 60), NoteEvent(0.496, 0.004, 62),
+                         NoteEvent(0.504, 0.4, 64), NoteEvent(1.0, 1.0, 65)],
+                  "onsets at 0.2480 and 0.2520 of the measure align to one "
+                  "boundary even in the finest cells"),
+    # the second quarter's release needs a rest leaf the grammar lacks
+    "grammar": ("maxdepth = 1\nstart 4/4 = S\nS -> (Q Q Q Q) : 1.0\nQ -> note : 1.0\n",
+                [NoteEvent(0.0, 0.5, 60), NoteEvent(0.5, 0.5, 62)],
+                "no derivation fits this measure; the grammar lacks a rule for "
+                "a needed leaf"),
+}
+
+
+@pytest.mark.parametrize("cause", sorted(_CAUSES))
+def test_fallback_warning_names_its_cause(cause):
+    text, notes, message = _CAUSES[cause]
+    grammar = parse_grammar_file(text) if text else default_grammar()
+    _, warnings = quantize_performance(Performance(notes), _grid(1), grammar,
+                                       on_error="fallback")
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"measure 0: {message}")
+    assert warnings[0].endswith("grid fallback applied")
 
 
 def test_onset_a_rounding_error_before_a_barline_is_on_it():
@@ -470,6 +580,13 @@ def test_on_error_validation():
                              on_error="ignore")
 
 
+def test_on_error_validation_names_the_bad_value():
+    perf = Performance([NoteEvent(0.0, 0.5, 60)])
+    with pytest.raises(ValidationError, match="got 'ignore'"):
+        quantize_performance(perf, _grid(1), default_grammar(),
+                             on_error="ignore")
+
+
 def test_round_trip_through_rendered_midi():
     # a compact version of the full-fidelity acceptance check
     from rhythmiq import load_midi, render_performance, sample_score, save_midi
@@ -512,7 +629,7 @@ def test_lattice_compiles_once_per_grammar_and_signature(monkeypatch):
     assert calls == []  # building a grammar compiles nothing
     perf = Performance(
         [NoteEvent(0.5 * k, 0.5, 60) for k in range(3)]
-        + [NoteEvent(1.97, 1.0, 72)]  # weighs a deferral: several solves
+        + [NoteEvent(1.97, 1.0, 72)]  # an onset aligned across a barline
     )
     quantize_performance(perf, _grid(2), grammar)
     assert calls == [SIG]
@@ -536,6 +653,3 @@ def test_lattice_queries_of_the_default_grammar():
     lattice = default_grammar().lattice(SIG)
     assert len(lattice.nodes) == 97
     assert lattice.max_leaves() == 32  # four beats of eight 32nds
-    # a note may start on every 32nd and every triplet-sixteenth position
-    grid = {Fraction(k, 32) for k in range(32)} | {Fraction(k, 24) for k in range(24)}
-    assert lattice.note_positions == tuple(sorted(float(p) for p in grid))
