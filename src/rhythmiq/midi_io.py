@@ -8,6 +8,7 @@ single tempo event.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 
 from .core import NoteEvent, Performance
 from .errors import EmptyInputError, FormatError
@@ -29,22 +30,6 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def byte(self) -> int:
-        return self.take(1)[0]
-
-    def varlen(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.byte()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise FormatError("variable-length quantity longer than 4 bytes")
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
-
 
 # data byte count for channel messages by high nibble
 _CHANNEL_DATA_BYTES = {
@@ -52,23 +37,49 @@ _CHANNEL_DATA_BYTES = {
 }
 
 
+def _varlen(data: bytes, pos: int) -> tuple[int, int]:
+    """Read the variable-length quantity at ``pos``: (value, next position)."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        if pos >= len(data):
+            raise FormatError("truncated MIDI data")
+        b = data[pos]
+        value = (value << 7) | (b & 0x7F)
+        if not b & 0x80:
+            return value, pos + 1
+    raise FormatError("variable-length quantity longer than 4 bytes")
+
+
 def _parse_track(chunk: bytes):
     """Yield (tick, kind, payload) events from one MTrk chunk body."""
-    r = _Reader(chunk)
-    tick = 0
+    size = len(chunk)
+    pos = tick = 0
     running = None
-    while not r.exhausted:
-        tick += r.varlen()
-        status = r.byte()
+    while pos < size:
+        if chunk[pos] < 0x80:  # a one-byte delta time
+            tick += chunk[pos]
+            pos += 1
+        else:
+            delta, pos = _varlen(chunk, pos)
+            tick += delta
+        if pos >= size:
+            raise FormatError("truncated MIDI data")
+        status = chunk[pos]
         if status < 0x80:
             if running is None:
                 raise FormatError("data byte with no running status")
-            r.pos -= 1
-            status = running
+            status = running  # the byte read is the message's first data byte
+        else:
+            pos += 1
         if status == 0xFF:
-            meta_type = r.byte()
-            length = r.varlen()
-            payload = r.take(length)
+            if pos >= size:
+                raise FormatError("truncated MIDI data")
+            meta_type = chunk[pos]
+            length, pos = _varlen(chunk, pos + 1)
+            if pos + length > size:
+                raise FormatError("truncated MIDI data")
+            payload = chunk[pos : pos + length]
+            pos += length
             running = None
             if meta_type == 0x51:
                 if length != 3:
@@ -79,20 +90,25 @@ def _parse_track(chunk: bytes):
                 yield tick, "end", None
                 return
         elif status in (0xF0, 0xF7):
-            length = r.varlen()
-            r.take(length)
+            length, pos = _varlen(chunk, pos)
+            if pos + length > size:
+                raise FormatError("truncated MIDI data")
+            pos += length
             running = None
         elif status >= 0xF0:
             raise FormatError(f"unsupported system message 0x{status:02x}")
         else:
             running = status
             kind = status & 0xF0
-            payload = r.take(_CHANNEL_DATA_BYTES[kind])
+            end = pos + _CHANNEL_DATA_BYTES[kind]
+            if end > size:
+                raise FormatError("truncated MIDI data")
             channel = status & 0x0F
-            if kind == 0x90 and payload[1] > 0:
-                yield tick, "on", (channel, payload[0], payload[1])
-            elif kind == 0x80 or (kind == 0x90 and payload[1] == 0):
-                yield tick, "off", (channel, payload[0])
+            if kind == 0x90 and chunk[pos + 1] > 0:
+                yield tick, "on", (channel, chunk[pos], chunk[pos + 1])
+            elif kind == 0x80 or kind == 0x90:
+                yield tick, "off", (channel, chunk[pos])
+            pos = end
 
 
 class _TempoMap:
@@ -103,20 +119,17 @@ class _TempoMap:
         events = sorted(tempo_events)
         if not events or events[0][0] > 0:
             events.insert(0, (0, DEFAULT_TEMPO))
-        # anchors of (tick, seconds, us_per_quarter)
+        # anchors of (tick, seconds, us_per_quarter), the first at tick 0
         self.anchors = [(events[0][0], 0.0, events[0][1])]
         for tick, tempo in events[1:]:
             prev_tick, prev_sec, prev_tempo = self.anchors[-1]
             sec = prev_sec + (tick - prev_tick) * prev_tempo / (tpq * 1e6)
             self.anchors.append((tick, sec, tempo))
+        self.ticks = [tick for tick, _, _ in self.anchors]
 
     def seconds(self, tick: int) -> float:
-        anchor = self.anchors[0]
-        for cand in self.anchors:
-            if cand[0] > tick:
-                break
-            anchor = cand
-        a_tick, a_sec, a_tempo = anchor
+        # the last anchor at or before ``tick``
+        a_tick, a_sec, a_tempo = self.anchors[bisect_right(self.ticks, tick) - 1]
         return a_sec + (tick - a_tick) * a_tempo / (self.tpq * 1e6)
 
 
@@ -157,9 +170,8 @@ def load_midi(data: bytes) -> Performance:
     notes = []
     for track in tracks:
         open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        last_tick = 0
+        last_tick = track[-1][0] if track else 0  # ticks never decrease
         for tick, kind, payload in track:
-            last_tick = max(last_tick, tick)
             if kind == "on":
                 channel, pitch, velocity = payload
                 open_notes.setdefault((channel, pitch), []).append((tick, velocity))
@@ -179,15 +191,15 @@ def load_midi(data: bytes) -> Performance:
     if not notes:
         raise EmptyInputError("MIDI file contains no notes")
 
-    events = [
-        NoteEvent(
-            onset=tmap.seconds(on),
-            duration=tmap.seconds(off) - tmap.seconds(on),
+    events = []
+    for on, off, pitch, velocity in notes:
+        onset = tmap.seconds(on)
+        events.append(NoteEvent(
+            onset=onset,
+            duration=tmap.seconds(off) - onset,
             pitch=pitch,
             velocity=max(1, velocity),
-        )
-        for on, off, pitch, velocity in notes
-    ]
+        ))
     return Performance(events)
 
 

@@ -10,6 +10,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import TimeSignature
 from .errors import FormatError, UnsupportedContentError, ValidationError
@@ -131,15 +132,21 @@ def emit_musicxml(
     fifths: int = 0,
     title: str | None = None,
 ) -> str:
-    """Serialize a score as single-part MusicXML (partwise, version 3.1)."""
+    """Serialize a score as single-part MusicXML (partwise, version 3.1).
+
+    Durations are integer divisions: each event's length in quarters is
+    worked out once, and <divisions> is the LCM of their denominators.
+    """
     sig = score.time_signature
-    quarters_per_measure = Fraction(sig.numerator * 4, sig.denominator)
     measures = score.notated_measures()
 
-    divisions = 1
-    for events in measures:
-        for ev in events:
-            divisions = math.lcm(divisions, (ev.duration * quarters_per_measure).denominator)
+    # each event's duration in quarters, as (numerator, denominator)
+    quarters = [
+        [(ev.duration.numerator * 4 * sig.numerator, ev.duration.denominator * sig.denominator)
+         for ev in events]
+        for events in measures
+    ]
+    divisions = lcm(*(den // gcd(num, den) for row in quarters for num, den in row))
 
     pickup = score.anacrusis_beats > 0
     lines = [
@@ -161,14 +168,18 @@ def emit_musicxml(
 
     beat_unit = _TYPE_NAMES[Fraction(1, sig.denominator)]
     quarter_bpm = score.tempo_marking * 4 / sig.denominator
+    # the printed pitch of each MIDI pitch and the <type>/<dot> lines of each
+    # notated value, worked out once per call
+    pitches: dict[int, str] = {}
+    types: dict[tuple[int, int], str] = {}
 
-    for i, events in enumerate(measures):
+    for i, (events, durations) in enumerate(zip(measures, quarters)):
         number = i if pickup else i + 1
         attrs = f'number="{number}"'
         if pickup and i == 0:
             attrs += ' implicit="yes"'
             while events and events[0].kind == REST:
-                events = events[1:]
+                events, durations = events[1:], durations[1:]
         lines.append(f"    <measure {attrs}>")
 
         if i == 0:
@@ -196,11 +207,11 @@ def emit_musicxml(
             and not (pickup and i == 0)
         )
         group_edges = _tuplet_edges(events)
-        for j, ev in enumerate(events):
-            lines += _note_xml(
-                ev, j, quarters_per_measure, divisions, fifths,
-                whole_rest, group_edges,
-            )
+        for j, (ev, (num, den)) in enumerate(zip(events, durations)):
+            lines.append(_note_xml(
+                ev, j, num * divisions // den, fifths, whole_rest, group_edges,
+                pitches, types,
+            ))
         lines.append("    </measure>")
 
     lines += ["  </part>", "</score-partwise>", ""]
@@ -224,57 +235,64 @@ def _tuplet_edges(events: list[NotatedEvent]) -> dict[int, tuple[int, int]]:
 def _note_xml(
     ev: NotatedEvent,
     index: int,
-    quarters_per_measure: Fraction,
-    divisions: int,
+    duration: int,
     fifths: int,
     whole_rest: bool,
     group_edges: dict[int, tuple[int, int]],
-) -> list[str]:
-    duration = ev.duration * quarters_per_measure * divisions
-    if duration.denominator != 1:
-        raise ValidationError(f"duration {ev.duration} not integral at {divisions}")
+    pitches: dict[int, str],
+    types: dict[tuple[int, int], str],
+) -> str:
+    """One <note> element, its lines joined without a final newline;
+    ``pitches`` and ``types`` cache the pitch and <type>/<dot> lines across
+    calls."""
     out = ["      <note>"]
+    tie_from = ev.kind == NOTE and ev.tie_from
+    tie_to = ev.kind == NOTE and ev.tie_to
     if ev.kind == REST:
         out.append('        <rest measure="yes"/>' if whole_rest else "        <rest/>")
     else:
-        sp = spell_pitch(ev.pitch, fifths)
-        out.append("        <pitch>")
-        out.append(f"          <step>{sp.step}</step>")
-        if sp.alter:
-            out.append(f"          <alter>{sp.alter}</alter>")
-        out.append(f"          <octave>{sp.octave}</octave>")
-        out.append("        </pitch>")
-    out.append(f"        <duration>{duration.numerator}</duration>")
-    if ev.kind == NOTE:
-        if ev.tie_from:
-            out.append('        <tie type="stop"/>')
-        if ev.tie_to:
-            out.append('        <tie type="start"/>')
+        pitch = pitches.get(ev.pitch)
+        if pitch is None:
+            sp = spell_pitch(ev.pitch, fifths)
+            alter = f"\n          <alter>{sp.alter}</alter>" if sp.alter else ""
+            pitch = pitches[ev.pitch] = (
+                f"        <pitch>\n          <step>{sp.step}</step>{alter}\n"
+                f"          <octave>{sp.octave}</octave>\n        </pitch>"
+            )
+        out.append(pitch)
+    out.append(f"        <duration>{duration}</duration>")
+    if tie_from:
+        out.append('        <tie type="stop"/>')
+    if tie_to:
+        out.append('        <tie type="start"/>')
     if not whole_rest:
-        type_name, dots = _dots_and_type(ev.notated)
-        out.append(f"        <type>{type_name}</type>")
-        out += ["        <dot/>"] * dots
+        key = (ev.notated.numerator, ev.notated.denominator)
+        notated = types.get(key)
+        if notated is None:
+            type_name, dots = _dots_and_type(ev.notated)
+            notated = types[key] = f"        <type>{type_name}</type>" + "\n        <dot/>" * dots
+        out.append(notated)
     if ev.timemod is not None:
         actual, normal = ev.timemod
         out.append(
             f"        <time-modification><actual-notes>{actual}</actual-notes>"
             f"<normal-notes>{normal}</normal-notes></time-modification>"
         )
-    notations = []
-    if ev.kind == NOTE and ev.tie_from:
-        notations.append('<tied type="stop"/>')
-    if ev.kind == NOTE and ev.tie_to:
-        notations.append('<tied type="start"/>')
+    notations = ""
+    if tie_from:
+        notations += '<tied type="stop"/>'
+    if tie_to:
+        notations += '<tied type="start"/>'
     if ev.tuplet_group is not None:
         first, last = group_edges[ev.tuplet_group]
         if index == first:
-            notations.append('<tuplet type="start" number="1"/>')
+            notations += '<tuplet type="start" number="1"/>'
         if index == last:
-            notations.append('<tuplet type="stop" number="1"/>')
+            notations += '<tuplet type="stop" number="1"/>'
     if notations:
-        out.append("        <notations>" + "".join(notations) + "</notations>")
+        out.append(f"        <notations>{notations}</notations>")
     out.append("      </note>")
-    return out
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +315,12 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
     Chords and backup (second voices) raise UnsupportedContentError; grace
     notes are skipped with a warning.  Measures are re-quantized onto the
     canonical tree form, so parse(emit(s)) == s for canonical scores.
+
+    Positions are integer ticks: measure m spans [m * length, (m + 1) *
+    length), and ``length`` grows to a common multiple whenever a measure's
+    <divisions> and <time> need finer ticks.  A tie stop merges with the
+    note before it when that note is open, has the same pitch and ends
+    exactly where the stop begins.
     """
     try:
         root = ET.fromstring(text)
@@ -316,9 +340,27 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
     fifths = 0
     tempo_marking = None
 
-    # (global onset in measure units, extent, pitch, tie_start_open)
-    events: list[list] = []
-    measure_contents: list[Fraction] = []
+    # the notes in ticks; only the last note's tie can still be open
+    length = 1
+    onsets: list[int] = []
+    extents: list[int] = []
+    pitches: list[int] = []
+    tie_open = False
+    contents: list[tuple[int, int]] = []  # (filled divisions, divisions per quarter)
+
+    def ticks_per_division(per_quarter: int, beats: int, beat_type: int) -> int:
+        """Ticks in one division of a beats/beat_type measure with
+        ``per_quarter`` divisions to the quarter; ``length`` and every
+        position grow first if that is not a whole number."""
+        nonlocal length
+        per_measure = 4 * beats * per_quarter  # divisions in beat_type measures
+        need = per_measure // gcd(per_measure, beat_type)
+        if length % need:
+            factor = need // gcd(length, need)
+            length *= factor
+            onsets[:] = [t * factor for t in onsets]
+            extents[:] = [t * factor for t in extents]
+        return length * beat_type // per_measure
 
     part = parts[0]
     measure_elems = part.findall("measure")
@@ -348,8 +390,8 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
             divisions = 1
             warnings.append("no divisions declared; assuming 1")
 
-        sound = measure.find(".//sound[@tempo]")
-        if sound is not None and tempo_marking is None:
+        sound = None if tempo_marking is not None else measure.find(".//sound[@tempo]")
+        if sound is not None:
             tempo_text = sound.get("tempo")
             try:
                 tempo = float(tempo_text)
@@ -360,102 +402,103 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
                     f"{where}sound tempo must be a positive number, got {tempo_text!r}")
             tempo_marking = tempo * sig.denominator / 4
 
-        quarters_per_measure = Fraction(sig.numerator * 4, sig.denominator)
-        cursor = Fraction(0)  # in quarters
+        step = ticks_per_division(divisions, sig.numerator, sig.denominator)
+        base = m_index * length
+        cursor = 0  # in divisions
         for elem in measure:
-            if elem.tag == "backup":
-                raise UnsupportedContentError("backup element (multiple voices)")
-            if elem.tag == "forward":
-                cursor += Fraction(
-                    _integer(elem.findtext("duration"), where, "forward duration",
-                             positive=True),
-                    divisions,
-                )
+            tag = elem.tag
+            if tag == "backup":
+                raise UnsupportedContentError(f"{where}backup element (multiple voices)")
+            if tag == "forward":
+                cursor += _integer(elem.findtext("duration"), where, "forward duration",
+                                   positive=True)
                 continue
-            if elem.tag != "note":
+            if tag != "note":
                 continue
             if elem.find("chord") is not None:
-                raise UnsupportedContentError("chord (polyphony)")
+                raise UnsupportedContentError(f"{where}chord (polyphony)")
             if elem.find("grace") is not None:
                 warnings.append(f"{where}grace note skipped")
                 continue
-            dur = Fraction(
-                _integer(elem.findtext("duration"), where, "note duration",
-                         positive=True),
-                divisions,
-            )
+            dur = _integer(elem.findtext("duration"), where, "note duration", positive=True)
             if elem.find("rest") is not None:
                 cursor += dur
                 continue
             pitch_el = elem.find("pitch")
             if pitch_el is None:
-                raise FormatError("note without pitch or rest")
-            step = pitch_el.findtext("step")
-            if step not in _NATURAL_PC:
-                raise FormatError(f"{where}pitch step must be one of A-G, got {step!r}")
+                raise FormatError(f"{where}note without pitch or rest")
+            step_name = pitch_el.findtext("step")
+            if step_name not in _NATURAL_PC:
+                raise FormatError(f"{where}pitch step must be one of A-G, got {step_name!r}")
             alter = _integer(pitch_el.findtext("alter") or "0", where, "pitch alter")
             octave = _integer(pitch_el.findtext("octave"), where, "pitch octave")
-            midi = _NATURAL_PC[step] + alter + 12 * (octave + 1)
+            midi = _NATURAL_PC[step_name] + alter + 12 * (octave + 1)
             if not 0 <= midi <= 127:
-                raise ValidationError(f"pitch {step}{alter}/{octave} out of range")
+                raise ValidationError(f"{where}pitch {step_name}{alter}/{octave} out of range")
 
-            tie_stop = any(
-                t.get("type") == "stop" for t in elem.findall("tie")
-            )
-            tie_start = any(
-                t.get("type") == "start" for t in elem.findall("tie")
-            )
-            onset_u = m_index + cursor / quarters_per_measure
-            extent_u = m_index + (cursor + dur) / quarters_per_measure
-            if (
-                tie_stop
-                and events
-                and events[-1][3]
-                and events[-1][2] == midi
-                and abs(events[-1][1] - onset_u) < Fraction(1, 10**9)
-            ):
-                events[-1][1] = extent_u
-                events[-1][3] = tie_start
-            else:
-                if tie_stop:
-                    warnings.append(
-                        f"{where}dangling tie stop treated as onset"
-                    )
-                events.append([onset_u, extent_u, midi, tie_start])
+            ties = [t.get("type") for t in elem.findall("tie")]
+            onset = base + cursor * step
             cursor += dur
-        measure_contents.append(cursor)
+            extent = base + cursor * step
+            if "stop" in ties and tie_open and pitches[-1] == midi and extents[-1] == onset:
+                extents[-1] = extent
+            else:
+                if "stop" in ties:
+                    warnings.append(f"{where}dangling tie stop treated as onset")
+                onsets.append(onset)
+                extents.append(extent)
+                pitches.append(midi)
+            tie_open = "start" in ties
+        contents.append((cursor, divisions))
 
     n = len(measure_elems)
-    quarters_per_measure = Fraction(sig.numerator * 4, sig.denominator)
+    beats, beat_type = sig.numerator, sig.denominator
     anacrusis = Fraction(0)
-    for m_index, content in enumerate(measure_contents):
-        if content > quarters_per_measure:
+    for m_index, (filled, per_quarter) in enumerate(contents):
+        # the measure holds filled / per_quarter quarters of the final
+        # signature's 4 * beats / beat_type
+        held, full = filled * beat_type, 4 * beats * per_quarter
+        if held > full:
             raise ValidationError(
-                f"measure {m_index + 1} holds {content} quarters, "
-                f"more than {quarters_per_measure}"
+                f"measure {m_index + 1} holds {Fraction(filled, per_quarter)} quarters, "
+                f"more than {Fraction(4 * beats, beat_type)}"
             )
-        if content < quarters_per_measure:
+        if held < full:
             if m_index == 0 and n > 1:
-                gap = (quarters_per_measure - content) / quarters_per_measure
-                anacrusis = content / quarters_per_measure * sig.numerator
-                for ev in events:
-                    if ev[0] < 1:
-                        ev[0] += gap
-                        ev[1] += gap
+                # read ``length`` only after it may have grown
+                per_division = ticks_per_division(per_quarter, beats, beat_type)
+                gap = length - filled * per_division
+                anacrusis = Fraction(held, 4 * per_quarter)
+                for i, onset in enumerate(onsets):
+                    if onset < length:
+                        onsets[i] = onset + gap
+                        extents[i] += gap
             elif m_index != n - 1:
                 raise ValidationError(
-                    f"measure {m_index + 1} holds {content} quarters, "
-                    f"fewer than {quarters_per_measure}"
+                    f"measure {m_index + 1} holds {Fraction(filled, per_quarter)} quarters, "
+                    f"fewer than {Fraction(4 * beats, beat_type)}"
                 )
 
-    notes = [(onset, extent, pitch) for onset, extent, pitch, _ in events]
+    # one Fraction per distinct in-measure tick, where decomposition takes them
+    fractions: dict[int, Fraction] = {}
+
+    def fraction(tick: int) -> Fraction:
+        value = fractions.get(tick)
+        if value is None:
+            value = fractions[tick] = Fraction(tick, length)
+        return value
+
+    notes = list(zip(onsets, extents, pitches))
     measures = []
     for m in range(n):
-        onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
+        starts, ends, carried_pitch, carried_end = slice_measure(notes, m, length)
         measures.append(
             decompose_measure(
-                onsets, extents, sig, max_depth=max_depth,
-                carried_pitch=carried_pitch, carried_end=carried_end,
+                [(fraction(p), pitch) for p, pitch in starts],
+                [fraction(e) for e in ends],
+                sig, max_depth=max_depth,
+                carried_pitch=carried_pitch,
+                carried_end=carried_end if carried_pitch is None else fraction(carried_end),
             )
         )
 

@@ -245,26 +245,29 @@ def decompose_measure(
 # measure slicing
 
 
-def slice_measure(notes, m: int):
+def slice_measure(notes, m: int, length=1):
     """Cut measure ``m`` out of a monophonic line.
 
-    ``notes`` holds (onset, extent, pitch) in global measure units, measure
-    ``m`` spanning [m, m + 1), sorted by onset; positions may be Fractions or
-    floats.  An onset belongs to the last barline at or before it, compared
-    exactly: a caller working in floats puts positions within its tolerance
-    of a barline on the barline first.  Returns the measure's relative
-    (position, pitch) onsets, their extents, and the pitch and relative end
-    of the note held over the opening barline (None and 0 when there is none).
+    ``notes`` holds (onset, extent, pitch), sorted by onset, in units of
+    which a measure is ``length`` long: measure ``m`` spans [m * length,
+    (m + 1) * length).  Positions may be Fractions or floats of measures, or
+    integer ticks.  An onset belongs to the last barline at or before it,
+    compared exactly: a caller working in floats puts positions within its
+    tolerance of a barline on the barline first.  Returns the measure's
+    relative (position, pitch) onsets, their extents, and the pitch and
+    relative end of the note held over the opening barline (None and 0 when
+    there is none), in the same units.
     """
-    lo = bisect_left(notes, (m,))
-    hi = bisect_left(notes, (m + 1,), lo)
+    start = m * length
+    lo = bisect_left(notes, (start,))
+    hi = bisect_left(notes, (start + length,), lo)
     inside = notes[lo:hi]
-    onsets = tuple((onset - m, pitch) for onset, _, pitch in inside)
-    extents = tuple(extent - m for _, extent, _ in inside)
+    onsets = tuple((onset - start, pitch) for onset, _, pitch in inside)
+    extents = tuple(extent - start for _, extent, _ in inside)
     # in a monophonic line only the note just before can still be sounding
-    if lo and notes[lo - 1][1] > m:
+    if lo and notes[lo - 1][1] > start:
         _, extent, pitch = notes[lo - 1]
-        return onsets, extents, pitch, extent - m
+        return onsets, extents, pitch, extent - start
     return onsets, extents, None, 0
 
 

@@ -1,8 +1,9 @@
 """Shared test helpers: random grammar construction, random measures, an
 exhaustive derivation enumerator used as the optimality oracle, the
 memoized recursive solver the compiled-lattice solver must reproduce, and
-the Fraction-based decomposition, notation walk and augmenting-path note
-matcher that the integer-tick trees layer and the window matcher replaced.
+the Fraction-based decomposition, notation walk, augmenting-path note
+matcher and MusicXML parser that the integer-tick trees layer, the window
+matcher and the integer-tick MusicXML reader replaced.
 
 The enumerator builds every derivation of the grammar explicitly (no
 memoized minima), so agreement with the solver's DP is a real check and not
@@ -12,6 +13,7 @@ is meaningful.
 """
 import math
 import random
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from math import gcd
@@ -20,6 +22,7 @@ from rhythmiq import (
     AlignmentError,
     CapacityError,
     DecompositionError,
+    FormatError,
     GrammarRule,
     Leaf,
     MeasureInput,
@@ -27,10 +30,13 @@ from rhythmiq import (
     QuantConfig,
     RhythmGrammar,
     RhythmTree,
+    ScoreModel,
     Split,
     TimeSignature,
+    UnsupportedContentError,
     ValidationError,
 )
+from rhythmiq.musicxml import _NATURAL_PC, _integer
 from rhythmiq.trees import (
     CONTINUATION,
     NOTE,
@@ -38,9 +44,11 @@ from rhythmiq.trees import (
     NotatedEvent,
     _nominal_power,
     continuation,
+    decompose_measure,
     notatable,
     note,
     rest,
+    slice_measure,
     split_notatable,
 )
 
@@ -740,3 +748,176 @@ def reference_max_matching(adjacency: list[list[int]], n_right: int) -> int:
         if augment(u, [False] * n_right):
             size += 1
     return size
+
+
+def reference_parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str]]:
+    """The ``Fraction``-cursor MusicXML parser that the integer-tick
+    ``parse_musicxml`` replaced, kept as its reference: positions are exact
+    measure fractions, and a tie stop merges within 1e-9 of a measure."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise FormatError(f"not well-formed XML: {exc}")
+    if root.tag != "score-partwise":
+        raise UnsupportedContentError(f"unsupported root element {root.tag!r}")
+    parts = root.findall("part")
+    if not parts:
+        raise FormatError("no <part> element")
+    if len(parts) > 1:
+        raise UnsupportedContentError(f"{len(parts)} parts; only one is supported")
+
+    warnings: list[str] = []
+    divisions = None
+    sig = None
+    fifths = 0
+    tempo_marking = None
+
+    # (global onset in measure units, extent, pitch, tie_start_open)
+    events: list[list] = []
+    measure_contents: list[Fraction] = []
+
+    part = parts[0]
+    measure_elems = part.findall("measure")
+    if not measure_elems:
+        raise FormatError("part has no measures")
+
+    for m_index, measure in enumerate(measure_elems):
+        where = f"measure {m_index + 1}: "
+        attributes = measure.find("attributes")
+        if attributes is not None:
+            d = attributes.findtext("divisions")
+            if d is not None:
+                divisions = _integer(d, where, "divisions", positive=True)
+            t = attributes.find("time")
+            if t is not None:
+                sig = TimeSignature(
+                    _integer(t.findtext("beats"), where, "time beats"),
+                    _integer(t.findtext("beat-type"), where, "time beat-type"),
+                )
+            k = attributes.find("key")
+            if k is not None and k.findtext("fifths") is not None:
+                fifths = _integer(k.findtext("fifths"), where, "key fifths")
+        if sig is None:
+            sig = TimeSignature(4, 4)
+            warnings.append("no time signature; assuming 4/4")
+        if divisions is None:
+            divisions = 1
+            warnings.append("no divisions declared; assuming 1")
+
+        sound = measure.find(".//sound[@tempo]")
+        if sound is not None and tempo_marking is None:
+            tempo_text = sound.get("tempo")
+            try:
+                tempo = float(tempo_text)
+            except ValueError:
+                tempo = math.nan
+            if not (math.isfinite(tempo) and tempo > 0):
+                raise FormatError(
+                    f"{where}sound tempo must be a positive number, got {tempo_text!r}")
+            tempo_marking = tempo * sig.denominator / 4
+
+        quarters_per_measure = Fraction(sig.numerator * 4, sig.denominator)
+        cursor = Fraction(0)  # in quarters
+        for elem in measure:
+            if elem.tag == "backup":
+                raise UnsupportedContentError("backup element (multiple voices)")
+            if elem.tag == "forward":
+                cursor += Fraction(
+                    _integer(elem.findtext("duration"), where, "forward duration",
+                             positive=True),
+                    divisions,
+                )
+                continue
+            if elem.tag != "note":
+                continue
+            if elem.find("chord") is not None:
+                raise UnsupportedContentError("chord (polyphony)")
+            if elem.find("grace") is not None:
+                warnings.append(f"{where}grace note skipped")
+                continue
+            dur = Fraction(
+                _integer(elem.findtext("duration"), where, "note duration",
+                         positive=True),
+                divisions,
+            )
+            if elem.find("rest") is not None:
+                cursor += dur
+                continue
+            pitch_el = elem.find("pitch")
+            if pitch_el is None:
+                raise FormatError("note without pitch or rest")
+            step = pitch_el.findtext("step")
+            if step not in _NATURAL_PC:
+                raise FormatError(f"{where}pitch step must be one of A-G, got {step!r}")
+            alter = _integer(pitch_el.findtext("alter") or "0", where, "pitch alter")
+            octave = _integer(pitch_el.findtext("octave"), where, "pitch octave")
+            midi = _NATURAL_PC[step] + alter + 12 * (octave + 1)
+            if not 0 <= midi <= 127:
+                raise ValidationError(f"pitch {step}{alter}/{octave} out of range")
+
+            tie_stop = any(
+                t.get("type") == "stop" for t in elem.findall("tie")
+            )
+            tie_start = any(
+                t.get("type") == "start" for t in elem.findall("tie")
+            )
+            onset_u = m_index + cursor / quarters_per_measure
+            extent_u = m_index + (cursor + dur) / quarters_per_measure
+            if (
+                tie_stop
+                and events
+                and events[-1][3]
+                and events[-1][2] == midi
+                and abs(events[-1][1] - onset_u) < Fraction(1, 10**9)
+            ):
+                events[-1][1] = extent_u
+                events[-1][3] = tie_start
+            else:
+                if tie_stop:
+                    warnings.append(
+                        f"{where}dangling tie stop treated as onset"
+                    )
+                events.append([onset_u, extent_u, midi, tie_start])
+            cursor += dur
+        measure_contents.append(cursor)
+
+    n = len(measure_elems)
+    quarters_per_measure = Fraction(sig.numerator * 4, sig.denominator)
+    anacrusis = Fraction(0)
+    for m_index, content in enumerate(measure_contents):
+        if content > quarters_per_measure:
+            raise ValidationError(
+                f"measure {m_index + 1} holds {content} quarters, "
+                f"more than {quarters_per_measure}"
+            )
+        if content < quarters_per_measure:
+            if m_index == 0 and n > 1:
+                gap = (quarters_per_measure - content) / quarters_per_measure
+                anacrusis = content / quarters_per_measure * sig.numerator
+                for ev in events:
+                    if ev[0] < 1:
+                        ev[0] += gap
+                        ev[1] += gap
+            elif m_index != n - 1:
+                raise ValidationError(
+                    f"measure {m_index + 1} holds {content} quarters, "
+                    f"fewer than {quarters_per_measure}"
+                )
+
+    notes = [(onset, extent, pitch) for onset, extent, pitch, _ in events]
+    measures = []
+    for m in range(n):
+        onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
+        measures.append(
+            decompose_measure(
+                onsets, extents, sig, max_depth=max_depth,
+                carried_pitch=carried_pitch, carried_end=carried_end,
+            )
+        )
+
+    score = ScoreModel(
+        sig, measures,
+        tempo_marking=tempo_marking if tempo_marking is not None else 120.0,
+        anacrusis_beats=anacrusis,
+    )
+    return score, warnings

@@ -127,6 +127,45 @@ def test_format_errors():
         load_midi(_smf(END)[:-2])  # truncated
 
 
+@pytest.mark.parametrize("cut", [
+    _event(0, 0x90, 60, 64) + _varlen(20000)[:2],  # inside a delta time
+    _event(0, 0xFF, 0x51, 0x03) + (500000).to_bytes(3, "big")[:2],  # inside a meta payload
+    _event(0, 0x90, 60),  # inside a channel message
+])
+def test_truncation_inside_an_event_is_a_format_error(cut):
+    # the track chunk is whole; the event at its end is not
+    with pytest.raises(FormatError, match="^truncated MIDI data$"):
+        load_midi(_smf(cut))
+
+
+def test_track_format_errors():
+    with pytest.raises(FormatError, match="longer than 4 bytes"):
+        load_midi(_smf(bytes((0x81, 0x80, 0x80, 0x80, 0x00)) + END))
+    with pytest.raises(FormatError, match="no running status"):
+        load_midi(_smf(_event(0, 60, 64) + END))
+    with pytest.raises(FormatError, match="must carry 3 bytes"):
+        load_midi(_smf(_event(0, 0xFF, 0x51, 0x02, 0x07, 0xA1) + END))
+    with pytest.raises(FormatError, match="unsupported system message 0xf2"):
+        load_midi(_smf(_event(0, 0xF2, 0x00, 0x00) + END))
+
+
+def test_fifty_tempo_changes_by_hand():
+    # beat k (480 ticks) runs at 500000 + 10000 k us per quarter, and a
+    # half-beat note starts at its midpoint, so note k starts after
+    # sum_{i<k} (0.5 + 0.01 i) s + (0.5 + 0.01 k) / 2 s
+    body = b""
+    for k in range(50):
+        tempo = 500000 + 10000 * k
+        body += _event(0, 0xFF, 0x51, 0x03) + tempo.to_bytes(3, "big")
+        body += _event(240, 0x90, 60 + k % 12, 64) + _event(240, 0x80, 60 + k % 12, 0)
+    perf = load_midi(_smf(body + END))
+    assert len(perf) == 50
+    for k, n in enumerate(perf.notes):
+        beat = 0.5 + 0.01 * k
+        assert n.onset == pytest.approx(0.5 * k + 0.005 * k * (k - 1) + beat / 2, abs=1e-9)
+        assert n.duration == pytest.approx(beat / 2, abs=1e-9)
+
+
 def test_no_notes_is_empty_input():
     with pytest.raises(EmptyInputError):
         load_midi(_smf(END))

@@ -3,9 +3,12 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import support
 from rhythmiq import (
     FormatError,
+    RhythmiqError,
     ScoreModel,
     SpelledPitch,
     TimeSignature,
@@ -270,7 +273,7 @@ def test_parse_rejects_chords():
         "<duration>1</duration></note>"
     )
     doc = _doc(f'<measure number="1">{ATTRS}{NOTE_Q}{chord}{REST_Q}{REST_Q}</measure>')
-    with pytest.raises(UnsupportedContentError, match="chord"):
+    with pytest.raises(UnsupportedContentError, match="^measure 1: chord"):
         parse_musicxml(doc)
 
 
@@ -279,7 +282,7 @@ def test_parse_rejects_backup():
         f'<measure number="1">{ATTRS}{NOTE_Q}'
         f"<backup><duration>1</duration></backup>{NOTE_Q}{NOTE_Q}{NOTE_Q}</measure>"
     )
-    with pytest.raises(UnsupportedContentError, match="backup"):
+    with pytest.raises(UnsupportedContentError, match="^measure 1: backup"):
         parse_musicxml(doc)
 
 
@@ -306,8 +309,9 @@ def test_parse_format_errors():
     with pytest.raises(FormatError, match="no measures"):
         parse_musicxml('<score-partwise><part id="P1"></part></score-partwise>')
     bad = "<note><duration>1</duration></note>"
-    with pytest.raises(FormatError, match="without pitch or rest"):
-        parse_musicxml(_doc(f'<measure number="1">{ATTRS}{bad}</measure>'))
+    with pytest.raises(FormatError, match="^measure 2: note without pitch or rest$"):
+        parse_musicxml(_doc(f'<measure number="1">{ATTRS}{NOTE_Q * 4}</measure>',
+                            f'<measure number="2">{bad}</measure>'))
 
 
 def test_parse_rejects_overfull_measure():
@@ -340,5 +344,126 @@ def test_parse_rejects_out_of_range_pitch():
         "<note><pitch><step>C</step><octave>11</octave></pitch>"
         "<duration>4</duration><type>whole</type></note>"
     )
-    with pytest.raises(ValidationError, match="out of range"):
+    with pytest.raises(ValidationError, match="^measure 1: pitch C0/11 out of range$"):
         parse_musicxml(_doc(f'<measure number="1">{ATTRS}{high}</measure>'))
+
+
+def test_parse_tie_across_a_change_of_divisions():
+    # the tied quarter is 1 division before the barline and 3 after it
+    tied_in = (
+        "<note><pitch><step>C</step><octave>4</octave></pitch>"
+        '<duration>3</duration><tie type="stop"/><type>quarter</type></note>'
+    )
+    tied_out = NOTE_Q.replace("</duration>", '</duration><tie type="start"/>')
+    rests = "<note><rest/><duration>9</duration></note>"
+    doc = _doc(
+        f'<measure number="1">{ATTRS}{REST_Q * 3}{tied_out}</measure>',
+        f'<measure number="2"><attributes><divisions>3</divisions></attributes>'
+        f"{tied_in}{rests}</measure>",
+    )
+    score, warnings = parse_musicxml(doc)
+    assert not warnings
+    assert score == ScoreModel(
+        SIG,
+        [split(rest(), rest(), rest(), note(60)),
+         split(continuation(), rest(), rest(), rest())],
+    )
+    assert support.reference_parse_musicxml(doc) == (score, warnings)
+
+
+def test_parse_pickup_before_a_change_of_time_and_divisions():
+    # the score keeps the last signature, 3/4, and the first measure is its
+    # pickup; placing that pickup needs ticks that neither measure's own
+    # divisions and signature need
+    doc = _doc(
+        f'<measure number="1">{ATTRS.replace(">1<", ">3<")}'
+        "<note><pitch><step>C</step><octave>4</octave></pitch>"
+        "<duration>3</duration></note></measure>",
+        '<measure number="2"><attributes><divisions>2</divisions>'
+        "<time><beats>3</beats><beat-type>4</beat-type></time></attributes>"
+        f"{NOTE_Q.replace('>1<', '>2<') * 3}</measure>",
+    )
+    score, warnings = parse_musicxml(doc)
+    assert score.time_signature == TimeSignature(3, 4)
+    assert score.anacrusis_beats == 1
+    assert support.reference_parse_musicxml(doc) == (score, warnings)
+
+
+# --- the integer-tick parser against the Fraction reference ----------------
+
+_SIGNATURES = [(2, 4), (3, 4), (4, 4), (5, 4), (3, 8), (6, 8), (2, 2)]
+
+
+def _rewrite(text: str, rng: random.Random) -> str:
+    """An emitted score rewritten the ways other writers spell scores: new
+    divisions, changed once mid-score; rests as <forward> gaps; grace
+    notes; dangling tie stops; a shortened first measure; and sometimes a
+    <time> change."""
+    root = ET.fromstring(text)
+    measures = root.find("part").findall("measure")
+    first = measures[0].find("attributes/divisions")
+    divisions = int(first.text)
+    change = rng.randrange(1, len(measures)) if len(measures) > 1 and rng.random() < 0.8 else 0
+    before, after = rng.randint(1, 7), rng.randint(1, 7)
+    first.text = str(divisions * (before if change else after))
+    for i, measure in enumerate(measures):
+        for duration in measure.iter("duration"):
+            duration.text = str(int(duration.text) * (before if i < change else after))
+    if change:
+        attributes = ET.Element("attributes")
+        ET.SubElement(attributes, "divisions").text = str(divisions * after)
+        measures[change].insert(0, attributes)
+
+    for measure in measures:
+        for index, elem in enumerate(list(measure)):
+            if elem.tag != "note":
+                continue
+            if elem.find("rest") is not None and rng.random() < 0.3:
+                forward = ET.Element("forward")
+                forward.append(elem.find("duration"))
+                measure.remove(elem)
+                measure.insert(index, forward)
+            elif elem.find("pitch") is not None and rng.random() < 0.1:
+                ET.SubElement(elem, "tie", type="stop")
+        if rng.random() < 0.2:
+            grace = ET.fromstring("<note><grace/><pitch><step>D</step><octave>5</octave>"
+                                  "</pitch><type>eighth</type></note>")
+            measure.insert(rng.randint(0, len(measure)), grace)
+
+    timed = [e for e in measures[0] if e.tag in ("note", "forward")]
+    if len(measures) > 1 and len(timed) > 1 and rng.random() < 0.4:
+        for elem in timed[:rng.randint(1, len(timed) - 1)]:
+            measures[0].remove(elem)
+    if rng.random() < 0.15:
+        measure = rng.choice(measures)
+        attributes = measure.find("attributes")
+        if attributes is None:
+            attributes = ET.Element("attributes")
+            measure.insert(0, attributes)
+        beats, beat_type = rng.choice(_SIGNATURES)
+        time = ET.SubElement(attributes, "time")
+        ET.SubElement(time, "beats").text = str(beats)
+        ET.SubElement(time, "beat-type").text = str(beat_type)
+    return ET.tostring(root, encoding="unicode")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except RhythmiqError as exc:
+        return type(exc)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_the_fraction_reference(seed):
+    # equal scores and warnings, or the same error class, on rewritten
+    # emitted scores; random grammars add tuplets to the default's rhythms
+    rng = random.Random(seed)
+    n_measures = rng.randint(1, 6)
+    try:
+        score = sample_score(support.random_grammar(rng), n_measures, rng)
+    except RhythmiqError:  # a random grammar that cannot fill or re-notate a measure
+        score = sample_score(default_grammar(), n_measures, rng)
+    text = _rewrite(emit_musicxml(score), rng)
+    assert _parsed(parse_musicxml, text) == _parsed(support.reference_parse_musicxml, text)
