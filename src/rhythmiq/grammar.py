@@ -89,14 +89,13 @@ class LatticeNode(NamedTuple):
     leaf cells that end at ``left``, in ascending order: only such a leaf
     can align an onset onto the cell's left edge, one past its midpoint.
     ``rules`` are the head's rules in grammar order, splits only above the
-    depth bound, and ``parents`` the nodes whose splits use this one.
+    depth bound.
     """
 
     left: float
     right: float
     pushers: tuple[tuple[float, float], ...]
     rules: tuple[LatticeRule, ...]
-    parents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -158,18 +157,14 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
 
     visit(start, Fraction(0), Fraction(1), 0)
     ends: dict[float, set[float]] = {}  # right edge -> left edges of leaf cells
-    parents: list[set[int]] = [set() for _ in cells]
-    for node, (left, right, rules) in enumerate(cells):
+    for left, right, rules in cells:
         if any(rule.label is not None for rule in rules):
             ends.setdefault(float(right), set()).add(float(left))
-        for rule in rules:
-            for child in rule.children:
-                parents[child].add(node)
     nodes = []
-    for (left, right, rules), up in zip(cells, parents):
+    for left, right, rules in cells:
         lf = float(left)
         pushers = tuple(sorted(((edge + lf) / 2, edge) for edge in ends.get(lf, ())))
-        nodes.append(LatticeNode(lf, float(right), pushers, rules, tuple(sorted(up))))
+        nodes.append(LatticeNode(lf, float(right), pushers, rules))
     return Lattice(tuple(nodes))
 
 

@@ -313,7 +313,9 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
     """Parse single-part partwise MusicXML back into a score.
 
     Chords and backup (second voices) raise UnsupportedContentError; grace
-    notes are skipped with a warning.  Measures are re-quantized onto the
+    notes are skipped with a warning.  Each <attributes> is read where it
+    stands, and one that changes <divisions> or <time> after the measure's
+    first timed note or <forward> raises UnsupportedContentError.  Measures are re-quantized onto the
     canonical tree form, so parse(emit(s)) == s for canonical scores.
 
     Positions are integer ticks: measure m spans [m * length, (m + 1) *
@@ -367,46 +369,43 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
     if not measure_elems:
         raise FormatError("part has no measures")
 
-    for m_index, measure in enumerate(measure_elems):
-        where = f"measure {m_index + 1}: "
-        attributes = measure.find("attributes")
-        if attributes is not None:
-            d = attributes.findtext("divisions")
-            if d is not None:
-                divisions = _integer(d, where, "divisions", positive=True)
-            t = attributes.find("time")
-            if t is not None:
-                sig = TimeSignature(
-                    _integer(t.findtext("beats"), where, "time beats"),
-                    _integer(t.findtext("beat-type"), where, "time beat-type"),
-                )
-            k = attributes.find("key")
-            if k is not None and k.findtext("fifths") is not None:
-                fifths = _integer(k.findtext("fifths"), where, "key fifths")
+    def measure_step() -> int:
+        """Ticks per division in the current measure, once its <divisions>
+        and <time> are read; a missing one takes its default."""
+        nonlocal sig, divisions
         if sig is None:
             sig = TimeSignature(4, 4)
             warnings.append("no time signature; assuming 4/4")
         if divisions is None:
             divisions = 1
             warnings.append("no divisions declared; assuming 1")
+        return ticks_per_division(divisions, sig.numerator, sig.denominator)
 
-        sound = None if tempo_marking is not None else measure.find(".//sound[@tempo]")
-        if sound is not None:
-            tempo_text = sound.get("tempo")
-            try:
-                tempo = float(tempo_text)
-            except ValueError:
-                tempo = math.nan
-            if not (math.isfinite(tempo) and tempo > 0):
-                raise FormatError(
-                    f"{where}sound tempo must be a positive number, got {tempo_text!r}")
-            tempo_marking = tempo * sig.denominator / 4
-
-        step = ticks_per_division(divisions, sig.numerator, sig.denominator)
-        base = m_index * length
+    for m_index, measure in enumerate(measure_elems):
+        where = f"measure {m_index + 1}: "
+        step = None  # ticks per division, fixed at the measure's first pitch
         cursor = 0  # in divisions
         for elem in measure:
             tag = elem.tag
+            if tag == "attributes":
+                # read where they stand: once the measure's time has begun,
+                # only the key may change
+                d = elem.findtext("divisions")
+                t = elem.find("time")
+                if cursor and (d is not None or t is not None):
+                    raise UnsupportedContentError(
+                        f"{where}<divisions> or <time> after the measure's first note")
+                if d is not None:
+                    divisions = _integer(d, where, "divisions", positive=True)
+                if t is not None:
+                    sig = TimeSignature(
+                        _integer(t.findtext("beats"), where, "time beats"),
+                        _integer(t.findtext("beat-type"), where, "time beat-type"),
+                    )
+                k = elem.find("key")
+                if k is not None and k.findtext("fifths") is not None:
+                    fifths = _integer(k.findtext("fifths"), where, "key fifths")
+                continue
             if tag == "backup":
                 raise UnsupportedContentError(f"{where}backup element (multiple voices)")
             if tag == "forward":
@@ -437,6 +436,9 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
                 raise ValidationError(f"{where}pitch {step_name}{alter}/{octave} out of range")
 
             ties = [t.get("type") for t in elem.findall("tie")]
+            if step is None:
+                step = measure_step()
+                base = m_index * length
             onset = base + cursor * step
             cursor += dur
             extent = base + cursor * step
@@ -449,7 +451,21 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
                 extents.append(extent)
                 pitches.append(midi)
             tie_open = "start" in ties
+        if step is None:
+            measure_step()
         contents.append((cursor, divisions))
+
+        sound = None if tempo_marking is not None else measure.find(".//sound[@tempo]")
+        if sound is not None:
+            tempo_text = sound.get("tempo")
+            try:
+                tempo = float(tempo_text)
+            except ValueError:
+                tempo = math.nan
+            if not (math.isfinite(tempo) and tempo > 0):
+                raise FormatError(
+                    f"{where}sound tempo must be a positive number, got {tempo_text!r}")
+            tempo_marking = tempo * sig.denominator / 4
 
     n = len(measure_elems)
     beats, beat_type = sig.numerator, sig.denominator

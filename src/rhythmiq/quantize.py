@@ -137,11 +137,13 @@ def quantize_measure(
     the measure has a ``carried_pitch``, which is then the note aligned onto
     the downbeat (sounding until ``carried_end``, 0 when it stopped before).
 
-    One bottom-up pass over the grammar's compiled lattice.  A node no
-    alignment across its edges can reach keeps one entry and skips the
-    four-state work.  On equal (cost, leaves, tuplets) the earlier
-    rule keeps an entry, and a split's chain keeps, per k after each child,
-    the first best of k = 0, then k = 1, before it.
+    One bottom-up pass over the grammar's compiled lattice, the same for
+    every node: its leaf options per k_in, then each split's children
+    chained through the lanes k = 0 and k = 1.  A child whose only entry is
+    (0, 0) adds its cost to lane 0 and closes lane 1.  On equal (cost,
+    leaves, tuplets) the earlier rule keeps an entry, and a split's chain
+    keeps, per k after each child, the first best of k = 0, then k = 1,
+    before it.
     """
     config = config or QuantConfig()
     table = MeasureStates(measure, grammar, config, time_signature, states, final)
@@ -156,7 +158,13 @@ def quantize_measure(
 class MeasureStates:
     """One measure solved for every (k_in, k_out): whether the previous
     measure's last onset is aligned onto its downbeat, and whether its own
-    last onset is aligned onto the closing barline."""
+    last onset is aligned onto the closing barline.
+
+    ``results`` holds each lattice node's (0, 0) entry and ``states`` all
+    four, indexed 2 * k_in + k_out, or None where (0, 0) is the only one.
+    An entry is (cost, leaves, tuplets, rule, first onset, k mask); bit i
+    of a split's mask is the k before child i, its last bit the k_out.
+    """
 
     def __init__(self, measure: MeasureInput, grammar: RhythmGrammar,
                  config: QuantConfig, time_signature: TimeSignature,
@@ -172,23 +180,15 @@ class MeasureStates:
         carried_end = measure.carried_end if measure.carried_pitch is not None else 0.0
         lead_in = lead_in and measure.carried_pitch is not None
 
-        # per node, children first: (cost, leaves, tuplets, rule, first
-        # onset) of its best (0, 0) derivation, or None.  A node with other
-        # entries also keeps all four in ``states``, indexed 2 * k_in + k_out,
-        # each ending in the k sequence of its rule.  A node needs the
-        # four-state pass when an onset may be aligned onto its left edge,
-        # out of its own cell, or out of a child's
         nodes = self.lattice.nodes
         self.results = results = []
         self.states = states = [None] * len(nodes)
-        gives = [False] * len(nodes)  # does a child give an onset out?
-        for node, (lf, rf, pushers, rules, parents) in enumerate(nodes):
+        for node, (lf, rf, pushers, rules) in enumerate(nodes):
             lo = bisect_left(positions, lf - EPS)
             hi = bisect_left(positions, rf - EPS, lo)
-            count = hi - lo
             # whatever was sounding when the cell begins
             sound_end = extents[lo - 1] if lo else carried_end
-            # a leaf aligns at most one onset onto its right edge: the last
+            # a leaf ending at lf aligns at most one onset onto it: the last
             # of at most two, from its right half
             if lo:
                 last = positions[lo - 1]
@@ -197,139 +197,111 @@ class MeasureStates:
                     for edge_mid, edge in pushers)
             else:
                 pushed_in = lead_in and lf == 0.0
-            closing = final and rf == 1.0
-            if (gives[node] or pushed_in or (0 < count <= 2 and not closing
-                                             and positions[hi - 1] > (lf + rf) / 2 + EPS)):
-                entries = self._four_states(lf, rf, rules, lo, hi, pushed_in, closing,
-                                            positions, sound_end, alpha, theta)
-                results.append(entries[0])
-                if any(entries[1:]):
-                    states[node] = entries
-                # a k_in = 1 entry is only reached after a sibling that
-                # gives out from k_in = 0, or when the parent takes in itself
-                if entries[1]:
-                    for parent in parents:
-                        gives[parent] = True
-                continue
+            k_ins = (0, 1) if pushed_in else (0,)
+            # as a leaf: per k_in, (entry index, strict labels, relaxed
+            # labels, cost on top of the rule weight).  ``right`` is the
+            # first onset in the right half; at the score's end none moves
+            if lo == hi or (final and rf == 1.0):
+                right = hi
+            else:
+                right = bisect_right(positions, (lf + rf) / 2 + EPS, lo, hi)
+            k_out = hi - right
+            leaf = []
+            if k_out <= 1:
+                push = alpha * (rf - positions[right]) if k_out else 0.0
+                for k_in in k_ins:
+                    notes = k_in + right - lo
+                    extra = push
+                    if notes == 1 and not k_in:  # one aligned in is already paid for
+                        dist = abs(positions[lo] - lf)
+                        extra = alpha * (dist if dist >= EPS else 0.0) + push
+                    note_end = sound_end if k_in else extents[lo] if notes else 0.0
+                    strict, relaxed = _leaf_labels(notes, note_end, sound_end, lf, rf, theta)
+                    if relaxed:
+                        leaf.append((2 * k_in + k_out, strict, relaxed, extra))
 
-            note_extra = 0.0
-            if count == 1:
-                dist = abs(positions[lo] - lf)
-                note_extra = alpha * (dist if dist >= EPS else 0.0)
-            strict, relaxed = _leaf_labels(count, extents[lo] if count else 0.0,
-                                           sound_end, lf, rf, theta)
-            best = choice = None
+            # a candidate must beat an entry's (cost, leaves, tuplets) outright
+            entries: list = [None] * 4
             for rule in rules:
-                weight, label, children, tuplets = rule
-                if label is None:
-                    cost, leaves = weight, 0
-                    for child in children:
-                        sub = results[child]
-                        if sub is None:
-                            break
-                        cost += sub[0]
-                        leaves += sub[1]
-                        tuplets += sub[2]
-                    else:
-                        cand = (cost, leaves, tuplets)
-                        if best is None or cand < best:
-                            best, choice = cand, rule
-                elif label in strict:
-                    cand = (weight + note_extra if label == NOTE else weight, 1, 0)
-                    if best is None or cand < best:
-                        best, choice = cand, rule
-            if best is None and relaxed:
-                for rule in rules:
-                    if rule.label in relaxed:
-                        cand = (rule.weight + note_extra if rule.label == NOTE
-                                else rule.weight, 1, 0)
-                        if best is None or cand < best:
-                            best, choice = cand, rule
-            results.append(None if best is None else (*best, choice, lo))
-
-    def _four_states(self, lf, rf, rules, lo, hi, pushed_in, closing, positions,
-                     sound_end, alpha, theta) -> list:
-        """The entries of a node an onset may be aligned into or out of."""
-        results, states, extents = self.results, self.states, self.measure.extents
-        k_ins = (0, 1) if pushed_in else (0,)
-        # as a leaf: per k_in, (k_out, strict labels, relaxed labels, cost
-        # on top of the rule weight)
-        leaf = []
-        # the first onset in the right half; at the score's end, none moves
-        right = hi if closing else bisect_right(positions, (lf + rf) / 2 + EPS, lo, hi)
-        k_out = hi - right
-        if k_out <= 1:
-            push = alpha * (rf - positions[right]) if k_out else 0.0
-            for k_in in k_ins:
-                notes = k_in + right - lo
-                extra = push
-                if notes == 1 and not k_in:  # one aligned in is already paid for
-                    dist = abs(positions[lo] - lf)
-                    extra = alpha * (dist if dist >= EPS else 0.0) + push
-                note_end = sound_end if k_in else extents[lo] if notes else 0.0
-                strict, relaxed = _leaf_labels(notes, note_end, sound_end, lf, rf, theta)
-                if relaxed:
-                    leaf.append((k_in, k_out, strict, relaxed, extra))
-
-        # (cost, leaves, tuplets, rule, first onset, k sequence) per entry;
-        # a candidate must beat an entry's (cost, leaves, tuplets) outright
-        entries: list = [None] * 4
-        for rule in rules:
-            weight, label, children, tuplets = rule
-            if label is not None:
-                for k_in, k_out, strict, _, extra in leaf:
-                    if label in strict:
-                        i = 2 * k_in + k_out
-                        old = entries[i]
-                        cost = weight + extra
-                        if old is None or (cost, 1, 0) < (old[0], old[1], old[2]):
-                            entries[i] = (cost, 1, 0, rule, lo, (k_in, k_out))
-                continue
-            for k_in in k_ins:
-                # best (cost, leaves, tuplets, k sequence) so far per k
-                front = [None, None]
-                front[k_in] = (weight, 0, tuplets, (k_in,))
-                for child in children:
-                    sub = states[child]
-                    if sub is None:  # takes and gives nothing
-                        sub, pre = results[child], front[0]
-                        if pre is None or sub is None:
-                            break
-                        front = [(pre[0] + sub[0], pre[1] + sub[1], pre[2] + sub[2],
-                                  pre[3] + (0,)), None]
-                        continue
-                    nxt = [None, None]
-                    for k, pre in enumerate(front):
-                        if pre is None:
-                            continue
-                        for k_next in (0, 1):
-                            e = sub[2 * k + k_next]
-                            if e is None:
-                                continue
-                            cand = (pre[0] + e[0], pre[1] + e[1], pre[2] + e[2])
-                            old = nxt[k_next]
-                            if old is None or cand < (old[0], old[1], old[2]):
-                                nxt[k_next] = (*cand, pre[3] + (k_next,))
-                    if nxt[0] is None and nxt[1] is None:
-                        break
-                    front = nxt
-                else:
-                    for k_out, pre in enumerate(front):
-                        if pre is not None:
-                            i = 2 * k_in + k_out
+                weight, label, children, tuplet = rule
+                if label is not None:
+                    for i, strict, _, extra in leaf:
+                        if label in strict:
                             old = entries[i]
-                            if old is None or pre[:3] < old[:3]:
-                                entries[i] = (pre[0], pre[1], pre[2], rule, lo, pre[3])
-        for k_in, k_out, _, relaxed, extra in leaf:
-            i = 2 * k_in + k_out
-            if entries[i] is None:
-                for rule in rules:
-                    if rule.label in relaxed:
+                            cost = weight + extra
+                            if old is None or (cost, 1, 0) < old[:3]:
+                                entries[i] = (cost, 1, 0, rule, lo, 0)
+                    continue
+                for k_in in k_ins:
+                    # the best derivation so far per k after the child: lane
+                    # 0 as (cost, leaves, tuplets, mask), cost None when no
+                    # derivation reaches it, lane 1 as a tuple or None.  Each
+                    # keeps the first best of k = 0, then k = 1, before it
+                    if k_in:
+                        cost, one = None, (weight, 0, tuplet, 1)
+                    else:
+                        cost, leaves, tuplets, mask, one = weight, 0, tuplet, 0, None
+                    bit = 2
+                    for child in children:
+                        sub = states[child]
+                        if sub is None:  # takes and gives nothing
+                            e = results[child]
+                            if cost is None or e is None:
+                                break
+                            cost += e[0]
+                            leaves += e[1]
+                            tuplets += e[2]
+                            one = None
+                        else:
+                            nxt = None
+                            if cost is not None:
+                                e = sub[1]
+                                if e is not None:
+                                    nxt = (cost + e[0], leaves + e[1], tuplets + e[2],
+                                           mask | bit)
+                                e = sub[0]
+                                if e is None:
+                                    cost = None
+                                else:
+                                    cost += e[0]
+                                    leaves += e[1]
+                                    tuplets += e[2]
+                            if one is not None:
+                                e = sub[2]
+                                if e is not None:
+                                    cand = (one[0] + e[0], one[1] + e[1], one[2] + e[2])
+                                    if cost is None or cand < (cost, leaves, tuplets):
+                                        (cost, leaves, tuplets), mask = cand, one[3]
+                                e = sub[3]
+                                if e is not None:
+                                    cand = (one[0] + e[0], one[1] + e[1], one[2] + e[2],
+                                            one[3] | bit)
+                                    if nxt is None or cand[:3] < nxt[:3]:
+                                        nxt = cand
+                            one = nxt
+                            if cost is None and one is None:
+                                break
+                        bit <<= 1
+                    else:
+                        i = 2 * k_in
                         old = entries[i]
-                        cost = rule.weight + extra
-                        if old is None or (cost, 1, 0) < (old[0], old[1], old[2]):
-                            entries[i] = (cost, 1, 0, rule, lo, (k_in, k_out))
-        return entries
+                        if cost is not None and (old is None
+                                                 or (cost, leaves, tuplets) < old[:3]):
+                            entries[i] = (cost, leaves, tuplets, rule, lo, mask)
+                        old = entries[i + 1]
+                        if one is not None and (old is None or one[:3] < old[:3]):
+                            entries[i + 1] = (one[0], one[1], one[2], rule, lo, one[3])
+            for i, _, relaxed, extra in leaf:
+                if entries[i] is None:
+                    for rule in rules:
+                        if rule.label in relaxed:
+                            old = entries[i]
+                            cost = rule.weight + extra
+                            if old is None or (cost, 1, 0) < old[:3]:
+                                entries[i] = (cost, 1, 0, rule, lo, 0)
+            results.append(entries[0])
+            if entries[1] or entries[2] or entries[3]:
+                states[node] = entries
 
     def _entry(self, node: int, k_in: int, k_out: int):
         if self.states[node] is not None:
@@ -347,12 +319,10 @@ class MeasureStates:
 
     def _tree(self, node: int, k_in: int, k_out: int) -> RhythmTree:
         entry = self._entry(node, k_in, k_out)
-        rule, lo = entry[3], entry[4]
+        rule, lo, mask = entry[3], entry[4], entry[5]
         if rule.label is None:
-            # an entry of the four-state pass ends in its k sequence
-            ks = entry[5] if len(entry) > 5 else (0,) * (len(rule.children) + 1)
             return RhythmTree(children=tuple(
-                self._tree(child, ks[i], ks[i + 1])
+                self._tree(child, mask >> i & 1, mask >> i + 1 & 1)
                 for i, child in enumerate(rule.children)))
         if rule.label == NOTE:
             if k_in:
@@ -511,9 +481,10 @@ def quantize_performance(
     the next downbeat is then one choice per barline, made by a two-state
     Viterbi pass over the measures: the first measure takes nothing in and
     the last, solved as ``final``, gives nothing out, so no note starts past
-    the grid.  A measure no entry fits is a grid-fallback measure with
-    nothing crossing its barlines; paths rank by fallback count, then by
-    cost.
+    the grid.  A measure no entry fits is a grid-fallback measure: it gives
+    nothing out, and an onset the previous measure aligns onto its downbeat
+    is its first note, unless an onset of its own is already there.  Paths
+    rank by fallback count, then by cost.
     ``on_error='fallback'`` applies the grid fallback and reports each such
     measure and its cause in the returned warnings list; ``'raise'`` raises
     the first one's cause.
@@ -580,7 +551,10 @@ def quantize_performance(
             fallbacks, total = prev
             options = [((fallbacks, total + table.cost(k_in, k_out)), k_out, False)
                        for k_out in (0, 1)]
-            if k_in == 0:
+            # a fallback puts an onset pushed in on the downbeat, so none
+            # may be there yet
+            onsets = table.measure.onsets
+            if not k_in or not onsets or onsets[0][0] > 0:
                 options.append(((fallbacks + 1, total), 0, True))
             for cand, k_out, fallback in options:
                 if cand[1] < math.inf and (reached[k_out] is None or cand < reached[k_out]):
@@ -605,12 +579,16 @@ def quantize_performance(
         error = table.failure()
         if on_error == "raise":
             raise error
-        n = len(table.measure.onsets)
+        measure = table.measure
+        if k_in:  # the previous measure's last onset is this one's first
+            measure = MeasureInput(((0.0, measure.carried_pitch), *measure.onsets),
+                                   (max(measure.carried_end, EPS), *measure.extents))
+        n = len(measure.onsets)
         resolution = _grid_resolution(n, sig, fallback_resolution)
         finer = (f"; {n} onsets need {resolution} grid slots per beat"
                  if resolution > fallback_resolution else "")
         warnings.append(f"measure {m - m_lo}: {error}{finer}; grid fallback applied")
-        measures.append(fallback_quantize(table.measure, sig, fallback_resolution))
+        measures.append(fallback_quantize(measure, sig, fallback_resolution))
 
     intervals = [b - a for a, b in zip(grid.beats, grid.beats[1:])]
     tempo = 60.0 / fmean(intervals)

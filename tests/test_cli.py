@@ -82,10 +82,12 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
-@pytest.mark.parametrize("module", ["scipy.io", "numpy", "urllib.request"])
+@pytest.mark.parametrize("module", ["scipy.io", "numpy", "urllib.request",
+                                    "concurrent.futures"])
 def test_importing_cli_leaves_module_unloaded(module):
-    # only `eval sdr` needs numpy and scipy.io, and escaping XML text needs
-    # no urllib, so the start-up of every other command pays for none of them
+    # only `eval sdr` needs numpy and scipy.io, escaping XML text needs no
+    # urllib, and only `--jobs` above 1 needs a thread pool, so the start-up
+    # of every other command pays for none of them
     import subprocess
     import sys
     from pathlib import Path

@@ -389,6 +389,28 @@ def test_parse_pickup_before_a_change_of_time_and_divisions():
     assert support.reference_parse_musicxml(doc) == (score, warnings)
 
 
+@pytest.mark.parametrize("last", [True, False])
+def test_parse_rejects_a_change_of_divisions_after_the_first_note(last):
+    # two quarters, then divisions 2 and four eighths: the change would
+    # rescale the quarters before it if read from the measure's start
+    eighth = NOTE_Q.replace("quarter", "eighth")
+    doc = _doc(
+        f'<measure number="1">{ATTRS}{NOTE_Q * 4}</measure>',
+        f'<measure number="2">{NOTE_Q * 2}'
+        f"<attributes><divisions>2</divisions></attributes>{eighth * 4}</measure>",
+        *([] if last else [f'<measure number="3">{REST_Q * 4}</measure>']),
+    )
+    with pytest.raises(UnsupportedContentError,
+                       match="^measure 2: <divisions> or <time> after the measure's "
+                             "first note$"):
+        parse_musicxml(doc)
+    # a key change mid-measure is read where it stands
+    keyed = doc.replace("<divisions>2</divisions>", "<key><fifths>2</fifths></key>")
+    score, warnings = parse_musicxml(keyed.replace(eighth * 4, NOTE_Q * 2))
+    assert not warnings
+    assert score.measures[1].leaf_labels() == ["note"] * 4
+
+
 # --- the integer-tick parser against the Fraction reference ----------------
 
 _SIGNATURES = [(2, 4), (3, 4), (4, 4), (5, 4), (3, 8), (6, 8), (2, 2)]

@@ -163,6 +163,25 @@ def test_equal_cost_chains_keep_no_alignment_across_the_child_boundary():
             == support.reference_quantize_measure(measure, g, config, states=True))
 
 
+def test_a_chain_aligns_onsets_across_two_inner_boundaries():
+    # onsets a 250th of a measure early of beats 2 and 3 align onto them,
+    # so the measure's split chains k = 1 into its second and third
+    # children, with or without the carried note aligned onto the downbeat
+    measure = MeasureInput(((0.246, 62), (0.496, 64), (0.75, 65)), (0.496, 0.75, 1.0),
+                           carried_pitch=59, carried_end=0.1)
+    grammar, config = default_grammar(), QuantConfig()
+    entries = _entries(measure, grammar, config)
+    assert entries == support.reference_quantize_measure(measure, grammar, config,
+                                                         states=True)
+    for k_in in (0, 1):
+        tree, _ = entries[k_in, 0]
+        notes = [(left, leaf.pitch) for leaf, left, _ in tree.leaves()
+                 if leaf.label == NOTE]
+        assert notes[k_in:] == [(Fraction(1, 4), 62), (Fraction(1, 2), 64),
+                                (Fraction(3, 4), 65)]
+        assert notes[:k_in] == [(0, 59)] * k_in
+
+
 @pytest.mark.parametrize("flat_first", [True, False])
 def test_equal_cost_derivations_go_to_the_earlier_rule(flat_first):
     # four quarters as (n n n n) or ((n n) (n n)): same cost, leaves and
@@ -506,6 +525,25 @@ def test_fallback_warning_names_its_cause(cause):
     assert len(warnings) == 1
     assert warnings[0].startswith(f"measure 0: {message}")
     assert warnings[0].endswith("grid fallback applied")
+
+
+def test_a_fallback_measure_takes_in_the_onset_pushed_onto_its_downbeat():
+    # bar 2's last onset comes 5 ms before the barline, so it must align
+    # onto bar 3's downbeat; bar 3 cannot be parsed (two onsets 4 ms either
+    # side of its beat 2), so its grid fallback takes that onset in as its
+    # first note and bar 2 stays the grammar's
+    perf = Performance([NoteEvent(0.5 * k, 0.5, 60 + k) for k in range(7)]
+                       + [NoteEvent(3.995, 0.3, 72), NoteEvent(4.496, 0.004, 74),
+                          NoteEvent(4.504, 0.4, 76), NoteEvent(5.0, 1.0, 77)])
+    score, warnings = quantize_performance(perf, _grid(3), default_grammar(),
+                                           on_error="fallback")
+    assert [w.split(":")[0] for w in warnings] == ["measure 2"]
+    assert score.measures[1].leaf_labels() == [NOTE, NOTE, NOTE, REST]
+    pitches = [leaf.pitch for measure in score.measures
+               for leaf, _, _ in measure.leaves() if leaf.label == NOTE]
+    assert pitches == [note.pitch for note in perf.notes]
+    leaf, left, _ = next(iter(score.measures[2].leaves()))
+    assert (leaf.label, leaf.pitch, left) == (NOTE, 72, 0)
 
 
 def test_onset_a_rounding_error_before_a_barline_is_on_it():
