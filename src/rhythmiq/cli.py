@@ -6,7 +6,6 @@ data, 3 grammar or configuration problems, 4 batch pairing failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -23,21 +22,16 @@ from .errors import (
     RhythmiqError,
 )
 from .grammar import default_grammar, parse_grammar_file, serialize_grammar, train_grammar
-from .metrics import (
-    EditMetrics,
-    downbeat_fmeasure,
-    note_metrics,
-    sdr,
-    score_edit_metrics,
-    summarize,
-)
 from .midi_io import load_midi
 from .musicxml import emit_musicxml, parse_musicxml
 from .quantize import DEFAULT_ALPHA, DEFAULT_REST_THRESHOLD, QuantConfig, quantize_performance
-from .tempo import TempoBounds, enumerate_rotations, estimate_tempo_ioi, tempo_bounds
 
+# each command imports the metrics and tempo code it runs, so `quantize`
+# starts without them
 if TYPE_CHECKING:
     import numpy as np
+
+    from .metrics import EditMetrics
 
 
 @dataclass(frozen=True)
@@ -101,6 +95,8 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _print_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
@@ -154,6 +150,8 @@ def load_wav(path: str | Path) -> tuple[int, np.ndarray]:
 # subcommands
 
 def cmd_tempo(args) -> int:
+    from .tempo import TempoBounds, estimate_tempo_ioi, tempo_bounds
+
     cfg = _config_from_args(args)
     perf = load_midi(Path(args.midi).read_bytes())
     estimate = estimate_tempo_ioi(
@@ -192,8 +190,12 @@ def cmd_quantize(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(xml)
+        # a sidecar from an earlier run must not outlive a clean one
+        sidecar = out.with_suffix(".warnings.txt")
         if warnings:
-            out.with_suffix(".warnings.txt").write_text("\n".join(warnings) + "\n")
+            sidecar.write_text("\n".join(warnings) + "\n")
+        else:
+            sidecar.unlink(missing_ok=True)
     else:
         sys.stdout.write(xml)
     for w in warnings:
@@ -216,6 +218,9 @@ def cmd_train_grammar(args) -> int:
 
 
 def cmd_rotations(args) -> int:
+    from .metrics import downbeat_fmeasure
+    from .tempo import enumerate_rotations
+
     cfg = _config_from_args(args)
     perf = load_midi(Path(args.midi).read_bytes())
     grid = load_beats(Path(args.beats).read_text())
@@ -283,6 +288,8 @@ def _emit_eval(pairs, results: list[dict]) -> None:
     if len(pairs) == 1:
         _print_json(results[0])
         return
+    from .metrics import summarize
+
     items = {stem: res for (stem, _, _), res in zip(pairs, results)}
     names = results[0].keys()
     summary = {
@@ -294,6 +301,8 @@ def _emit_eval(pairs, results: list[dict]) -> None:
 
 
 def cmd_eval_notes(args) -> int:
+    from .metrics import note_metrics
+
     cfg = _config_from_args(args)
     pairs = _pair_paths(args.ref, args.est, (".mid", ".midi"))
 
@@ -315,6 +324,8 @@ def cmd_eval_notes(args) -> int:
 
 
 def cmd_eval_downbeats(args) -> int:
+    from .metrics import downbeat_fmeasure
+
     cfg = _config_from_args(args)
     pairs = _pair_paths(args.ref, args.est, (".csv", ".txt"))
 
@@ -347,6 +358,8 @@ def _edit_payload(m: EditMetrics) -> dict:
 
 
 def cmd_eval_score(args) -> int:
+    from .metrics import score_edit_metrics
+
     pairs = _pair_paths(args.ref, args.est, (".musicxml", ".xml"))
 
     def one(ref_path: Path, est_path: Path) -> dict:
@@ -359,6 +372,8 @@ def cmd_eval_score(args) -> int:
 
 
 def cmd_eval_sdr(args) -> int:
+    from .metrics import sdr
+
     pairs = _pair_paths(args.ref, args.est, (".wav",))
 
     def one(ref_path: Path, est_path: Path) -> dict:

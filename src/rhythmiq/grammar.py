@@ -10,7 +10,7 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -103,10 +103,14 @@ class Lattice:
     """Every derivation of one measure in a time signature, as a DAG.
 
     ``nodes`` list children before parents; the start symbol's node over the
-    whole measure is last.
+    whole measure is last.  ``empty_entries`` holds, per node, the (0, 0)
+    state-table entry of a cell with no onset under silence and under a
+    sound held through it, in that order; the quantizer's first solve on
+    the lattice fills it.
     """
 
     nodes: tuple[LatticeNode, ...]
+    empty_entries: list = field(default_factory=list, compare=False, repr=False)
 
     def max_leaves(self) -> int:
         """Most leaves of any derivation of the whole measure."""

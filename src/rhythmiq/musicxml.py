@@ -7,7 +7,6 @@ polyphony (chords, backup) rather than guessing.
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -315,8 +314,10 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
     Chords and backup (second voices) raise UnsupportedContentError; grace
     notes are skipped with a warning.  Each <attributes> is read where it
     stands, and one that changes <divisions> or <time> after the measure's
-    first timed note or <forward> raises UnsupportedContentError.  Measures are re-quantized onto the
-    canonical tree form, so parse(emit(s)) == s for canonical scores.
+    first timed note or <forward> raises UnsupportedContentError, as does a
+    <time> that differs from the signature already in force (a score has
+    one signature).  Measures are re-quantized onto the canonical tree form,
+    so parse(emit(s)) == s for canonical scores.
 
     Positions are integer ticks: measure m spans [m * length, (m + 1) *
     length), and ``length`` grows to a common multiple whenever a measure's
@@ -324,6 +325,8 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
     note before it when that note is open, has the same pitch and ends
     exactly where the stop begins.
     """
+    import xml.etree.ElementTree as ET  # only parsing needs it, emitting does not
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -398,10 +401,14 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
                 if d is not None:
                     divisions = _integer(d, where, "divisions", positive=True)
                 if t is not None:
-                    sig = TimeSignature(
+                    new = TimeSignature(
                         _integer(t.findtext("beats"), where, "time beats"),
                         _integer(t.findtext("beat-type"), where, "time beat-type"),
                     )
+                    if sig is not None and new != sig:
+                        raise UnsupportedContentError(
+                            f"{where}time signature changes from {sig} to {new}")
+                    sig = new
                 k = elem.find("key")
                 if k is not None and k.findtext("fifths") is not None:
                     fifths = _integer(k.findtext("fifths"), where, "key fifths")
@@ -471,8 +478,8 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
     beats, beat_type = sig.numerator, sig.denominator
     anacrusis = Fraction(0)
     for m_index, (filled, per_quarter) in enumerate(contents):
-        # the measure holds filled / per_quarter quarters of the final
-        # signature's 4 * beats / beat_type
+        # the measure holds filled / per_quarter quarters of the score's
+        # 4 * beats / beat_type
         held, full = filled * beat_type, 4 * beats * per_quarter
         if held > full:
             raise ValidationError(
@@ -481,7 +488,6 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
             )
         if held < full:
             if m_index == 0 and n > 1:
-                # read ``length`` only after it may have grown
                 per_division = ticks_per_division(per_quarter, beats, beat_type)
                 gap = length - filled * per_division
                 anacrusis = Fraction(held, 4 * per_quarter)

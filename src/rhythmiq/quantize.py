@@ -13,7 +13,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import fmean
 
 from .core import BeatGrid, Performance, TimeSignature, enforce_monophony
 from .errors import (
@@ -137,13 +136,14 @@ def quantize_measure(
     the measure has a ``carried_pitch``, which is then the note aligned onto
     the downbeat (sounding until ``carried_end``, 0 when it stopped before).
 
-    One bottom-up pass over the grammar's compiled lattice, the same for
-    every node: its leaf options per k_in, then each split's children
-    chained through the lanes k = 0 and k = 1.  A child whose only entry is
-    (0, 0) adds its cost to lane 0 and closes lane 1.  On equal (cost,
-    leaves, tuplets) the earlier rule keeps an entry, and a split's chain
-    keeps, per k after each child, the first best of k = 0, then k = 1,
-    before it.
+    One bottom-up pass over the grammar's compiled lattice: per node, its
+    leaf options per k_in, then each split's children chained through the
+    lanes k = 0 and k = 1.  A child whose only entry is (0, 0) adds its
+    cost to lane 0 and closes lane 1.  A cell with no onset that takes none
+    in and is silent or held all through takes the entry that the
+    lattice's first solve worked out for it.  On equal (cost, leaves,
+    tuplets) the earlier rule keeps an entry, and a split's chain keeps,
+    per k after each child, the first best of k = 0, then k = 1, before it.
     """
     config = config or QuantConfig()
     table = MeasureStates(measure, grammar, config, time_signature, states, final)
@@ -164,15 +164,31 @@ class MeasureStates:
     four, indexed 2 * k_in + k_out, or None where (0, 0) is the only one.
     An entry is (cost, leaves, tuplets, rule, first onset, k mask); bit i
     of a split's mask is the k before child i, its last bit the k_out.
+
+    A node whose cell holds no onset, takes none in, and is silent or held
+    all through takes its entry from ``Lattice.empty_entries``, which the
+    first solve on the lattice fills by this same pass over two empty
+    measures (``share_empty`` off): one silent, one under a note held past
+    the closing barline.
     """
 
     def __init__(self, measure: MeasureInput, grammar: RhythmGrammar,
                  config: QuantConfig, time_signature: TimeSignature,
-                 lead_in: bool, final: bool):
+                 lead_in: bool, final: bool, *, share_empty: bool = True):
         self.measure = measure
         self.grammar = grammar
         self.final = final
         self.lattice = grammar.lattice(time_signature)
+        silent = held = None
+        if share_empty:
+            shared = self.lattice.empty_entries
+            if not shared:  # one slice assignment, so a racing first solve is harmless
+                shared[:] = [
+                    MeasureStates(empty, grammar, config, time_signature, False, False,
+                                  share_empty=False).results
+                    for empty in (MeasureInput(), MeasureInput(carried_pitch=0, carried_end=2.0))
+                ]
+            silent, held = shared
         alpha = config.alpha
         theta = config.rest_threshold
         onsets, extents = measure.onsets, measure.extents
@@ -197,6 +213,20 @@ class MeasureStates:
                     for edge_mid, edge in pushers)
             else:
                 pushed_in = lead_in and lf == 0.0
+            # a cell with no onset and k_in = 0 has the same (0, 0) entry in
+            # every measure where it is silent or held all through: nothing
+            # is displaced, so alpha adds nothing; a silent cell is a rest
+            # and a held one has no tail, so theta decides nothing; and
+            # ``final`` moves nothing, since right == hi.  The shared entry's
+            # first onset is never read: a k_in = 0 derivation of an empty
+            # cell has no NOTE leaf
+            if lo == hi and not pushed_in and silent is not None:
+                if sound_end <= lf + EPS:
+                    results.append(silent[node])
+                    continue
+                if sound_end >= rf:
+                    results.append(held[node])
+                    continue
             k_ins = (0, 1) if pushed_in else (0,)
             # as a leaf: per k_in, (entry index, strict labels, relaxed
             # labels, cost on top of the rule weight).  ``right`` is the
@@ -591,7 +621,7 @@ def quantize_performance(
         measures.append(fallback_quantize(measure, sig, fallback_resolution))
 
     intervals = [b - a for a, b in zip(grid.beats, grid.beats[1:])]
-    tempo = 60.0 / fmean(intervals)
+    tempo = 60.0 / (math.fsum(intervals) / len(intervals))
 
     anacrusis = Fraction(0)
     if m_lo < 0:

@@ -790,10 +790,15 @@ def reference_parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel
                 divisions = _integer(d, where, "divisions", positive=True)
             t = attributes.find("time")
             if t is not None:
-                sig = TimeSignature(
+                new = TimeSignature(
                     _integer(t.findtext("beats"), where, "time beats"),
                     _integer(t.findtext("beat-type"), where, "time beat-type"),
                 )
+                # a score has one signature
+                if sig is not None and new != sig:
+                    raise UnsupportedContentError(
+                        f"{where}time signature changes from {sig} to {new}")
+                sig = new
             k = attributes.find("key")
             if k is not None and k.findtext("fifths") is not None:
                 fifths = _integer(k.findtext("fifths"), where, "key fifths")

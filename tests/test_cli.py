@@ -83,11 +83,14 @@ def test_load_config_errors(tmp_path):
 
 
 @pytest.mark.parametrize("module", ["scipy.io", "numpy", "urllib.request",
-                                    "concurrent.futures"])
+                                    "concurrent.futures", "rhythmiq.metrics",
+                                    "rhythmiq.tempo", "xml.etree.ElementTree",
+                                    "json", "statistics"])
 def test_importing_cli_leaves_module_unloaded(module):
     # only `eval sdr` needs numpy and scipy.io, escaping XML text needs no
-    # urllib, and only `--jobs` above 1 needs a thread pool, so the start-up
-    # of every other command pays for none of them
+    # urllib, and only `--jobs` above 1 needs a thread pool; each command
+    # imports the metrics, tempo, JSON and XML parsing code it runs, so the
+    # start-up of `quantize` pays for none of them
     import subprocess
     import sys
     from pathlib import Path
@@ -118,6 +121,37 @@ def test_importing_cli_compiles_no_lattice():
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_package_resolves_its_public_names_lazily():
+    # `import rhythmiq` loads no submodule, yet every name in __all__
+    # resolves, binds under `import *` and is listed by dir()
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rhythmiq
+
+    src = str(Path(rhythmiq.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rhythmiq\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('rhythmiq.'))\n"
+        "names = {}\n"
+        "exec('from rhythmiq import *', names)\n"
+        "print(loaded, len(rhythmiq.__all__),\n"
+        "      sorted(set(rhythmiq.__all__) - set(names)),\n"
+        "      sorted(set(rhythmiq.__all__) - set(dir(rhythmiq))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[] 67 [] []"
+    for name in rhythmiq.__all__:
+        value = getattr(rhythmiq, name)
+        module = getattr(value, "__module__", None)
+        if module is not None and module.startswith("rhythmiq."):
+            assert getattr(sys.modules[module], name) is value
+    with pytest.raises(AttributeError, match="no attribute 'quantize_score'"):
+        rhythmiq.quantize_score
 
 
 def test_pipeline_config_validation():
@@ -192,6 +226,29 @@ def test_quantize_warning_sidecar(tmp_path, capsys):
     assert sidecar.exists()
     assert "fallback" in sidecar.read_text()
     assert "fallback" in capsys.readouterr().err
+
+
+def test_quantize_removes_a_stale_warning_sidecar(tmp_path, capsys):
+    # the first run falls back and warns; a clean second run to the same
+    # --out must not leave that run's warnings beside its score
+    grammar = tmp_path / "tiny.grammar"
+    grammar.write_text(TINY_GRAMMAR)
+    perf = Performance([NoteEvent(0.0, 0.5, 60), NoteEvent(1.0, 0.5, 62)])
+    midi = tmp_path / "two.mid"
+    midi.write_bytes(save_midi(perf, 120.0))
+    beats = _beats_csv(tmp_path, 5)
+    out = tmp_path / "two.musicxml"
+    sidecar = tmp_path / "two.warnings.txt"
+    args = ["quantize", str(midi), "--beats", str(beats), "--out", str(out)]
+    assert main([*args, "--grammar", str(grammar)]) == 0
+    assert "fallback" in sidecar.read_text()
+    capsys.readouterr()
+    assert main(args) == 0
+    assert not sidecar.exists()
+    assert capsys.readouterr().err == ""
+    score, warnings = parse_musicxml(out.read_text())
+    assert not warnings
+    assert score.measures[0].leaf_labels() == ["note", "rest", "note", "rest"]
 
 
 def test_quantize_on_error_raise_exits_1(tmp_path, capsys):

@@ -371,22 +371,41 @@ def test_parse_tie_across_a_change_of_divisions():
     assert support.reference_parse_musicxml(doc) == (score, warnings)
 
 
-def test_parse_pickup_before_a_change_of_time_and_divisions():
-    # the score keeps the last signature, 3/4, and the first measure is its
-    # pickup; placing that pickup needs ticks that neither measure's own
-    # divisions and signature need
-    doc = _doc(
-        f'<measure number="1">{ATTRS.replace(">1<", ">3<")}'
-        "<note><pitch><step>C</step><octave>4</octave></pitch>"
-        "<duration>3</duration></note></measure>",
-        '<measure number="2"><attributes><divisions>2</divisions>'
-        "<time><beats>3</beats><beat-type>4</beat-type></time></attributes>"
-        f"{NOTE_Q.replace('>1<', '>2<') * 3}</measure>",
-    )
+def _time(beats: int) -> str:
+    return f"<attributes><time><beats>{beats}</beats><beat-type>4</beat-type></time></attributes>"
+
+
+@pytest.mark.parametrize("first, second, old, new", [
+    # read as one 4/4 score with a 3-beat pickup when only the last <time> counted
+    (ATTRS.replace(">4<", ">3<", 1) + NOTE_Q * 3, _time(4) + NOTE_Q * 4, "3/4", "4/4"),
+    # failed as "measure 1 holds 4 quarters, more than 3"
+    (ATTRS + NOTE_Q * 4, _time(3) + NOTE_Q * 3, "4/4", "3/4"),
+    # a pickup before a change of time and divisions
+    (ATTRS.replace(">1<", ">3<") + NOTE_Q.replace(">1<", ">3<"),
+     "<attributes><divisions>2</divisions>"
+     "<time><beats>3</beats><beat-type>4</beat-type></time></attributes>"
+     + NOTE_Q.replace(">1<", ">2<") * 3, "4/4", "3/4"),
+    # no <time> in force is 4/4
+    ("<attributes><divisions>1</divisions></attributes>" + NOTE_Q * 4,
+     _time(3) + NOTE_Q * 3, "4/4", "3/4"),
+], ids=["three-then-four", "four-then-three", "pickup-then-three", "default-then-three"])
+def test_parse_rejects_a_change_of_time_signature(first, second, old, new):
+    doc = _doc(f'<measure number="1">{first}</measure>',
+               f'<measure number="2">{second}</measure>')
+    with pytest.raises(UnsupportedContentError,
+                       match=f"^measure 2: time signature changes from {old} to {new}$"):
+        parse_musicxml(doc)
+    with pytest.raises(UnsupportedContentError):
+        support.reference_parse_musicxml(doc)
+
+
+def test_parse_accepts_a_restated_time_signature():
+    doc = _doc(f'<measure number="1">{ATTRS}{NOTE_Q * 4}</measure>',
+               f'<measure number="2">{_time(4)}{NOTE_Q * 4}</measure>')
     score, warnings = parse_musicxml(doc)
-    assert score.time_signature == TimeSignature(3, 4)
-    assert score.anacrusis_beats == 1
-    assert support.reference_parse_musicxml(doc) == (score, warnings)
+    assert not warnings
+    assert score.time_signature == TimeSignature(4, 4)
+    assert len(score.measures) == 2
 
 
 @pytest.mark.parametrize("last", [True, False])

@@ -182,6 +182,73 @@ def test_a_chain_aligns_onsets_across_two_inner_boundaries():
         assert notes[:k_in] == [(0, 59)] * k_in
 
 
+def _without_leaf(grammar: RhythmGrammar, label: str) -> RhythmGrammar:
+    """The grammar with every ``label`` leaf dropped and each head's other
+    rules renormalized, or the grammar itself where a head would lose its
+    last way to end a derivation."""
+    kept = [r for r in grammar.rules if r.body != Leaf(label)]
+    total = {}
+    for r in kept:
+        total[r.head] = total.get(r.head, 0.0) + math.exp(-r.weight)
+    try:
+        return RhythmGrammar(grammar.starts, [
+            GrammarRule(r.head, r.body, r.weight + math.log(total[r.head])) for r in kept
+        ], grammar.max_depth)
+    except GrammarError:
+        return grammar
+
+
+def _sparse_measure(rng: random.Random) -> MeasureInput:
+    """0-2 onsets, each released early in a cell, mid-cell, or held across
+    several beats, and half the time a carried note: stopped before the
+    barline (only aligned onto the downbeat), released inside the measure,
+    or held past its end."""
+    positions = [slot / 96 if rng.random() < 0.7
+                 else min(0.999, max(0.0, slot / 96 + rng.uniform(-0.004, 0.004)))
+                 for slot in sorted(rng.sample(range(96), rng.randint(0, 2)))]
+    onsets, extents = [], []
+    for i, pos in enumerate(positions):
+        ceiling = positions[i + 1] if i + 1 < len(positions) else 2.0
+        ext = pos + rng.choice((rng.uniform(0.005, 0.05), rng.uniform(0.05, 0.3),
+                                rng.uniform(0.3, 1.5)))
+        onsets.append((pos, 60 + i))
+        extents.append(max(pos + 1e-4, min(ext, ceiling)))
+    if rng.random() < 0.5:
+        carried_end = rng.choice((0.0, rng.uniform(0.01, 0.9), rng.uniform(1.0, 2.0)))
+        if onsets:
+            carried_end = min(carried_end, onsets[0][0])
+        return MeasureInput(tuple(onsets), tuple(extents), 59, carried_end)
+    return MeasureInput(tuple(onsets), tuple(extents))
+
+
+def test_empty_cells_share_entries_across_measures_and_configs():
+    # the entries of empty cells come from the first solve on a lattice and
+    # serve every later measure, whatever its alpha, theta and ``final``:
+    # each sparse measure still gives the reference's trees, bit-identical
+    # costs and error class, for the (0, 0) entry and all four
+    rng = random.Random(1101)
+    missing = 0  # shared entries that are None: no rest or continuation fits
+    for trial in range(120):
+        grammar = support.random_grammar(rng)
+        if rng.random() < 0.5:
+            grammar = _without_leaf(grammar, rng.choice((REST, CONTINUATION)))
+        for _ in range(5):
+            measure = _sparse_measure(rng)
+            config = QuantConfig(alpha=rng.choice((0.0, 8.0, 128.0, DEFAULT_ALPHA, 1e4)),
+                                 rest_threshold=rng.choice((0.25, 0.5, 1.0)))
+            final = rng.random() < 0.5
+            assert (_solve(quantize_measure, measure, grammar, config, final)
+                    == _solve(support.reference_quantize_measure, measure, grammar,
+                              config, final)), (trial, measure)
+            assert (_entries(measure, grammar, config, final)
+                    == support.reference_quantize_measure(measure, grammar, config,
+                                                          states=True, final=final)
+                    ), (trial, measure)
+        silent, held = grammar.lattice(SIG).empty_entries
+        missing += silent.count(None) + held.count(None)
+    assert missing
+
+
 @pytest.mark.parametrize("flat_first", [True, False])
 def test_equal_cost_derivations_go_to_the_earlier_rule(flat_first):
     # four quarters as (n n n n) or ((n n) (n n)): same cost, leaves and
