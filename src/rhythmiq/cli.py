@@ -6,12 +6,12 @@ data, 3 grammar or configuration problems, 4 batch pairing failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import load_beats
+from .core import Record, load_beats
 from .errors import (
     ConfigError,
     EmptyInputError,
@@ -20,6 +20,7 @@ from .errors import (
     NoTempoError,
     PairingError,
     RhythmiqError,
+    ValidationError,
 )
 from .grammar import default_grammar, parse_grammar_file, serialize_grammar, train_grammar
 from .midi_io import load_midi
@@ -34,35 +35,49 @@ if TYPE_CHECKING:
     from .metrics import EditMetrics
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
     """Tunable pipeline settings, overridable from a key=value config file."""
 
-    alpha: float = DEFAULT_ALPHA
-    rest_threshold: float = DEFAULT_REST_THRESHOLD
-    fallback_resolution: int = 4
-    onset_tolerance: float = 0.05
-    beat_tolerance: float = 0.07
-    cluster_width: float = 0.025
-    min_bpm: float = 40.0
-    max_bpm: float = 350.0
-    on_error: str = "fallback"
-    rotation_mode: str = "all"  # which rotations to render: "all" or "best"
-    fifths: int = 0
+    __slots__ = ("alpha", "rest_threshold", "fallback_resolution", "onset_tolerance",
+                 "beat_tolerance", "cluster_width", "min_bpm", "max_bpm", "on_error",
+                 "rotation_mode", "fifths")
 
-    def __post_init__(self):
-        if self.on_error not in ("raise", "fallback"):
-            raise ConfigError(f"on_error must be raise|fallback, got {self.on_error!r}")
-        if self.rotation_mode not in ("all", "best"):
+    def __init__(self, alpha: float = DEFAULT_ALPHA,
+                 rest_threshold: float = DEFAULT_REST_THRESHOLD,
+                 fallback_resolution: int = 4, onset_tolerance: float = 0.05,
+                 beat_tolerance: float = 0.07, cluster_width: float = 0.025,
+                 min_bpm: float = 40.0, max_bpm: float = 350.0,
+                 on_error: str = "fallback",
+                 rotation_mode: str = "all",  # which rotations to render: "all" or "best"
+                 fifths: int = 0):
+        if on_error not in ("raise", "fallback"):
+            raise ConfigError(f"on_error must be raise|fallback, got {on_error!r}")
+        if rotation_mode not in ("all", "best"):
             raise ConfigError(
-                f"rotation_mode must be all|best, got {self.rotation_mode!r}"
+                f"rotation_mode must be all|best, got {rotation_mode!r}"
             )
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "rest_threshold", rest_threshold)
+        object.__setattr__(self, "fallback_resolution", fallback_resolution)
+        object.__setattr__(self, "onset_tolerance", onset_tolerance)
+        object.__setattr__(self, "beat_tolerance", beat_tolerance)
+        object.__setattr__(self, "cluster_width", cluster_width)
+        object.__setattr__(self, "min_bpm", min_bpm)
+        object.__setattr__(self, "max_bpm", max_bpm)
+        object.__setattr__(self, "on_error", on_error)
+        object.__setattr__(self, "rotation_mode", rotation_mode)
+        object.__setattr__(self, "fifths", fifths)
+
+    def replace(self, **changes) -> PipelineConfig:
+        """A validated copy with ``changes`` applied."""
+        return PipelineConfig(**{name: changes.get(name, getattr(self, name))
+                                 for name in self.__slots__})
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read ``key = value`` lines (# comments allowed) into a PipelineConfig."""
     defaults = PipelineConfig()
-    names = {f.name for f in fields(defaults)}
+    names = PipelineConfig.__slots__
     overrides = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -78,7 +93,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             overrides[key] = type(getattr(defaults, key))(value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}")
-    return replace(defaults, **overrides)
+    return defaults.replace(**overrides)
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -86,11 +101,11 @@ def _config_from_args(args) -> PipelineConfig:
     for name in ("alpha", "fifths", "on_error", "rotation_mode"):
         value = getattr(args, name, None)
         if value is not None:
-            cfg = replace(cfg, **{name: value})
+            cfg = cfg.replace(**{name: value})
     if getattr(args, "resolution", None) is not None:
-        cfg = replace(cfg, fallback_resolution=args.resolution)
+        cfg = cfg.replace(fallback_resolution=args.resolution)
     if getattr(args, "tol", None) is not None:
-        cfg = replace(cfg, onset_tolerance=args.tol, beat_tolerance=args.tol)
+        cfg = cfg.replace(onset_tolerance=args.tol, beat_tolerance=args.tol)
     return cfg
 
 
@@ -117,11 +132,18 @@ def _load_downbeats(path: Path) -> list[float]:
         return load_beats(text).downbeats()
     except RhythmiqError:
         times = []
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            times.append(float(line.split(",")[0]))
+            try:
+                t = float(line.split(",")[0])
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: bad downbeat time {line!r}")
+            if not math.isfinite(t):
+                raise ValidationError(
+                    f"{path}:{lineno}: downbeat time must be finite, got {line!r}")
+            times.append(t)
         if not times:
             raise EmptyInputError(f"{path}: no downbeat times found")
         return times

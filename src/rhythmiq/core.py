@@ -1,51 +1,93 @@
 """Symbolic domain types: notes, performances, time signatures, beat grids.
 
-All types are immutable after construction and validate their invariants in
-``__post_init__``.  Times are seconds, pitches are MIDI numbers.
+All types are immutable ``Record`` values that validate their invariants in
+``__init__``.  Times are seconds, pitches are MIDI numbers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from operator import attrgetter
 
 from .errors import ValidationError
 
 ALLOWED_DENOMINATORS = (1, 2, 4, 8, 16, 32)
 
 
-@dataclass(frozen=True)
-class NoteEvent:
+class Record:
+    """Base of the package's value types.
+
+    A subclass names its fields in ``__slots__`` and sets them once in its
+    ``__init__`` with ``object.__setattr__``; any later assignment raises
+    AttributeError.  Equality, ``hash`` and ``repr`` follow the fields named
+    in ``_fields`` (all of ``__slots__`` unless the class says otherwise), in
+    order, and records of different types never compare equal.  A copy or a
+    pickle is rebuilt through ``__init__`` from the ``_fields`` values.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields", cls.__slots__)
+        get = attrgetter(*fields)
+        cls._fields = fields
+        # the field values as a tuple; attrgetter of one name returns the bare value
+        cls._values = property(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class NoteEvent(Record):
     """A single played note.
 
     onset: seconds, >= 0.  duration: seconds, > 0.
     pitch: MIDI number 0..127.  velocity: 1..127.
     """
 
-    onset: float
-    duration: float
-    pitch: int
-    velocity: int = 64
+    __slots__ = ("onset", "duration", "pitch", "velocity")
 
-    def __post_init__(self):
-        if self.onset < 0:
-            raise ValidationError(f"onset must be >= 0, got {self.onset}")
-        if self.duration <= 0:
-            raise ValidationError(f"duration must be > 0, got {self.duration}")
-        if not 0 <= self.pitch <= 127:
-            raise ValidationError(f"pitch must be in 0..127, got {self.pitch}")
-        if not 1 <= self.velocity <= 127:
-            raise ValidationError(f"velocity must be in 1..127, got {self.velocity}")
+    def __init__(self, onset: float, duration: float, pitch: int, velocity: int = 64):
+        if onset < 0:
+            raise ValidationError(f"onset must be >= 0, got {onset}")
+        if duration <= 0:
+            raise ValidationError(f"duration must be > 0, got {duration}")
+        if not 0 <= pitch <= 127:
+            raise ValidationError(f"pitch must be in 0..127, got {pitch}")
+        if not 1 <= velocity <= 127:
+            raise ValidationError(f"velocity must be in 1..127, got {velocity}")
+        object.__setattr__(self, "onset", onset)
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "pitch", pitch)
+        object.__setattr__(self, "velocity", velocity)
 
     @property
     def offset(self) -> float:
         return self.onset + self.duration
 
 
-@dataclass(frozen=True)
-class Performance:
+class Performance(Record):
     """A sequence of played notes, kept sorted by (onset, pitch)."""
 
-    notes: tuple[NoteEvent, ...]
-    source_label: str = ""
+    __slots__ = ("notes", "source_label")
 
     def __init__(self, notes, source_label: str = ""):
         ordered = tuple(sorted(notes, key=lambda n: (n.onset, n.pitch)))
@@ -65,18 +107,18 @@ class Performance:
         )
 
 
-@dataclass(frozen=True)
-class TimeSignature:
-    numerator: int
-    denominator: int
+class TimeSignature(Record):
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.numerator < 1:
-            raise ValidationError(f"numerator must be >= 1, got {self.numerator}")
-        if self.denominator not in ALLOWED_DENOMINATORS:
+    def __init__(self, numerator: int, denominator: int):
+        if numerator < 1:
+            raise ValidationError(f"numerator must be >= 1, got {numerator}")
+        if denominator not in ALLOWED_DENOMINATORS:
             raise ValidationError(
-                f"denominator must be one of {ALLOWED_DENOMINATORS}, got {self.denominator}"
+                f"denominator must be one of {ALLOWED_DENOMINATORS}, got {denominator}"
             )
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -90,23 +132,21 @@ class TimeSignature:
             raise ValidationError(f"bad time signature {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class BeatGrid:
+class BeatGrid(Record):
     """Beat times plus bar structure.
 
     ``phase`` is the index into ``beats`` of the first downbeat, so
     ``beats[phase::beats_per_bar]`` are the downbeat times.
     """
 
-    beats: tuple[float, ...]
-    beats_per_bar: int
-    phase: int = 0
-    time_signature: TimeSignature = field(default_factory=lambda: TimeSignature(4, 4))
+    __slots__ = ("beats", "beats_per_bar", "phase", "time_signature")
 
     def __init__(self, beats, beats_per_bar, phase=0, time_signature=None):
         beats = tuple(float(b) for b in beats)
         if len(beats) < 2:
             raise ValidationError("a beat grid needs at least 2 beats")
+        if not all(map(math.isfinite, beats)):
+            raise ValidationError("beat times must be finite")
         if any(b2 <= b1 for b1, b2 in zip(beats, beats[1:])):
             raise ValidationError("beat times must be strictly increasing")
         if beats_per_bar < 1:
@@ -168,10 +208,13 @@ def load_beats(text: str) -> BeatGrid:
         try:
             t = float(fields[0])
             b = int(float(fields[1]))
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: int() of inf
             if not times:
                 continue  # header line
             raise ValidationError(f"line {lineno}: non-numeric beat record {line!r}")
+        if not math.isfinite(t):
+            raise ValidationError(
+                f"line {lineno}: beat time must be finite, got {fields[0]!r}")
         times.append(t)
         positions.append(b)
     if not times:

@@ -10,11 +10,10 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import TimeSignature
+from .core import Record, TimeSignature
 from .errors import GrammarError, ValidationError
 from .trees import (
     CONTINUATION,
@@ -30,37 +29,39 @@ from .trees import (
 PROB_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(Record):
     """Equal subdivision into child nonterminals (at least two)."""
 
-    children: tuple[str, ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[str, ...]):
+        if len(children) < 2:
             raise ValidationError("a split needs at least 2 children")
+        object.__setattr__(self, "children", children)
 
     def __str__(self) -> str:
         return "(" + " ".join(self.children) + ")"
 
 
-@dataclass(frozen=True)
-class Leaf:
-    label: str
+class Leaf(Record):
+    __slots__ = ("label",)
 
-    def __post_init__(self):
-        if self.label not in LEAF_LABELS:
+    def __init__(self, label: str):
+        if label not in LEAF_LABELS:
             raise ValidationError(f"leaf label must be one of {LEAF_LABELS}")
+        object.__setattr__(self, "label", label)
 
     def __str__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
-class GrammarRule:
-    head: str
-    body: Split | Leaf
-    weight: float  # negative log probability
+class GrammarRule(Record):
+    __slots__ = ("head", "body", "weight")
+
+    def __init__(self, head: str, body: Split | Leaf, weight: float):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "weight", weight)  # negative log probability
 
     @property
     def probability(self) -> float:
@@ -98,19 +99,25 @@ class LatticeNode(NamedTuple):
     rules: tuple[LatticeRule, ...]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Every derivation of one measure in a time signature, as a DAG.
 
     ``nodes`` list children before parents; the start symbol's node over the
     whole measure is last.  ``empty_entries`` holds, per node, the (0, 0)
     state-table entry of a cell with no onset under silence and under a
     sound held through it, in that order; the quantizer's first solve on
-    the lattice fills it.
+    the lattice fills it; equality, hash and repr leave it out.
     """
 
-    nodes: tuple[LatticeNode, ...]
-    empty_entries: list = field(default_factory=list, compare=False, repr=False)
+    __slots__ = ("nodes", "empty_entries")
+    _fields = ("nodes",)
+
+    def __init__(self, nodes: tuple[LatticeNode, ...],
+                 empty_entries: list | None = None):
+        if empty_entries is None:
+            empty_entries = []
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "empty_entries", empty_entries)
 
     def max_leaves(self) -> int:
         """Most leaves of any derivation of the whole measure."""

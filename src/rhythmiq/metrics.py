@@ -6,9 +6,8 @@ All F-measures and rates are percentages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Performance
+from .core import Performance, Record
 from .errors import ValidationError
 from .trees import NOTE, REST, ScoreModel
 
@@ -17,14 +16,17 @@ DEFAULT_BEAT_TOLERANCE = 0.07
 ZERO_RESIDUAL_DB = 200.0
 
 
-@dataclass(frozen=True)
-class NoteMetrics:
-    precision: float
-    recall: float
-    f_measure: float
-    matched: int
-    n_ref: int
-    n_est: int
+class NoteMetrics(Record):
+    __slots__ = ("precision", "recall", "f_measure", "matched", "n_ref", "n_est")
+
+    def __init__(self, precision: float, recall: float, f_measure: float,
+                 matched: int, n_ref: int, n_est: int):
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "recall", recall)
+        object.__setattr__(self, "f_measure", f_measure)
+        object.__setattr__(self, "matched", matched)
+        object.__setattr__(self, "n_ref", n_ref)
+        object.__setattr__(self, "n_est", n_est)
 
 
 def _f_measure(precision: float, recall: float) -> float:
@@ -124,8 +126,7 @@ def best_rotation_fmeasure(
 # ---------------------------------------------------------------------------
 # score edit metrics
 
-@dataclass(frozen=True)
-class EditMetrics:
+class EditMetrics(Record):
     """Edit counts to turn the estimate into the reference.
 
     Insertions are reference events the estimate misses; deletions are
@@ -133,12 +134,18 @@ class EditMetrics:
     reference note count, so a noisy estimate can exceed 100%.
     """
 
-    note_insertions: int
-    note_deletions: int
-    rest_insertions: int
-    rest_deletions: int
-    timesig_mismatches: int
-    n_ref_notes: int
+    __slots__ = ("note_insertions", "note_deletions", "rest_insertions",
+                 "rest_deletions", "timesig_mismatches", "n_ref_notes")
+
+    def __init__(self, note_insertions: int, note_deletions: int,
+                 rest_insertions: int, rest_deletions: int,
+                 timesig_mismatches: int, n_ref_notes: int):
+        object.__setattr__(self, "note_insertions", note_insertions)
+        object.__setattr__(self, "note_deletions", note_deletions)
+        object.__setattr__(self, "rest_insertions", rest_insertions)
+        object.__setattr__(self, "rest_deletions", rest_deletions)
+        object.__setattr__(self, "timesig_mismatches", timesig_mismatches)
+        object.__setattr__(self, "n_ref_notes", n_ref_notes)
 
     @property
     def note_insertion_rate(self) -> float:

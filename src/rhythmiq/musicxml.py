@@ -7,11 +7,10 @@ polyphony (chords, backup) rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import TimeSignature
+from .core import Record, TimeSignature
 from .errors import FormatError, UnsupportedContentError, ValidationError
 from .trees import (
     NOTE,
@@ -40,11 +39,13 @@ _TYPE_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class SpelledPitch:
-    step: str
-    alter: int
-    octave: int
+class SpelledPitch(Record):
+    __slots__ = ("step", "alter", "octave")
+
+    def __init__(self, step: str, alter: int, octave: int):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "alter", alter)
+        object.__setattr__(self, "octave", octave)
 
     def __str__(self) -> str:
         acc = {-2: "bb", -1: "b", 0: "", 1: "#", 2: "##"}[self.alter]

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BeatGrid, Performance, TimeSignature, enforce_monophony
+from .core import BeatGrid, Performance, Record, TimeSignature, enforce_monophony
 from .errors import (
     AlignmentError,
     CapacityError,
@@ -39,8 +38,7 @@ DEFAULT_ALPHA = 256.0
 DEFAULT_REST_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class QuantConfig:
+class QuantConfig(Record):
     """Solver knobs.
 
     alpha trades data fit against grammar probability: distances are measured
@@ -51,20 +49,23 @@ class QuantConfig:
     pitch agreement rises with alpha up to about 192 and is flat above.
     """
 
-    alpha: float = DEFAULT_ALPHA
-    rest_threshold: float = DEFAULT_REST_THRESHOLD
+    __slots__ = ("alpha", "rest_threshold")
 
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0 < self.rest_threshold <= 1:
+    def __init__(self, alpha: float = DEFAULT_ALPHA,
+                 rest_threshold: float = DEFAULT_REST_THRESHOLD):
+        if alpha < 0:
+            raise ValidationError(f"alpha must be >= 0, got {alpha}")
+        if not math.isfinite(alpha):
+            raise ValidationError(f"alpha must be finite, got {alpha}")
+        if not 0 < rest_threshold <= 1:
             raise ValidationError(
-                f"rest_threshold must be in (0, 1], got {self.rest_threshold}"
+                f"rest_threshold must be in (0, 1], got {rest_threshold}"
             )
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "rest_threshold", rest_threshold)
 
 
-@dataclass(frozen=True)
-class MeasureInput:
+class MeasureInput(Record):
     """One measure of performed material in measure-relative coordinates.
 
     onsets: (position in [0, 1), pitch) per note, strictly increasing.
@@ -76,16 +77,15 @@ class MeasureInput:
     it stopped before the barline.
     """
 
-    onsets: tuple[tuple[float, int], ...] = ()
-    extents: tuple[float, ...] = ()
-    carried_pitch: int | None = None
-    carried_end: float = 0.0
+    __slots__ = ("onsets", "extents", "carried_pitch", "carried_end")
 
-    def __post_init__(self):
-        if len(self.onsets) != len(self.extents):
+    def __init__(self, onsets: tuple[tuple[float, int], ...] = (),
+                 extents: tuple[float, ...] = (), carried_pitch: int | None = None,
+                 carried_end: float = 0.0):
+        if len(onsets) != len(extents):
             raise ValidationError("onsets and extents must pair up")
         prev = -math.inf
-        for (pos, pitch), ext in zip(self.onsets, self.extents):
+        for (pos, pitch), ext in zip(onsets, extents):
             if not 0.0 <= pos < 1.0:
                 raise ValidationError(f"onset {pos} outside [0, 1)")
             if pos <= prev:
@@ -95,10 +95,14 @@ class MeasureInput:
             if not 0 <= pitch <= 127:
                 raise ValidationError(f"pitch {pitch} outside 0..127")
             prev = pos
-        if self.carried_end < 0:
+        if carried_end < 0:
             raise ValidationError("carried_end must be >= 0")
-        if self.carried_end > 0 and self.carried_pitch is None:
+        if carried_end > 0 and carried_pitch is None:
             raise ValidationError("carried_end without carried_pitch")
+        object.__setattr__(self, "onsets", onsets)
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "carried_pitch", carried_pitch)
+        object.__setattr__(self, "carried_end", carried_end)
 
 
 def quantize_measure(

@@ -9,9 +9,8 @@ inside the requested bpm range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import BeatGrid, Performance, TimeSignature
+from .core import BeatGrid, Performance, Record, TimeSignature
 from .errors import InsufficientDataError, NoTempoError, ValidationError
 
 # Pairs of onsets further apart than this contribute no interval.  4 seconds
@@ -26,31 +25,31 @@ DEFAULT_MAX_BPM = 350.0
 PRIOR_MARGIN_BPM = 15.0
 
 
-@dataclass(frozen=True)
-class TempoEstimate:
-    bpm: float
-    cluster_support: int
-    confidence: float
+class TempoEstimate(Record):
+    __slots__ = ("bpm", "cluster_support", "confidence")
 
-    def __post_init__(self):
-        if self.bpm <= 0:
-            raise ValidationError(f"bpm must be positive, got {self.bpm}")
-        if self.cluster_support < 0:
+    def __init__(self, bpm: float, cluster_support: int, confidence: float):
+        if bpm <= 0:
+            raise ValidationError(f"bpm must be positive, got {bpm}")
+        if cluster_support < 0:
             raise ValidationError("cluster_support must be >= 0")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValidationError(f"confidence must be in [0, 1], got {self.confidence}")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValidationError(f"confidence must be in [0, 1], got {confidence}")
+        object.__setattr__(self, "bpm", bpm)
+        object.__setattr__(self, "cluster_support", cluster_support)
+        object.__setattr__(self, "confidence", confidence)
 
 
-@dataclass(frozen=True)
-class TempoBounds:
-    min_bpm: float
-    max_bpm: float
+class TempoBounds(Record):
+    __slots__ = ("min_bpm", "max_bpm")
 
-    def __post_init__(self):
-        if not 0 < self.min_bpm < self.max_bpm:
+    def __init__(self, min_bpm: float, max_bpm: float):
+        if not 0 < min_bpm < max_bpm:
             raise ValidationError(
-                f"need 0 < min_bpm < max_bpm, got ({self.min_bpm}, {self.max_bpm})"
+                f"need 0 < min_bpm < max_bpm, got ({min_bpm}, {max_bpm})"
             )
+        object.__setattr__(self, "min_bpm", min_bpm)
+        object.__setattr__(self, "max_bpm", max_bpm)
 
 
 def _pairwise_iois(onsets: list[float], window: float) -> list[float]:

@@ -9,11 +9,10 @@ canonical decomposition used for grammar training, so it lives in one place.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import TimeSignature
+from .core import Record, TimeSignature
 from .errors import DecompositionError, ValidationError
 
 NOTE = "note"
@@ -25,31 +24,32 @@ LEAF_LABELS = (NOTE, REST, CONTINUATION)
 _NOTATABLE_NUMERATORS = (1, 3, 7)
 
 
-@dataclass(frozen=True)
-class RhythmTree:
+class RhythmTree(Record):
     """One node of a rhythm tree.
 
     Internal nodes have ``children`` and no label; leaves have a ``label``
     and, for note leaves, a ``pitch``.
     """
 
-    children: tuple["RhythmTree", ...] = ()
-    label: str | None = None
-    pitch: int | None = None
+    __slots__ = ("children", "label", "pitch")
 
-    def __post_init__(self):
-        if self.children:
-            if self.label is not None:
+    def __init__(self, children: tuple["RhythmTree", ...] = (),
+                 label: str | None = None, pitch: int | None = None):
+        if children:
+            if label is not None:
                 raise ValidationError("internal node cannot carry a leaf label")
-            if len(self.children) < 2:
+            if len(children) < 2:
                 raise ValidationError("a split needs at least 2 children")
         else:
-            if self.label not in LEAF_LABELS:
+            if label not in LEAF_LABELS:
                 raise ValidationError(f"leaf label must be one of {LEAF_LABELS}")
-            if self.label == NOTE and self.pitch is None:
+            if label == NOTE and pitch is None:
                 raise ValidationError("note leaf needs a pitch")
-            if self.label != NOTE and self.pitch is not None:
+            if label != NOTE and pitch is not None:
                 raise ValidationError("only note leaves carry a pitch")
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "pitch", pitch)
 
     @property
     def is_leaf(self) -> bool:
@@ -275,25 +275,37 @@ def slice_measure(notes, m: int, length=1):
 # notation
 
 
-@dataclass
-class NotatedEvent:
+class NotatedEvent(Record):
     """A printed note or rest within one measure.
 
     ``onset`` and ``duration`` are fractions of the measure (sounding time);
     ``notated`` is the printed duration in whole-note units, which differs
     from sounding time inside tuplets.  ``timemod`` is the MusicXML
-    actual/normal pair for tuplet members.
+    actual/normal pair for tuplet members.  Unlike the other records it is
+    mutable, and so unhashable: ``tie_to`` is settled after the next event
+    is printed.
     """
 
-    kind: str
-    onset: Fraction
-    duration: Fraction
-    notated: Fraction
-    pitch: int | None = None
-    timemod: tuple[int, int] | None = None
-    tuplet_group: int | None = None
-    tie_from: bool = False
-    tie_to: bool = False
+    __slots__ = ("kind", "onset", "duration", "notated", "pitch", "timemod",
+                 "tuplet_group", "tie_from", "tie_to")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, kind: str, onset: Fraction, duration: Fraction,
+                 notated: Fraction, pitch: int | None = None,
+                 timemod: tuple[int, int] | None = None,
+                 tuplet_group: int | None = None, tie_from: bool = False,
+                 tie_to: bool = False):
+        self.kind = kind
+        self.onset = onset
+        self.duration = duration
+        self.notated = notated
+        self.pitch = pitch
+        self.timemod = timemod
+        self.tuplet_group = tuplet_group
+        self.tie_from = tie_from
+        self.tie_to = tie_to
 
 
 def notatable(q: Fraction) -> bool:
@@ -501,8 +513,7 @@ def tree_to_notation(
     return notator.events(records, ticks, carried_pitch)
 
 
-@dataclass(frozen=True)
-class ScoreModel:
+class ScoreModel(Record):
     """A notated score: one rhythm tree per measure plus global attributes.
 
     ``anacrusis_beats`` marks measures[0] as a pickup covering only its final
@@ -510,10 +521,7 @@ class ScoreModel:
     on.
     """
 
-    time_signature: TimeSignature
-    measures: tuple[RhythmTree, ...]
-    tempo_marking: float = 120.0
-    anacrusis_beats: Fraction = Fraction(0)
+    __slots__ = ("time_signature", "measures", "tempo_marking", "anacrusis_beats")
 
     def __init__(self, time_signature, measures, tempo_marking=120.0,
                  anacrusis_beats=Fraction(0)):

@@ -85,12 +85,14 @@ def test_load_config_errors(tmp_path):
 @pytest.mark.parametrize("module", ["scipy.io", "numpy", "urllib.request",
                                     "concurrent.futures", "rhythmiq.metrics",
                                     "rhythmiq.tempo", "xml.etree.ElementTree",
-                                    "json", "statistics"])
+                                    "json", "statistics", "dataclasses",
+                                    "inspect"])
 def test_importing_cli_leaves_module_unloaded(module):
     # only `eval sdr` needs numpy and scipy.io, escaping XML text needs no
     # urllib, and only `--jobs` above 1 needs a thread pool; each command
     # imports the metrics, tempo, JSON and XML parsing code it runs, so the
-    # start-up of `quantize` pays for none of them
+    # start-up of `quantize` pays for none of them; the value types are
+    # plain classes, so nothing loads dataclasses or the inspect it imports
     import subprocess
     import sys
     from pathlib import Path
@@ -103,6 +105,24 @@ def test_importing_cli_leaves_module_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code, src, module],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_importing_every_command_module_leaves_dataclasses_unloaded():
+    # the eval and tempo commands also load metrics and tempo, whose result
+    # types are plain records too
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rhythmiq
+
+    src = str(Path(rhythmiq.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import rhythmiq.cli, rhythmiq.metrics, rhythmiq.tempo; "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False False"
 
 
 def test_importing_cli_compiles_no_lattice():
@@ -267,6 +287,29 @@ def test_bad_config_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")
     assert main(["tempo", str(midi), "--config", str(cfg)]) == 3
+    cfg.write_text("on_error = bogus\n")
+    assert main(["tempo", str(midi), "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.endswith(
+        "error: on_error must be raise|fallback, got 'bogus'\n")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_quantize_rejects_a_non_finite_alpha(tmp_path, capsys, alpha):
+    midi = _quarters_midi(tmp_path, n=4)
+    beats = _beats_csv(tmp_path, 5)
+    assert main(["quantize", str(midi), "--beats", str(beats),
+                 "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == f"error: alpha must be finite, got {alpha}\n"
+
+
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_quantize_rejects_a_non_finite_beat_time(tmp_path, capsys, time):
+    midi = _quarters_midi(tmp_path, n=4)
+    beats = tmp_path / "beats.csv"
+    beats.write_text(f"0.0,1\n0.5,2\n{time},3\n1.5,4\n2.0,1\n")
+    assert main(["quantize", str(midi), "--beats", str(beats)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 3: beat time must be finite, got '{time}'\n")
 
 
 # --- train-grammar -----------------------------------------------------------
@@ -306,6 +349,14 @@ def test_rotations_report_finds_phase(tmp_path, capsys):
     assert len(payload["rotations"]) == 4
     assert payload["best_phase"] == 2
     assert payload["best_downbeat_f"] == 100.0
+
+
+def test_rotations_rejects_a_bad_reference_line(tmp_path, capsys):
+    midi, beats, ref = _rotation_setup(tmp_path)
+    ref.write_text("1.0\n# a comment\n3.0 s\n")
+    assert main(["rotations", str(midi), "--beats", str(beats),
+                 "--ref", str(ref)]) == 1
+    assert capsys.readouterr().err == f"error: {ref}:3: bad downbeat time '3.0 s'\n"
 
 
 def test_rotations_render_all_vs_best(tmp_path, capsys):
@@ -388,6 +439,20 @@ def test_eval_downbeats(tmp_path, capsys):
     b.write_text("0.01\n2.0\n4.05\n")
     assert main(["eval", "downbeats", str(a), str(b)]) == 0
     assert _json_out(capsys)["f_measure"] == 100.0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("abc", "bad downbeat time 'abc'"),
+    ("nan", "downbeat time must be finite, got 'nan'"),
+    ("inf,1", "downbeat time must be finite, got 'inf,1'"),
+], ids=["text", "nan", "inf"])
+def test_eval_downbeats_rejects_a_bad_line(tmp_path, capsys, line, message):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(f"0.0\n{line}\n4.0\n")
+    b.write_text("0.0\n2.0\n4.0\n")
+    assert main(["eval", "downbeats", str(a), str(b)]) == 1
+    assert capsys.readouterr().err == f"error: {a}:2: {message}\n"
 
 
 def test_eval_score_identical(tmp_path, capsys):

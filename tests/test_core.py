@@ -125,6 +125,20 @@ def test_load_beats_errors():
         load_beats("0.0,1,extra\n")
 
 
+@pytest.mark.parametrize("record", ["nan,2", "inf,2", "-inf,2"])
+def test_load_beats_rejects_non_finite_times(record):
+    with pytest.raises(ValidationError,
+                       match=r"^line 3: beat time must be finite, got '-?(nan|inf)'$"):
+        load_beats(f"# time,beat\n0.0,1\n{record}\n1.0,3\n")
+    with pytest.raises(ValidationError, match="beat times must be finite"):
+        BeatGrid([0.0, float(record.split(",")[0])], 2)
+
+
+def test_load_beats_rejects_a_non_finite_position():
+    with pytest.raises(ValidationError, match="line 2: non-numeric beat record"):
+        load_beats("0.0,1\n0.5,inf\n")
+
+
 def test_save_beats_round_trip():
     grid = BeatGrid([0.25 * k for k in range(8)], 4, phase=1)
     back = load_beats(save_beats(grid))

@@ -46,6 +46,9 @@ def test_quant_config_validation():
         QuantConfig(rest_threshold=0.0)
     with pytest.raises(ValidationError):
         QuantConfig(rest_threshold=1.5)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            QuantConfig(alpha=alpha)
 
 
 def test_measure_input_validation():
