@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import Record, load_beats
+from .core import DEFAULT_ALPHA, DEFAULT_REST_THRESHOLD, Record, load_beats
 from .errors import (
     ConfigError,
     EmptyInputError,
@@ -22,13 +22,9 @@ from .errors import (
     RhythmiqError,
     ValidationError,
 )
-from .grammar import default_grammar, parse_grammar_file, serialize_grammar, train_grammar
-from .midi_io import load_midi
-from .musicxml import emit_musicxml, parse_musicxml
-from .quantize import DEFAULT_ALPHA, DEFAULT_REST_THRESHOLD, QuantConfig, quantize_performance
 
-# each command imports the metrics and tempo code it runs, so `quantize`
-# starts without them
+# each command imports the modules it runs, so none compiles code it never
+# calls: `eval notes` reads no MusicXML and `eval score` loads no quantizer
 if TYPE_CHECKING:
     import numpy as np
 
@@ -120,6 +116,8 @@ def _round(x: float) -> float:
 
 
 def _load_grammar(args):
+    from .grammar import default_grammar, parse_grammar_file
+
     if getattr(args, "grammar", None):
         return parse_grammar_file(Path(args.grammar).read_text())
     return default_grammar()
@@ -172,6 +170,7 @@ def load_wav(path: str | Path) -> tuple[int, np.ndarray]:
 # subcommands
 
 def cmd_tempo(args) -> int:
+    from .midi_io import load_midi
     from .tempo import TempoBounds, estimate_tempo_ioi, tempo_bounds
 
     cfg = _config_from_args(args)
@@ -193,6 +192,9 @@ def cmd_tempo(args) -> int:
 
 
 def _quantize_to_xml(perf, grid, grammar, cfg: PipelineConfig, title=None):
+    from .musicxml import emit_musicxml
+    from .quantize import QuantConfig, quantize_performance
+
     score, warnings = quantize_performance(
         perf, grid, grammar,
         QuantConfig(alpha=cfg.alpha, rest_threshold=cfg.rest_threshold),
@@ -204,6 +206,8 @@ def _quantize_to_xml(perf, grid, grammar, cfg: PipelineConfig, title=None):
 
 
 def cmd_quantize(args) -> int:
+    from .midi_io import load_midi
+
     cfg = _config_from_args(args)
     perf = load_midi(Path(args.midi).read_bytes())
     grid = load_beats(Path(args.beats).read_text())
@@ -226,6 +230,9 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_train_grammar(args) -> int:
+    from .grammar import serialize_grammar, train_grammar
+    from .musicxml import parse_musicxml
+
     corpus = []
     for path in args.scores:
         score, _ = parse_musicxml(Path(path).read_text())
@@ -241,6 +248,7 @@ def cmd_train_grammar(args) -> int:
 
 def cmd_rotations(args) -> int:
     from .metrics import downbeat_fmeasure
+    from .midi_io import load_midi
     from .tempo import enumerate_rotations
 
     cfg = _config_from_args(args)
@@ -277,14 +285,29 @@ def cmd_rotations(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _by_stem(directory: Path, suffixes: tuple[str, ...]) -> dict[str, Path]:
+    """The files of ``directory`` with one of ``suffixes``, keyed by stem."""
+    found: dict[str, Path] = {}
+    for p in sorted(directory.iterdir()):
+        if p.suffix.lower() not in suffixes:
+            continue
+        if p.stem in found:
+            raise PairingError(
+                f"stem {p.stem!r} names two files in {directory}: "
+                f"{found[p.stem].name} and {p.name}"
+            )
+        found[p.stem] = p
+    return found
+
+
 def _pair_paths(ref: str, est: str, suffixes: tuple[str, ...]):
     rp, ep = Path(ref), Path(est)
     if rp.is_dir() != ep.is_dir():
         raise PairingError("reference and estimate must both be files or both directories")
     if not rp.is_dir():
         return [(rp.stem, rp, ep)]
-    refs = {p.stem: p for p in sorted(rp.iterdir()) if p.suffix.lower() in suffixes}
-    ests = {p.stem: p for p in sorted(ep.iterdir()) if p.suffix.lower() in suffixes}
+    refs = _by_stem(rp, suffixes)
+    ests = _by_stem(ep, suffixes)
     if not refs:
         raise PairingError(f"no {'/'.join(suffixes)} files in {rp}")
     unmatched_ref = sorted(set(refs) - set(ests))
@@ -324,6 +347,7 @@ def _emit_eval(pairs, results: list[dict]) -> None:
 
 def cmd_eval_notes(args) -> int:
     from .metrics import note_metrics
+    from .midi_io import load_midi
 
     cfg = _config_from_args(args)
     pairs = _pair_paths(args.ref, args.est, (".mid", ".midi"))
@@ -381,6 +405,7 @@ def _edit_payload(m: EditMetrics) -> dict:
 
 def cmd_eval_score(args) -> int:
     from .metrics import score_edit_metrics
+    from .musicxml import parse_musicxml
 
     pairs = _pair_paths(args.ref, args.est, (".musicxml", ".xml"))
 

@@ -12,6 +12,11 @@ from .errors import ValidationError
 
 ALLOWED_DENOMINATORS = (1, 2, 4, 8, 16, 32)
 
+# the quantizer's defaults (see ``QuantConfig``), here so that the CLI's
+# settings take them without loading the quantizer
+DEFAULT_ALPHA = 256.0
+DEFAULT_REST_THRESHOLD = 0.5
+
 
 class Record:
     """Base of the package's value types.

@@ -6,10 +6,13 @@ All F-measures and rates are percentages.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .core import Performance, Record
 from .errors import ValidationError
-from .trees import NOTE, REST, ScoreModel
+
+if TYPE_CHECKING:
+    from .trees import ScoreModel
 
 DEFAULT_ONSET_TOLERANCE = 0.05
 DEFAULT_BEAT_TOLERANCE = 0.07
@@ -64,6 +67,8 @@ def note_metrics(
     """Match notes one-to-one on equal pitch and onset within tolerance."""
     if onset_tolerance < 0:
         raise ValidationError("onset_tolerance must be >= 0")
+    if not math.isfinite(onset_tolerance):
+        raise ValidationError(f"onset_tolerance must be finite, got {onset_tolerance}")
     n_ref, n_est = len(ref), len(est)
     if n_ref == 0 or n_est == 0:
         return NoteMetrics(0.0, 0.0, 0.0, 0, n_ref, n_est)
@@ -92,6 +97,8 @@ def downbeat_fmeasure(
     """Greedy one-to-one event matching within a time window, as a percent."""
     if tolerance < 0:
         raise ValidationError("tolerance must be >= 0")
+    if not math.isfinite(tolerance):
+        raise ValidationError(f"tolerance must be finite, got {tolerance}")
     ref = sorted(ref_times)
     est = sorted(est_times)
     if not ref or not est:
@@ -182,16 +189,21 @@ class EditMetrics(Record):
 
 
 def _measure_keys(score: ScoreModel):
-    """Per measure: set of note keys (onset, pitch) and rest keys (onset)."""
+    """Per measure: the set of note keys (onset, pitch) and of rest keys
+    (onset), from the printed pieces without building events.  An onset is
+    its reduced (numerator, denominator) pair of the measure; a note counts
+    where it starts, not where a tie carries it on."""
+    gcd = math.gcd
     out = []
-    for events in score.notated_measures():
+    for pieces in score.measure_pieces():
         notes = set()
         rests = set()
-        for ev in events:
-            if ev.kind == NOTE and not ev.tie_from:
-                notes.add((ev.onset, ev.pitch))
-            elif ev.kind == REST:
-                rests.add(ev.onset)
+        for pitch, tie_from, onset, _, den, _, _, _ in pieces:
+            g = gcd(onset, den)
+            if pitch is None:
+                rests.add((onset // g, den // g))
+            elif not tie_from:
+                notes.add((onset // g, den // g, pitch))
         out.append((notes, rests))
     return out
 

@@ -13,7 +13,15 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .core import BeatGrid, Performance, Record, TimeSignature, enforce_monophony
+from .core import (
+    DEFAULT_ALPHA,
+    DEFAULT_REST_THRESHOLD,
+    BeatGrid,
+    Performance,
+    Record,
+    TimeSignature,
+    enforce_monophony,
+)
 from .errors import (
     AlignmentError,
     CapacityError,
@@ -34,8 +42,6 @@ from .trees import (
 )
 
 EPS = 1e-9
-DEFAULT_ALPHA = 256.0
-DEFAULT_REST_THRESHOLD = 0.5
 
 
 class QuantConfig(Record):

@@ -193,7 +193,9 @@ def decompose_measure(
         carried_until = carried_end.numerator * (ticks // carried_end.denominator)
     threshold = Fraction(rest_threshold)
     absorb_num, absorb_den = threshold.numerator, threshold.denominator
+    # a tree is immutable, so equal leaves are shared
     rest_leaf, continuation_leaf = rest(), continuation()
+    note_leaves = {pitch: note(pitch) for pitch in set(pitches)}
 
     def build(left: int, right: int, depth: int) -> RhythmTree:
         # onsets at or before ``left`` are starts[:i]; inside are starts[i:j]
@@ -206,7 +208,7 @@ def decompose_measure(
             absorbed = (right - covered) * absorb_den <= absorb_num * width
             if i and starts[i - 1] == left:
                 if absorbed or depth >= max_depth:
-                    return note(pitches[i - 1])
+                    return note_leaves[pitches[i - 1]]
             else:
                 if end <= left:
                     return rest_leaf
@@ -231,10 +233,10 @@ def decompose_measure(
         else:
             k = _split_arity(boundaries, left, right)
         step = (right - left) // k
-        return RhythmTree(children=tuple(
+        return RhythmTree(children=tuple([
             build(left + c * step, left + (c + 1) * step, depth + 1)
             for c in range(k)
-        ))
+        ]))
 
     tree = build(0, ticks, 0)
     tree.validate_flow(carried=carried_pitch is not None and carried_end > 0)
@@ -341,12 +343,13 @@ def _nominal_power(k: int) -> int:
 
 
 class _Notator:
-    """Printed events of the measures of one time signature, in ticks.
+    """Printed pieces of the measures of one time signature, in ticks.
 
     A node's context is its notated duration (whole-note units) and its
     tuplet ratio; ``contexts`` lists those met so far.  The context step of
-    each (context, arity) pair and the printed pieces of each run length are
-    worked out once per notator, so no node or leaf builds a Fraction.
+    each (context, arity) pair and the printed pieces of each chunk length
+    are worked out once per notator, so no node, leaf or piece builds a
+    Fraction.
     """
 
     def __init__(self, time_signature: TimeSignature):
@@ -354,7 +357,7 @@ class _Notator:
         self.contexts: list[tuple[Fraction, tuple[int, int]]] = [(self.whole, (1, 1))]
         self._ids = {self.contexts[0]: 0}
         self._steps: dict[tuple[int, int], tuple[int, bool]] = {}
-        self._pieces: dict[tuple[int, int], list[Fraction]] = {}
+        self._pieces: dict[tuple[int, int], list[tuple[Fraction, int]]] = {}
 
     def _step(self, ctx: int, k: int) -> tuple[int, bool]:
         """Context of the children of a k-way split, and whether the split
@@ -373,6 +376,16 @@ class _Notator:
             self.contexts.append(child)
         self._steps[ctx, k] = (child_ctx, tuplet)
         return child_ctx, tuplet
+
+    def _pieces_of(self, total: tuple[int, int]) -> list[tuple[Fraction, int]]:
+        """The printed pieces of a chunk of ``num / den`` whole notes, each
+        with its share of ``num``: a piece's denominator divides ``den``."""
+        num, den = total
+        pieces = self._pieces[total] = [
+            (piece, piece.numerator * den // piece.denominator)
+            for piece in split_notatable(Fraction(num, den))
+        ]
+        return pieces
 
     def walk(self, tree: RhythmTree):
         """Flatten ``tree`` in one walk into (leaf, start, end, timemod,
@@ -408,91 +421,92 @@ class _Notator:
                             contexts[ctx][1], group))
         return records, ticks
 
-    def events(self, records, ticks: int,
-               carried_pitch: int | None) -> list[NotatedEvent]:
-        """Group walk records into runs and print them, as in
-        ``tree_to_notation``."""
-        events: list[NotatedEvent] = []
-        idx = 0
-        while idx < len(records):
+    def pieces(self, tree: RhythmTree, carried_pitch: int | None):
+        """Print one measure in integers, as ``tree_to_notation`` does.
+
+        Leaves group into runs: a rest on its own, or a note and the
+        continuations after it; a continuation that opens a run is a note
+        of ``carried_pitch`` tied from before.  Within a run, leaves merge
+        while they share a tuplet ratio and group and their notated sum
+        stays printable; each merged chunk prints as its pieces, tied.
+        Within one tuplet ratio the notated duration is proportional to the
+        tick width, so sums are tick counts.
+
+        Returns the pieces and the pitch sounding into the next measure
+        (None after a rest).  A piece is (pitch, tie_from, onset, duration,
+        den, notated, timemod, group): ``pitch`` is None for a rest;
+        ``onset / den`` and ``duration / den`` are fractions of the measure;
+        ``timemod`` is None outside tuplets.
+        """
+        records, ticks = self.walk(tree)
+        whole_num, whole_den = self.whole.numerator, self.whole.denominator
+        known = self._pieces
+        out = []
+        sounding = carried_pitch  # the pitch of the last note leaf, or carried in
+        idx, n = 0, len(records)
+        while idx < n:
             leaf = records[idx][0]
-            if leaf.label == REST:
-                self._print_run(records, idx, idx + 1, ticks, None, False, events)
-                idx += 1
-                continue
-            if leaf.label == NOTE:
-                pitch, tied, end = leaf.pitch, False, idx + 1
-            else:  # leading continuation, tied from previous measure
-                if carried_pitch is None:
+            label = leaf.label
+            if label == REST:
+                pitch, tied, end = None, False, idx + 1
+            else:
+                if label == NOTE:
+                    pitch = sounding = leaf.pitch
+                    tied, end = False, idx + 1
+                elif carried_pitch is None:
                     raise ValidationError(
                         "measure starts with continuation but nothing carried")
-                pitch, tied, end = carried_pitch, True, idx
-            while end < len(records) and records[end][0].label == CONTINUATION:
-                end += 1
-            self._print_run(records, idx, end, ticks, pitch, tied, events)
+                else:
+                    pitch, tied, end = carried_pitch, True, idx
+                while end < n and records[end][0].label == CONTINUATION:
+                    end += 1
+            i = idx
+            while i < end:
+                _, start, stop, timemod, group = records[i]
+                # notated whole notes per tick = num / den
+                num = whole_num * timemod[0]
+                den = whole_den * timemod[1] * ticks
+                j = i + 1
+                while j < end and records[j][3] == timemod and records[j][4] == group:
+                    wider = (records[j][2] - start) * num
+                    g = gcd(wider, den)
+                    d = den // g
+                    if d & (d - 1) or wider // g not in _NOTATABLE_NUMERATORS:
+                        break
+                    stop = records[j][2]
+                    j += 1
+                width = stop - start
+                g = gcd(width * num, den)
+                total = (width * num // g, den // g)
+                shares = known.get(total) or self._pieces_of(total)
+                tie = pitch is not None and (tied or i > idx)
+                timemod = None if timemod == (1, 1) else timemod
+                if len(shares) == 1:
+                    out.append((pitch, tie, start, width, ticks, shares[0][0], timemod, group))
+                else:  # piece by piece, in units of 1 / (ticks * total[0])
+                    onset = start * total[0]
+                    for piece, share in shares:
+                        size = width * share
+                        out.append((pitch, tie, onset, size, ticks * total[0], piece,
+                                    timemod, group))
+                        onset += size
+                        tie = pitch is not None
+                i = j
             idx = end
+        return out, sounding if records[-1][0].label != REST else None
 
-        # recompute tie_to cleanly: a note is tied to the next event when that
-        # event is a note with tie_from and the same pitch
-        for a, b in zip(events, events[1:]):
-            a.tie_to = a.kind == NOTE and b.kind == NOTE and b.tie_from and b.pitch == a.pitch
-        return events
 
-    def _print_run(self, records, lo: int, hi: int, ticks: int,
-                   pitch: int | None, tie_from_prev: bool,
-                   events: list[NotatedEvent]) -> None:
-        """Print records[lo:hi], one note (or rest) and its continuations.
-
-        Leaves merge while they share a tuplet ratio and group and their
-        notated sum stays printable; each merged chunk prints as its pieces,
-        tied.  Within one tuplet ratio the notated duration is proportional
-        to the tick width, so sums are tick counts.
-        """
-        kind = NOTE if pitch is not None else REST
-        whole = self.whole
-        i = lo
-        while i < hi:
-            _, start, end, timemod, group = records[i]
-            # notated whole notes per tick = num / den
-            num = whole.numerator * timemod[0]
-            den = whole.denominator * timemod[1] * ticks
-            j = i + 1
-            while j < hi and records[j][3] == timemod and records[j][4] == group:
-                wider = (records[j][2] - start) * num
-                g = gcd(wider, den)
-                d = den // g
-                if d & (d - 1) or wider // g not in _NOTATABLE_NUMERATORS:
-                    break
-                end = records[j][2]
-                j += 1
-            width = end - start
-            g = gcd(width * num, den)
-            total = (width * num // g, den // g)
-            pieces = self._pieces.get(total)
-            if pieces is None:
-                pieces = self._pieces[total] = split_notatable(Fraction(*total))
-            if len(pieces) == 1:
-                durations = [Fraction(width, ticks)]
-            else:  # width * piece / total, in sounding measure units
-                durations = [Fraction(width * piece.numerator * total[1],
-                                      ticks * piece.denominator * total[0])
-                             for piece in pieces]
-            onset = Fraction(start, ticks)
-            for piece_index, (piece, duration) in enumerate(zip(pieces, durations)):
-                if piece_index:
-                    onset += durations[piece_index - 1]
-                events.append(NotatedEvent(
-                    kind=kind,
-                    onset=onset,
-                    duration=duration,
-                    notated=piece,
-                    pitch=pitch,
-                    timemod=None if timemod == (1, 1) else timemod,
-                    tuplet_group=group,
-                    tie_from=(kind == NOTE)
-                    and (tie_from_prev or i > lo or piece_index > 0),
-                ))
-            i = j
+def _events(pieces) -> list[NotatedEvent]:
+    """Wrap printed pieces into events, each note tied to the next event
+    when that is a note of the same pitch tied from it."""
+    events = [
+        NotatedEvent(REST if pitch is None else NOTE, Fraction(onset, den),
+                     Fraction(duration, den), notated, pitch, timemod, group, tie_from)
+        for pitch, tie_from, onset, duration, den, notated, timemod, group in pieces
+    ]
+    for a, b in zip(events, events[1:]):
+        a.tie_to = a.kind == NOTE and b.kind == NOTE and b.tie_from and b.pitch == a.pitch
+    return events
 
 
 def tree_to_notation(
@@ -508,9 +522,8 @@ def tree_to_notation(
     continuation run becomes a note tied from the previous measure
     (``carried_pitch`` supplies its pitch).
     """
-    notator = _Notator(time_signature)
-    records, ticks = notator.walk(tree)
-    return notator.events(records, ticks, carried_pitch)
+    pieces, _ = _Notator(time_signature).pieces(tree, carried_pitch)
+    return _events(pieces)
 
 
 class ScoreModel(Record):
@@ -538,27 +551,24 @@ class ScoreModel(Record):
         object.__setattr__(self, "tempo_marking", float(tempo_marking))
         object.__setattr__(self, "anacrusis_beats", anacrusis_beats)
 
-    def notated_measures(self) -> list[list[NotatedEvent]]:
-        """Printed events per measure with cross-measure ties resolved."""
+    def measure_pieces(self):
+        """Yield each measure's printed pieces (see ``_Notator.pieces``), a
+        note held over a barline carried into the next measure."""
         notator = _Notator(self.time_signature)
-        out: list[list[NotatedEvent]] = []
-        starts_tied: list[bool] = []
         carried: int | None = None
         for tree in self.measures:
-            records, ticks = notator.walk(tree)
-            out.append(notator.events(records, ticks, carried))
-            starts_tied.append(records[0][0].label == CONTINUATION)
-            if records[-1][0].label in (NOTE, CONTINUATION):
-                # sound runs into the next measure: carry the last note's pitch
-                for leaf, *_ in reversed(records):
-                    if leaf.label == NOTE:
-                        carried = leaf.pitch
-                        break
-            else:
-                carried = None
-        for prev, tied in zip(out, starts_tied[1:]):
-            if prev and prev[-1].kind == NOTE:
-                prev[-1].tie_to = tied
+            pieces, carried = notator.pieces(tree, carried)
+            yield pieces
+
+    def notated_measures(self) -> list[list[NotatedEvent]]:
+        """Printed events per measure with cross-measure ties resolved."""
+        out: list[list[NotatedEvent]] = []
+        for pieces in self.measure_pieces():
+            events = _events(pieces)
+            if out and out[-1][-1].kind == NOTE:
+                first = events[0]
+                out[-1][-1].tie_to = first.kind == NOTE and first.tie_from
+            out.append(events)
         return out
 
 

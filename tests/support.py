@@ -3,7 +3,9 @@ exhaustive derivation enumerator used as the optimality oracle, the
 memoized recursive solver the compiled-lattice solver must reproduce, and
 the Fraction-based decomposition, notation walk, augmenting-path note
 matcher and MusicXML parser that the integer-tick trees layer, the window
-matcher and the integer-tick MusicXML reader replaced.
+matcher and the integer-tick MusicXML reader replaced, the score-edit keys
+taken from printed events that the keys from the tree walk replaced, and
+random scores to compare them on.
 
 The enumerator builds every derivation of the grammar explicitly (no
 memoized minima), so agreement with the solver's DP is a real check and not
@@ -22,6 +24,7 @@ from rhythmiq import (
     AlignmentError,
     CapacityError,
     DecompositionError,
+    EditMetrics,
     FormatError,
     GrammarRule,
     Leaf,
@@ -49,6 +52,7 @@ from rhythmiq.trees import (
     note,
     rest,
     slice_measure,
+    split,
     split_notatable,
 )
 
@@ -926,3 +930,108 @@ def reference_parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel
         anacrusis_beats=anacrusis,
     )
     return score, warnings
+
+
+# score edit keys
+
+SCORE_SIGNATURES = [TimeSignature(*sig) for sig in ((4, 4), (3, 4), (6, 8), (7, 8),
+                                                    (5, 8), (5, 4))]
+
+
+def random_score(rng: random.Random, sig: TimeSignature | None = None,
+                 n_measures: int | None = None) -> ScoreModel:
+    """A random score of random trees: duplet, triplet and quintuplet
+    splits; notes of three pitches, rests, and continuations, mostly after
+    sounding leaves, so notes tie within and across measures.  About one
+    score in twenty opens with a continuation with nothing to continue; in
+    5/8 and 5/4 a triplet split outside a tuplet prints a duration that
+    cannot be printed; and there a leaf often prints as two or more
+    pieces."""
+    sig = sig or rng.choice(SCORE_SIGNATURES)
+    sounding = rng.random() < 0.05
+
+    def leaf() -> RhythmTree:
+        nonlocal sounding
+        r = rng.random()
+        if (sounding and r < 0.3) or r < 0.02:
+            return continuation()
+        sounding = r < 0.75
+        return note(rng.choice((60, 62, 64))) if sounding else rest()
+
+    def tree(depth: int) -> RhythmTree:
+        if depth == 0 or rng.random() < 0.4:
+            return leaf()
+        return split(*[tree(depth - 1) for _ in range(rng.choice((2, 2, 3, 5)))])
+
+    if n_measures is None:
+        n_measures = rng.randint(1, 5)
+    return ScoreModel(sig, [tree(3) for _ in range(n_measures)])
+
+
+def reference_notated_measures(score: ScoreModel) -> list[list[NotatedEvent]]:
+    """``ScoreModel.notated_measures`` on the Fraction walk: each measure
+    printed by ``reference_tree_to_notation``, the pitch of its last note
+    leaf carried on while its last leaf sounds."""
+    out = []
+    starts_tied = []
+    carried = None
+    for tree in score.measures:
+        out.append(reference_tree_to_notation(tree, score.time_signature, carried))
+        leaves = [leaf for leaf, _, _ in tree.leaves()]
+        starts_tied.append(leaves[0].label == CONTINUATION)
+        if leaves[-1].label in (NOTE, CONTINUATION):
+            for leaf in reversed(leaves):
+                if leaf.label == NOTE:
+                    carried = leaf.pitch
+                    break
+        else:
+            carried = None
+    for prev, tied in zip(out, starts_tied[1:]):
+        if prev and prev[-1].kind == NOTE:
+            prev[-1].tie_to = tied
+    return out
+
+
+def reference_measure_keys(score: ScoreModel):
+    """The score-edit keys taken from printed events, kept as the reference
+    of the keys ``score_edit_metrics`` takes from the tree walk: equal
+    counts, same errors.
+
+    Per measure: set of note keys (onset, pitch) and rest keys (onset).
+    """
+    out = []
+    for events in score.notated_measures():
+        notes = set()
+        rests = set()
+        for ev in events:
+            if ev.kind == NOTE and not ev.tie_from:
+                notes.add((ev.onset, ev.pitch))
+            elif ev.kind == REST:
+                rests.add(ev.onset)
+        out.append((notes, rests))
+    return out
+
+
+def reference_score_edit_metrics(ref: ScoreModel, est: ScoreModel) -> EditMetrics:
+    """``score_edit_metrics`` on the keys of ``reference_measure_keys``."""
+    ref_keys = reference_measure_keys(ref)
+    est_keys = reference_measure_keys(est)
+    empty = (set(), set())
+    n = max(len(ref_keys), len(est_keys))
+
+    note_ins = note_del = rest_ins = rest_del = timesig = 0
+    for i in range(n):
+        if i >= len(ref_keys) or i >= len(est_keys):
+            timesig += 1
+        elif ref.time_signature != est.time_signature:
+            timesig += 1
+        ref_notes, ref_rests = ref_keys[i] if i < len(ref_keys) else empty
+        est_notes, est_rests = est_keys[i] if i < len(est_keys) else empty
+        note_ins += len(ref_notes - est_notes)
+        note_del += len(est_notes - ref_notes)
+        rest_ins += len(ref_rests - est_rests)
+        rest_del += len(est_rests - ref_rests)
+
+    n_ref_notes = sum(len(notes) for notes, _ in ref_keys)
+    return EditMetrics(note_ins, note_del, rest_ins, rest_del, timesig,
+                       n_ref_notes)

@@ -143,6 +143,36 @@ def test_importing_cli_compiles_no_lattice():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("metric, unloaded", [
+    ("score", ["rhythmiq.grammar", "rhythmiq.quantize"]),
+    ("notes", ["rhythmiq.grammar", "rhythmiq.quantize", "rhythmiq.musicxml",
+               "rhythmiq.trees"]),
+])
+def test_eval_loads_only_the_modules_it_runs(tmp_path, metric, unloaded):
+    # `eval score` reads MusicXML into trees but quantizes nothing, and
+    # `eval notes` reads MIDI only
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rhythmiq
+
+    if metric == "score":
+        path = tmp_path / "s.musicxml"
+        path.write_text(emit_musicxml(ScoreModel(TimeSignature(4, 4),
+                                                 [split(note(60), rest())])))
+    else:
+        path = _quarters_midi(tmp_path)
+    src = str(Path(rhythmiq.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from rhythmiq.cli import main\n"
+            "code = main(['eval', sys.argv[2], sys.argv[3], sys.argv[3]])\n"
+            "print(code, 'rhythmiq.metrics' in sys.modules,\n"
+            "      [m for m in sys.argv[4:] if m in sys.modules], file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code, src, metric, str(path), *unloaded],
+                         capture_output=True, text=True, check=True)
+    assert out.stderr.strip() == "0 True []"
+
+
 def test_the_package_resolves_its_public_names_lazily():
     # `import rhythmiq` loads no submodule, yet every name in __all__
     # resolves, binds under `import *` and is listed by dir()
@@ -293,6 +323,23 @@ def test_bad_config_exits_3(tmp_path, capsys):
         "error: on_error must be raise|fallback, got 'bogus'\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_rejects_a_non_finite_tolerance(tmp_path, capsys, value):
+    midi = _quarters_midi(tmp_path)
+    assert main(["eval", "notes", str(midi), str(midi), "--tol", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: onset_tolerance must be finite, got {value}\n")
+    beats = tmp_path / "a.txt"
+    beats.write_text("0.0\n2.0\n4.0\n")
+    assert main(["eval", "downbeats", str(beats), str(beats), "--tol", value]) == 1
+    assert capsys.readouterr().err == f"error: tolerance must be finite, got {value}\n"
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(f"onset_tolerance = {value}\n")
+    assert main(["eval", "notes", str(midi), str(midi), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: onset_tolerance must be finite, got {value}\n")
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 def test_quantize_rejects_a_non_finite_alpha(tmp_path, capsys, alpha):
     midi = _quarters_midi(tmp_path, n=4)
@@ -425,6 +472,20 @@ def test_eval_unpaired_directories_exit_4(tmp_path, capsys):
     _quarters_midi(est_dir, name="only_est.mid")
     assert main(["eval", "notes", str(ref_dir), str(est_dir)]) == 4
     assert "unpaired" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["ref", "est"])
+def test_eval_two_files_with_one_stem_exit_4(tmp_path, capsys, side):
+    # a.musicxml and a.xml would pair by the stem "a"; neither is dropped
+    xml = emit_musicxml(ScoreModel(TimeSignature(4, 4), [split(note(60), rest())]))
+    for name in ("ref", "est"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "a.musicxml").write_text(xml)
+        (tmp_path / name / "b.musicxml").write_text(xml)
+    (tmp_path / side / "a.xml").write_text(xml)
+    assert main(["eval", "score", str(tmp_path / "ref"), str(tmp_path / "est")]) == 4
+    assert capsys.readouterr().err == (
+        f"error: stem 'a' names two files in {tmp_path / side}: a.musicxml and a.xml\n")
 
 
 def test_eval_mixed_file_and_directory_exit_4(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rhythmiq import (
     NoteEvent,
     Performance,
+    RhythmiqError,
     ScoreModel,
     TimeSignature,
     ValidationError,
@@ -20,8 +22,8 @@ from rhythmiq import (
     sdr,
     summarize,
 )
-from rhythmiq.metrics import ZERO_RESIDUAL_DB
-from rhythmiq.trees import note, rest, split
+from rhythmiq.metrics import ZERO_RESIDUAL_DB, _measure_keys
+from rhythmiq.trees import REST, continuation, note, rest, split
 
 import support
 
@@ -143,6 +145,16 @@ def test_matching_validation():
         note_metrics(_perf([(0, 60)]), _perf([(0, 60)]), onset_tolerance=-0.1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_tolerances_must_be_finite(tol):
+    # every window comparison with NaN is false, and an infinite window
+    # matches any two notes of one pitch
+    with pytest.raises(ValidationError, match="onset_tolerance must be finite"):
+        note_metrics(_perf([(0, 60)]), _perf([(5, 60)]), onset_tolerance=tol)
+    with pytest.raises(ValidationError, match="tolerance must be finite"):
+        downbeat_fmeasure([0.0], [5.0], tolerance=tol)
+
+
 # --- downbeat and rotation --------------------------------------------------
 
 def test_downbeat_fmeasure_exact_and_partial():
@@ -233,6 +245,96 @@ def test_rates_with_empty_reference():
     assert em.n_ref_notes == 0
     assert em.note_deletion_rate == math.inf
     assert em.note_insertion_rate == 0.0
+
+
+def _outcome(fn, *args):
+    """The function's result, or the class and message of the package error
+    it raised."""
+    try:
+        return fn(*args)
+    except RhythmiqError as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_keys(score):
+    """The keys from the tree walk with Fraction onsets, like the reference
+    keys."""
+    return [({(Fraction(num, den), pitch) for num, den, pitch in notes},
+             {Fraction(num, den) for num, den in rests})
+            for notes, rests in _measure_keys(score)]
+
+
+def test_score_edit_keys_match_the_printed_events_on_the_hard_cases():
+    sig58, sig54 = TimeSignature(5, 8), TimeSignature(5, 4)
+    # a 5/16 rest prints as 1/4 + 1/16, the second piece at 4/5 of its span
+    two_piece_rest = ScoreModel(sig58, [split(note(60), rest())])
+    assert [ev.onset for ev in two_piece_rest.notated_measures()[0]
+            if ev.kind == REST] == [Fraction(1, 2), Fraction(9, 10)]
+    tuplet_rest = ScoreModel(SIG, [split(note(60), rest(), note(62))])
+    assert tuplet_rest.notated_measures()[0][1].timemod == (3, 2)
+    tied_over = ScoreModel(SIG, [split(note(60), note(62)),
+                                 split(continuation(), note(64))])
+    assert tied_over.notated_measures()[1][0].tie_from
+    opens_tied = ScoreModel(SIG, [split(continuation(), note(60))])
+    unprintable = ScoreModel(sig54, [split(note(60), note(62), note(64))])
+    cases = [
+        (two_piece_rest, ScoreModel(sig58, [split(rest(), note(60))])),
+        (two_piece_rest, ScoreModel(sig58, [split(note(62), split(rest(), rest()))])),
+        (tuplet_rest, ScoreModel(SIG, [split(note(60), note(62), rest())])),
+        (tuplet_rest, ScoreModel(SIG, [split(split(note(60), rest(), note(62)), rest())])),
+        (tied_over, ScoreModel(SIG, [split(note(60), note(62)), split(note(62), note(64))])),
+        (tied_over, tied_over),
+        (opens_tied, tied_over),
+        (tied_over, opens_tied),
+        (unprintable, ScoreModel(sig54, [split(note(60), rest())])),
+        (ScoreModel(sig54, [split(note(60), rest())]), unprintable),
+    ]
+    for ref, est in cases:
+        expected = _outcome(support.reference_score_edit_metrics, ref, est)
+        assert _outcome(score_edit_metrics, ref, est) == expected
+    errors = [_outcome(score_edit_metrics, ref, est) for ref, est in cases[6:]]
+    assert errors[0] == errors[1] == (
+        ValidationError, "measure starts with continuation but nothing carried")
+    assert errors[2] == errors[3] == (
+        ValidationError, "duration 5/12 of a whole note is not printable")
+
+
+def _estimate(rng: random.Random, ref: ScoreModel) -> ScoreModel:
+    """``ref`` with some measures replaced, sometimes one measure more or
+    fewer, and now and then under another time signature."""
+    fresh = support.random_score(rng, ref.time_signature, len(ref.measures) + 1)
+    measures = [new if rng.random() < 0.4 else old
+                for old, new in zip(ref.measures, fresh.measures)]
+    r = rng.random()
+    if r < 0.2:
+        measures.append(fresh.measures[-1])
+    elif r < 0.4 and len(measures) > 1:
+        measures.pop()
+    sig = ref.time_signature
+    if rng.random() < 0.1:
+        sig = rng.choice(support.SCORE_SIGNATURES)
+    return ScoreModel(sig, measures)
+
+
+def test_score_edit_metrics_match_the_printed_event_reference():
+    # random pairs: the counts from the tree walk equal those from printed
+    # events, measure keys included, or both raise the same error
+    outcomes = {"counted": 0, "unprintable": 0, "opens tied": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        ref = support.random_score(rng)
+        est = _estimate(rng, ref)
+        for score in (ref, est):
+            assert _outcome(_fraction_keys, score) == _outcome(
+                support.reference_measure_keys, score), seed
+        outcome = _outcome(score_edit_metrics, ref, est)
+        assert outcome == _outcome(support.reference_score_edit_metrics, ref, est), seed
+        if isinstance(outcome, tuple):
+            outcomes["unprintable" if "printable" in outcome[1] else "opens tied"] += 1
+        else:
+            outcomes["counted"] += 1
+    # the generator reaches every branch
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 # --- SDR ---------------------------------------------------------------------

@@ -172,6 +172,23 @@ def test_tree_to_notation_matches_the_fraction_reference(seed, sig, carried_pitc
             support.reference_tree_to_notation, tree, sig, carried_pitch)
 
 
+def test_notated_measures_match_the_fraction_reference():
+    # notes carried and tied over barlines, stray continuations printed in
+    # the carried pitch, and the errors of unprintable durations and of a
+    # first measure that opens with a continuation
+    stray = ScoreModel(SIG, [
+        split(note(60), note(62)),
+        # prints 64, then 62 carried in after the rest; 64 is carried out
+        split(note(64), rest(), continuation(), continuation()),
+        split(continuation(), note(60)),
+    ])
+    assert [ev.pitch for ev in stray.notated_measures()[2]] == [64, 60]
+    scores = [stray] + [support.random_score(random.Random(seed)) for seed in range(300)]
+    for index, score in enumerate(scores):
+        assert _outcome(ScoreModel.notated_measures, score) == _outcome(
+            support.reference_notated_measures, score), index
+
+
 def test_notatable():
     assert notatable(F(1, 4))
     assert notatable(F(3, 8))   # dotted quarter of a whole
