@@ -108,11 +108,12 @@ def _config_from_args(args) -> PipelineConfig:
 def _print_json(payload) -> None:
     import json
 
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
 
 
-def _round(x: float) -> float:
-    return round(x, 4)
+def _round(x: float) -> float | None:
+    """``x`` to 4 places, or None (JSON null) when it is not finite."""
+    return round(x, 4) if math.isfinite(x) else None
 
 
 def _load_grammar(args):
@@ -336,11 +337,13 @@ def _emit_eval(pairs, results: list[dict]) -> None:
     from .metrics import summarize
 
     items = {stem: res for (stem, _, _), res in zip(pairs, results)}
-    names = results[0].keys()
+    # a metric is summarized over the items where it is a number, not null
+    numbers = {name: [r[name] for r in results if isinstance(r[name], (int, float))]
+               for name in results[0]}
     summary = {
-        name: {k: _round(v) for k, v in summarize([r[name] for r in results]).items()}
-        for name in names
-        if all(isinstance(r[name], (int, float)) for r in results)
+        name: {k: _round(v) for k, v in summarize(values).items()}
+        for name, values in numbers.items()
+        if values
     }
     _print_json({"items": items, "summary": summary})
 

@@ -634,12 +634,17 @@ def sample_score(
                 onset, _, held = notes[-1]
                 notes[-1] = (onset, m + right, held)
 
+    # decomposition takes ticks of a measure ``length`` long
+    length = math.lcm(*(x.denominator for span in notes for x in span[:2]))
+    ticks = [(onset.numerator * (length // onset.denominator),
+              extent.numerator * (length // extent.denominator), held)
+             for onset, extent, held in notes]
     measures = []
     for m in range(n_measures):
-        onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
+        onsets, extents, carried_pitch, carried_end = slice_measure(ticks, m, length)
         measures.append(
             decompose_measure(
-                onsets, extents, time_signature,
+                onsets, extents, time_signature, length,
                 max_depth=grammar.max_depth,
                 carried_pitch=carried_pitch, carried_end=carried_end,
             )

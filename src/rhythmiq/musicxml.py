@@ -298,6 +298,10 @@ def _note_xml(
 # ---------------------------------------------------------------------------
 # parsing
 
+# depth bound of the measure trees that parsing builds
+_PARSE_DEPTH = 10
+
+
 def _integer(text: str | None, where: str, what: str, positive: bool = False) -> int:
     """Read an integer element text; malformed input raises FormatError."""
     try:
@@ -309,7 +313,7 @@ def _integer(text: str | None, where: str, what: str, positive: bool = False) ->
     return value
 
 
-def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str]]:
+def parse_musicxml(text: str) -> tuple[ScoreModel, list[str]]:
     """Parse single-part partwise MusicXML back into a score.
 
     Chords and backup (second voices) raise UnsupportedContentError; grace
@@ -322,7 +326,8 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
 
     Positions are integer ticks: measure m spans [m * length, (m + 1) *
     length), and ``length`` grows to a common multiple whenever a measure's
-    <divisions> and <time> need finer ticks.  A tie stop merges with the
+    <divisions> and <time> need finer ticks; each measure is decomposed in
+    them, at most ``_PARSE_DEPTH`` levels deep.  A tie stop merges with the
     note before it when that note is open, has the same pitch and ends
     exactly where the stop begins.
     """
@@ -502,28 +507,14 @@ def parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str
                     f"fewer than {Fraction(4 * beats, beat_type)}"
                 )
 
-    # one Fraction per distinct in-measure tick, where decomposition takes them
-    fractions: dict[int, Fraction] = {}
-
-    def fraction(tick: int) -> Fraction:
-        value = fractions.get(tick)
-        if value is None:
-            value = fractions[tick] = Fraction(tick, length)
-        return value
-
     notes = list(zip(onsets, extents, pitches))
     measures = []
     for m in range(n):
         starts, ends, carried_pitch, carried_end = slice_measure(notes, m, length)
-        measures.append(
-            decompose_measure(
-                [(fraction(p), pitch) for p, pitch in starts],
-                [fraction(e) for e in ends],
-                sig, max_depth=max_depth,
-                carried_pitch=carried_pitch,
-                carried_end=carried_end if carried_pitch is None else fraction(carried_end),
-            )
-        )
+        measures.append(decompose_measure(
+            starts, ends, sig, length, max_depth=_PARSE_DEPTH,
+            carried_pitch=carried_pitch, carried_end=carried_end,
+        ))
 
     score = ScoreModel(
         sig, measures,

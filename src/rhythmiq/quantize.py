@@ -475,18 +475,17 @@ def fallback_quantize(
     slot = -1
     for i, ((pos, pitch), ext) in enumerate(zip(measure.onsets, measure.extents)):
         slot = min(total - (n - i), max(slot + 1, round(pos * total)))
-        end_slot = max(slot + 1, round(ext * total))
-        onsets.append((Fraction(slot, total), pitch))
-        extents.append(Fraction(end_slot, total))
+        onsets.append((slot, pitch))
+        extents.append(max(slot + 1, round(ext * total)))
 
     carried_pitch = measure.carried_pitch
-    carried_end = Fraction(round(measure.carried_end * total), total)
+    carried_end = round(measure.carried_end * total)
     if carried_end <= 0:
-        carried_pitch, carried_end = None, Fraction(0)
+        carried_pitch, carried_end = None, 0
 
     depth = _factor_count(resolution) + (1 if time_signature.numerator > 1 else 0)
     return decompose_measure(
-        onsets, extents, time_signature,
+        onsets, extents, time_signature, total,
         max_depth=max(1, depth),
         carried_pitch=carried_pitch, carried_end=carried_end,
     )
@@ -532,6 +531,9 @@ def quantize_performance(
     if on_error not in ("raise", "fallback"):
         raise ValidationError(
             f"on_error must be 'raise' or 'fallback', got {on_error!r}")
+    # checked up front, not only once a measure falls back
+    if fallback_resolution < 1:
+        raise ValidationError(f"resolution must be >= 1, got {fallback_resolution}")
     config = config or QuantConfig()
     performance = enforce_monophony(performance)
     if len(performance) == 0:

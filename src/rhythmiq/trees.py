@@ -117,22 +117,17 @@ def split(*children: RhythmTree) -> RhythmTree:
 # canonical decomposition
 
 
-def _split_arity(boundaries, left, right) -> int:
-    """Preferred arity for an interval holding the given inner boundaries.
+def _split_arity(boundaries: list[int], left: int, right: int) -> int:
+    """Preferred arity for a tick interval holding the given inner boundaries.
 
     Binary, unless some boundary sits at an odd denominator relative to the
     interval (thirds, ninths, fifths, ...).  Halving can never reach such a
     point, so the smallest odd prime factor involved forces the split.
-    Positions are integer ticks or Fractions; only integers are computed.
     """
     width = right - left
     forced = 0
     for b in boundaries:
-        offset = b - left
-        # denominator of offset / width in lowest terms
-        num = offset.numerator * width.denominator
-        den = offset.denominator * width.numerator
-        den //= gcd(num, den)
+        den = width // gcd(b - left, width)  # of (b - left) / width in lowest terms
         if den == 1 or den % 2 == 0:
             continue
         p = 3
@@ -143,24 +138,30 @@ def _split_arity(boundaries, left, right) -> int:
     return forced or 2
 
 
+# the share of a leaf that silence may cover and still be absorbed into the
+# note before it: fixed, as the canonical form parse(emit(s)) == s rests on it
+_REST_THRESHOLD = Fraction(1, 2)
+
+
 def decompose_measure(
-    onsets: list[tuple[Fraction, int]],
-    extents: list[Fraction],
+    onsets: list[tuple[int, int]],
+    extents: list[int],
     time_signature: TimeSignature,
+    length: int,
     max_depth: int = 4,
-    rest_threshold: Fraction = Fraction(1, 2),
     carried_pitch: int | None = None,
-    carried_end: Fraction = Fraction(0),
+    carried_end: int = 0,
 ) -> RhythmTree:
     """Build the canonical rhythm tree of one notated measure.
 
-    Positions are fractions of the measure.  ``extents[i]`` is where note i
-    stops sounding (it may exceed 1 when the note is held over the barline).
+    Positions are integer ticks of a measure ``length`` ticks long, as
+    ``slice_measure`` gives them.  ``extents[i]`` is where note i stops
+    sounding (past ``length`` when the note is held over the barline).
     The measure splits into ``numerator`` beats at the top, then binary
     subdivisions, switching to ternary (or a higher odd prime) only where a
     boundary cannot be reached by halving.  Silence merges into the coarsest
-    leaves; a gap covering no more than ``rest_threshold`` of a leaf is
-    absorbed into the preceding note instead of becoming a rest.
+    leaves; a gap covering no more than half a leaf is absorbed into the
+    preceding note instead of becoming a rest.
 
     Raises DecompositionError when an onset cannot be placed within
     ``max_depth`` levels.
@@ -168,31 +169,25 @@ def decompose_measure(
     if len(extents) != len(onsets):
         raise ValidationError("one extent per onset required")
     positions = [p for p, _ in onsets]
-
-    # The measure is ``ticks`` integer ticks long, and every split edge is a
-    # tick: the top split divides by the numerator; an odd arity divides a
-    # boundary's denominator relative to the cell, which divides the width;
-    # and at most ``max_depth`` splits lie on any path, so each binary one
-    # halves a width that still holds one of the ``max_depth`` factors of 2.
-    numerator = time_signature.numerator
-    exact = [*positions, *extents]
-    if carried_pitch is not None:
-        exact.append(carried_end)
-    ticks = numerator * lcm(*(x.denominator for x in exact)) << max(max_depth, 0)
-    starts = [p.numerator * (ticks // p.denominator) for p in positions]
-    ends = [e.numerator * (ticks // e.denominator) for e in extents]
-    if any(not 0 <= p < ticks for p in starts):
-        raise ValidationError("onset positions must lie in [0, 1)")
-    if any(p2 <= p1 for p1, p2 in zip(starts, starts[1:])):
+    if any(not 0 <= p < length for p in positions):
+        raise ValidationError(f"onset positions must lie in [0, {length})")
+    if any(p2 <= p1 for p1, p2 in zip(positions, positions[1:])):
         raise ValidationError("onset positions must be strictly increasing")
-    if any(e <= p for p, e in zip(starts, ends)):
+    if any(e <= p for p, e in zip(positions, extents)):
         raise ValidationError("extents must lie beyond their onsets")
+
+    # Scaled so that every split edge is a tick: the top split divides by the
+    # numerator; an odd arity divides a boundary's denominator relative to
+    # the cell, which divides the width; and at most ``max_depth`` splits lie
+    # on any path, so each binary one halves a width that still holds one of
+    # the ``max_depth`` factors of 2.
+    numerator = time_signature.numerator
+    scale = numerator << max(max_depth, 0)
+    starts = [p * scale for p in positions]
+    ends = [e * scale for e in extents]
     pitches = [pitch for _, pitch in onsets]
-    carried_until = 0
-    if carried_pitch is not None:
-        carried_until = carried_end.numerator * (ticks // carried_end.denominator)
-    threshold = Fraction(rest_threshold)
-    absorb_num, absorb_den = threshold.numerator, threshold.denominator
+    carried_until = carried_end * scale if carried_pitch is not None else 0
+    absorb_num, absorb_den = _REST_THRESHOLD.numerator, _REST_THRESHOLD.denominator
     # a tree is immutable, so equal leaves are shared
     rest_leaf, continuation_leaf = rest(), continuation()
     note_leaves = {pitch: note(pitch) for pitch in set(pitches)}
@@ -221,7 +216,7 @@ def decompose_measure(
         else:
             if depth >= max_depth:
                 raise DecompositionError(
-                    f"onsets at {[str(p) for p in positions[i:j]]} "
+                    f"onsets at {[str(Fraction(p, length)) for p in positions[i:j]]} "
                     f"unreachable at depth {max_depth}"
                 )
             boundaries = starts[i:j]
@@ -238,7 +233,7 @@ def decompose_measure(
             for c in range(k)
         ]))
 
-    tree = build(0, ticks, 0)
+    tree = build(0, length * scale, 0)
     tree.validate_flow(carried=carried_pitch is not None and carried_end > 0)
     return tree
 
@@ -252,13 +247,14 @@ def slice_measure(notes, m: int, length=1):
 
     ``notes`` holds (onset, extent, pitch), sorted by onset, in units of
     which a measure is ``length`` long: measure ``m`` spans [m * length,
-    (m + 1) * length).  Positions may be Fractions or floats of measures, or
-    integer ticks.  An onset belongs to the last barline at or before it,
-    compared exactly: a caller working in floats puts positions within its
-    tolerance of a barline on the barline first.  Returns the measure's
-    relative (position, pitch) onsets, their extents, and the pitch and
-    relative end of the note held over the opening barline (None and 0 when
-    there is none), in the same units.
+    (m + 1) * length).  Positions are integer ticks, which is what
+    ``decompose_measure`` takes, or floats of measures (``length`` 1), as the
+    quantizer slices a performance.  An onset belongs to the last barline at
+    or before it, compared exactly: a caller working in floats puts
+    positions within its tolerance of a barline on the barline first.
+    Returns the measure's relative (position, pitch) onsets, their extents,
+    and the pitch and relative end of the note held over the opening barline
+    (None and 0 when there is none), in the same units.
     """
     start = m * length
     lo = bisect_left(notes, (start,))

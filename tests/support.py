@@ -47,7 +47,6 @@ from rhythmiq.trees import (
     NotatedEvent,
     _nominal_power,
     continuation,
-    decompose_measure,
     notatable,
     note,
     rest,
@@ -133,7 +132,7 @@ def random_measure(rng: random.Random) -> MeasureInput:
 
 
 def random_notated_measure(rng: random.Random):
-    """Random exact content of one notated measure for ``decompose_measure``:
+    """Random exact content of one notated measure, in measure fractions:
     (position, pitch) onsets on a few families of grids (binary, ternary,
     quintuple, mixed, and odd primes up to 11), their extents, some held
     over the barline, and half the time a note carried in."""
@@ -527,12 +526,11 @@ def reference_decompose_measure(
     extents: list[Fraction],
     time_signature: TimeSignature,
     max_depth: int = 4,
-    rest_threshold: Fraction = Fraction(1, 2),
     carried_pitch: int | None = None,
     carried_end: Fraction = Fraction(0),
 ) -> RhythmTree:
-    """The Fraction decomposition that ``decompose_measure`` replaced, kept
-    as its reference: same trees, same errors.
+    """The Fraction decomposition that the integer-tick ``decompose_measure``
+    replaced, kept as its reference: same trees, same errors.
 
     Build the canonical rhythm tree of one notated measure.
 
@@ -541,12 +539,13 @@ def reference_decompose_measure(
     The measure splits into ``numerator`` beats at the top, then binary
     subdivisions, switching to ternary (or a higher odd prime) only where a
     boundary cannot be reached by halving.  Silence merges into the coarsest
-    leaves; a gap covering no more than ``rest_threshold`` of a leaf is
-    absorbed into the preceding note instead of becoming a rest.
+    leaves; a gap covering no more than half a leaf is absorbed into the
+    preceding note instead of becoming a rest.
 
     Raises DecompositionError when an onset cannot be placed within
     ``max_depth`` levels.
     """
+    rest_threshold = Fraction(1, 2)
     positions = [p for p, _ in onsets]
     if any(not 0 <= p < 1 for p in positions):
         raise ValidationError("onset positions must lie in [0, 1)")
@@ -754,10 +753,11 @@ def reference_max_matching(adjacency: list[list[int]], n_right: int) -> int:
     return size
 
 
-def reference_parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel, list[str]]:
+def reference_parse_musicxml(text: str) -> tuple[ScoreModel, list[str]]:
     """The ``Fraction``-cursor MusicXML parser that the integer-tick
     ``parse_musicxml`` replaced, kept as its reference: positions are exact
-    measure fractions, and a tie stop merges within 1e-9 of a measure."""
+    measure fractions, a tie stop merges within 1e-9 of a measure, and each
+    measure is decomposed by ``reference_decompose_measure`` at depth 10."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -918,8 +918,8 @@ def reference_parse_musicxml(text: str, max_depth: int = 10) -> tuple[ScoreModel
     for m in range(n):
         onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
         measures.append(
-            decompose_measure(
-                onsets, extents, sig, max_depth=max_depth,
+            reference_decompose_measure(
+                onsets, extents, sig, max_depth=10,
                 carried_pitch=carried_pitch, carried_end=carried_end,
             )
         )

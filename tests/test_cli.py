@@ -301,6 +301,18 @@ def test_quantize_removes_a_stale_warning_sidecar(tmp_path, capsys):
     assert score.measures[0].leaf_labels() == ["note", "rest", "note", "rest"]
 
 
+@pytest.mark.parametrize("resolution", ["0", "-2"])
+def test_quantize_rejects_a_bad_resolution(tmp_path, capsys, resolution):
+    # on-grid quarters never fall back, so the grid is never asked for
+    midi = _quarters_midi(tmp_path, n=8)
+    beats = _beats_csv(tmp_path, 9)
+    assert main(["quantize", str(midi), "--beats", str(beats),
+                 f"--resolution={resolution}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: resolution must be >= 1, got {resolution}\n"
+
+
 def test_quantize_on_error_raise_exits_1(tmp_path, capsys):
     grammar = tmp_path / "tiny.grammar"
     grammar.write_text(TINY_GRAMMAR)
@@ -545,6 +557,65 @@ def test_eval_score_malformed_musicxml_exits_1(tmp_path, capsys, pattern, replac
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _strict_json(text):
+    """Parse RFC 8259 JSON: NaN and Infinity are not in it."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_eval_score_rates_without_reference_notes_print_null(tmp_path, capsys):
+    # against a reference of one rest, every rate of a nonzero count is
+    # infinite; it prints as null and directory summaries skip it
+    one_rest = emit_musicxml(ScoreModel(TimeSignature(4, 4), [rest()]))
+    one_note = emit_musicxml(ScoreModel(TimeSignature(4, 4), [note(60)]))
+    for side in ("ref", "est"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "same.musicxml").write_text(one_note)
+    (tmp_path / "ref" / "empty.musicxml").write_text(one_rest)
+    (tmp_path / "est" / "empty.musicxml").write_text(one_note)
+
+    assert main(["eval", "score", str(tmp_path / "ref" / "empty.musicxml"),
+                 str(tmp_path / "est" / "empty.musicxml")]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["n_ref_notes"] == 0
+    assert payload["note_deletions"] == 1
+    assert payload["note_deletion_rate"] is None
+    assert payload["total_error_rate"] is None
+    assert payload["note_insertion_rate"] == 0.0  # no errors is a rate of 0
+
+    assert main(["eval", "score", str(tmp_path / "ref"), str(tmp_path / "est")]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["items"]["empty"]["note_deletion_rate"] is None
+    assert payload["items"]["same"]["note_deletion_rate"] == 0.0
+    assert payload["summary"]["note_deletion_rate"] == {"max": 0.0, "mean": 0.0, "std": 0.0}
+    assert payload["summary"]["note_deletions"]["mean"] == 0.5
+
+
+def test_eval_score_measure_deeper_than_the_parse_bound_exits_1(tmp_path, capsys):
+    # with 1024 divisions to the quarter, the second note starts 1/4096 into
+    # the measure, finer than ten levels of splits reach
+    good = emit_musicxml(ScoreModel(TimeSignature(4, 4), [note(60)]))
+    body = "".join(
+        f"<note><pitch><step>{step}</step><octave>4</octave></pitch>"
+        f"<duration>{duration}</duration></note>"
+        for step, duration in (("C", 1), ("D", 4095)))
+    deep = (
+        '<score-partwise version="3.1"><part-list><score-part id="P1">'
+        '<part-name>x</part-name></score-part></part-list><part id="P1">'
+        '<measure number="1"><attributes><divisions>1024</divisions>'
+        "<time><beats>4</beats><beat-type>4</beat-type></time></attributes>"
+        f"{body}</measure></part></score-partwise>"
+    )
+    ref, est = tmp_path / "ref.musicxml", tmp_path / "est.musicxml"
+    ref.write_text(good)
+    est.write_text(deep)
+    assert main(["eval", "score", str(ref), str(est)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: onsets at ['1/4096'] unreachable at depth 10\n"
 
 
 def test_eval_sdr_identity(tmp_path, capsys):

@@ -262,6 +262,8 @@ def test_sample_score_is_canonical():
             elif leaf.label == CONTINUATION:
                 extents[-1] = m + right
     assert onsets, "seed 11 samples a score with notes"
+    # decomposition takes ticks: a measure is ``length`` ticks long
+    length = math.lcm(*(x.denominator for x in (*(p for p, _ in onsets), *extents)))
     for m, tree in enumerate(score.measures):
         local = [(p - m, pch) for p, pch in onsets if m <= p < m + 1]
         exts = [e - m for (p, _), e in zip(onsets, extents) if m <= p < m + 1]
@@ -270,8 +272,9 @@ def test_sample_score_is_canonical():
             if p < m and e > m:
                 carried_pitch, carried_end = pch, e - m
         rebuilt = decompose_measure(
-            local, exts, SIG, max_depth=g.max_depth,
-            carried_pitch=carried_pitch, carried_end=carried_end,
+            [(int(p * length), pch) for p, pch in local], [int(e * length) for e in exts],
+            SIG, length, max_depth=g.max_depth,
+            carried_pitch=carried_pitch, carried_end=int(carried_end * length),
         )
         assert rebuilt == tree
 

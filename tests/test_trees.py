@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,34 +83,37 @@ def test_validate_flow():
 
 
 def test_split_arity_prefers_binary():
-    assert _split_arity([F(1, 2)], F(0), F(1)) == 2
-    assert _split_arity([], F(0), F(1)) == 2
-    assert _split_arity([F(1, 3)], F(0), F(1)) == 3
-    assert _split_arity([F(1, 5)], F(0), F(1)) == 5
+    assert _split_arity([1], 0, 2) == 2
+    assert _split_arity([], 0, 2) == 2
+    assert _split_arity([1], 0, 3) == 3
+    assert _split_arity([2], 0, 5) == 5
     # mixed odd denominators force the smallest odd prime involved
-    assert _split_arity([F(1, 3), F(1, 5)], F(0), F(1)) == 3
+    assert _split_arity([5, 3], 0, 15) == 3
     # relative to the interval, not absolute position
-    assert _split_arity([F(1, 2) + F(1, 6)], F(1, 2), F(1)) == 3
+    assert _split_arity([8], 6, 12) == 3
+    # an offset sharing factors with the width reduces first: 4/12 is 1/3
+    assert _split_arity([4], 0, 12) == 3
+    assert _split_arity([6], 0, 12) == 2
 
 
 def test_decompose_note_held_into_beat_two():
     # sound covers [0, 3/8): beat 2 is half-covered, so it reads as a
     # continuation and the empty tail as rests
-    tree = decompose_measure([(F(0), 60)], [F(3, 8)], SIG)
+    tree = decompose_measure([(0, 60)], [3], SIG, 8)
     assert tree.leaf_labels() == [NOTE, CONTINUATION, REST, REST]
 
 
 def test_decompose_half_covered_measure_absorbs():
     # uncovered tail is exactly the threshold, so the whole measure
     # collapses to one note leaf before any split happens
-    tree = decompose_measure([(F(0), 60)], [F(1, 2)], SIG)
+    tree = decompose_measure([(0, 60)], [1], SIG, 2)
     assert tree.leaf_labels() == [NOTE]
 
 
 def test_decompose_triplet_beat():
-    onsets = [(F(0), 60), (F(1, 12), 62), (F(1, 6), 64), (F(1, 4), 65)]
-    extents = [F(1, 12), F(1, 6), F(1, 4), F(1, 2)]
-    tree = decompose_measure(onsets, extents, SIG)
+    onsets = [(0, 60), (1, 62), (2, 64), (3, 65)]
+    extents = [1, 2, 3, 6]
+    tree = decompose_measure(onsets, extents, SIG, 12)
     beat1 = tree.children[0]
     assert len(beat1.children) == 3
     assert [c.label for c in beat1.children] == [NOTE, NOTE, NOTE]
@@ -116,40 +121,55 @@ def test_decompose_triplet_beat():
 
 def test_decompose_rest_threshold():
     # a 16th of trailing silence (1/4 of the beat) is absorbed into the note
-    tree = decompose_measure([(F(0), 60)], [F(3, 16)], SIG, max_depth=2)
+    tree = decompose_measure([(0, 60)], [3], SIG, 16, max_depth=2)
     assert tree.children[0].label == NOTE
     # more than half the beat silent becomes a finer split instead
-    tree = decompose_measure([(F(0), 60)], [F(1, 16)], SIG)
+    tree = decompose_measure([(0, 60)], [1], SIG, 16)
     assert not tree.children[0].is_leaf
     assert tree.children[0].children[0].label == NOTE
 
 
 def test_decompose_depth_limit():
-    with pytest.raises(DecompositionError):
-        decompose_measure([(F(0), 60), (F(1, 64), 62)], [F(1, 64), F(1)], SIG,
-                          max_depth=3)
+    with pytest.raises(DecompositionError,
+                       match=re.escape("onsets at ['1/64'] unreachable at depth 3")):
+        decompose_measure([(0, 60), (1, 62)], [1, 64], SIG, 64, max_depth=3)
 
 
 def test_decompose_validation():
     with pytest.raises(ValidationError):
-        decompose_measure([(F(1), 60)], [F(2)], SIG)  # onset outside [0, 1)
+        decompose_measure([(4, 60)], [8], SIG, 4)  # onset outside [0, length)
     with pytest.raises(ValidationError):
-        decompose_measure([(F(0), 60)], [F(0)], SIG)  # extent not past onset
+        decompose_measure([(0, 60)], [0], SIG, 4)  # extent not past onset
 
 
-@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(SIGNATURES),
-       st.sampled_from([F(1, 2), F(0), F(1, 4), F(3, 4), F(1), 0.3]))
+def _in_ticks(rng, onsets, extents, carried_end):
+    """A measure of fractions in ticks of a random multiple of the LCM of its
+    denominators: (onsets, extents, carried_end, length)."""
+    length = lcm(*(x.denominator for x in (*(p for p, _ in onsets), *extents,
+                                           carried_end)))
+    length *= rng.choice((1, 2, 3, 5, 12, 35))
+
+    def tick(x):
+        return int(x * length)
+
+    return ([(tick(p), pitch) for p, pitch in onsets], [tick(e) for e in extents],
+            tick(carried_end), length)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(SIGNATURES))
 @settings(max_examples=300, deadline=None)
-def test_decompose_measure_matches_the_fraction_reference(seed, sig, rest_threshold):
+def test_decompose_measure_matches_the_fraction_reference(seed, sig):
     # the tick decomposition gives the Fraction version's tree, or its error
-    # class, at every depth bound
-    onsets, extents, carried_pitch, carried_end = support.random_notated_measure(
-        random.Random(seed))
+    # class, at every depth bound and whatever the tick resolution
+    rng = random.Random(seed)
+    onsets, extents, carried_pitch, carried_end = support.random_notated_measure(rng)
+    ticks, tick_extents, tick_carried_end, length = _in_ticks(
+        rng, onsets, extents, carried_end)
     for max_depth in range(2, 11):
-        args = (onsets, extents, sig, max_depth, rest_threshold,
-                carried_pitch, carried_end)
-        assert _outcome(decompose_measure, *args) == _outcome(
-            support.reference_decompose_measure, *args), max_depth
+        assert _outcome(decompose_measure, ticks, tick_extents, sig, length, max_depth,
+                        carried_pitch, tick_carried_end) == _outcome(
+            support.reference_decompose_measure, onsets, extents, sig, max_depth,
+            carried_pitch, carried_end), max_depth
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(SIGNATURES),
@@ -163,8 +183,10 @@ def test_tree_to_notation_matches_the_fraction_reference(seed, sig, carried_pitc
     sampled = _outcome(sample_tree, grammar, rng, grammar.start_for(support.SIG44),
                        rng.random() < 0.3)
     onsets, extents, carried, carried_end = support.random_notated_measure(rng)
-    decomposed = _outcome(decompose_measure, onsets, extents, sig, 6, F(1, 2),
-                          carried, carried_end)
+    ticks, tick_extents, tick_carried_end, length = _in_ticks(
+        rng, onsets, extents, carried_end)
+    decomposed = _outcome(decompose_measure, ticks, tick_extents, sig, length, 6,
+                          carried, tick_carried_end)
     for tree in (sampled, decomposed):
         if not isinstance(tree, RhythmTree):
             continue  # no tree within the grammar's depth bound
