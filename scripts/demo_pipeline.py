@@ -57,8 +57,7 @@ def main() -> None:
 
     while True:
         reference = sample_score(grammar, args.measures, rng, tempo=args.bpm)
-        if sum(lbl == "note" for m in reference.measures
-               for lbl in m.leaf_labels()) >= 2 * args.measures:
+        if len(reference.notes()) >= 2 * args.measures:
             break
 
     clean = render_performance(reference)

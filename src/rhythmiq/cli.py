@@ -11,7 +11,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import DEFAULT_ALPHA, DEFAULT_REST_THRESHOLD, Record, load_beats
+from .core import (DEFAULT_ALPHA, DEFAULT_BEAT_TOLERANCE, DEFAULT_CLUSTER_WIDTH,
+                   DEFAULT_FALLBACK_RESOLUTION, DEFAULT_MAX_BPM, DEFAULT_MIN_BPM,
+                   DEFAULT_ONSET_TOLERANCE, DEFAULT_REST_THRESHOLD, Record, load_beats)
 from .errors import (
     ConfigError,
     EmptyInputError,
@@ -40,9 +42,11 @@ class PipelineConfig(Record):
 
     def __init__(self, alpha: float = DEFAULT_ALPHA,
                  rest_threshold: float = DEFAULT_REST_THRESHOLD,
-                 fallback_resolution: int = 4, onset_tolerance: float = 0.05,
-                 beat_tolerance: float = 0.07, cluster_width: float = 0.025,
-                 min_bpm: float = 40.0, max_bpm: float = 350.0,
+                 fallback_resolution: int = DEFAULT_FALLBACK_RESOLUTION,
+                 onset_tolerance: float = DEFAULT_ONSET_TOLERANCE,
+                 beat_tolerance: float = DEFAULT_BEAT_TOLERANCE,
+                 cluster_width: float = DEFAULT_CLUSTER_WIDTH,
+                 min_bpm: float = DEFAULT_MIN_BPM, max_bpm: float = DEFAULT_MAX_BPM,
                  on_error: str = "fallback",
                  rotation_mode: str = "all",  # which rotations to render: "all" or "best"
                  fifths: int = 0):
@@ -253,6 +257,8 @@ def cmd_rotations(args) -> int:
     from .tempo import enumerate_rotations
 
     cfg = _config_from_args(args)
+    if args.out_dir and cfg.rotation_mode == "best" and not args.ref:
+        raise ConfigError("rendering only the best rotation needs reference downbeats (--ref)")
     perf = load_midi(Path(args.midi).read_bytes())
     grid = load_beats(Path(args.beats).read_text())
     grammar = _load_grammar(args)
@@ -262,7 +268,6 @@ def cmd_rotations(args) -> int:
     entries = [{"phase": phase, "first_downbeat": rotated.downbeats()[0]}
                for phase, rotated in enumerate(rotations)]
     report = {"beats_per_bar": grid.beats_per_bar, "rotations": entries}
-    best = 0
     if ref is not None:
         scores = [downbeat_fmeasure(ref, rotated.downbeats(), cfg.beat_tolerance)
                   for rotated in rotations]
@@ -488,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir",
                    help="write rendered rotations here")
     p.add_argument("--rotations", choices=("all", "best"), dest="rotation_mode",
-                   help="render every rotation or only the best-scoring one")
+                   help="render every rotation or only the best-scoring one (needs --ref)")
     p.set_defaults(func=cmd_rotations)
 
     ev = sub.add_parser("eval", help="evaluation metrics")

@@ -12,10 +12,16 @@ from .errors import ValidationError
 
 ALLOWED_DENOMINATORS = (1, 2, 4, 8, 16, 32)
 
-# the quantizer's defaults (see ``QuantConfig``), here so that the CLI's
-# settings take them without loading the quantizer
-DEFAULT_ALPHA = 256.0
+# the defaults of the settings in ``cli.PipelineConfig``, defined here once
+# so that the CLI takes them without loading the modules that use them
+DEFAULT_ALPHA = 256.0  # quantize.QuantConfig
 DEFAULT_REST_THRESHOLD = 0.5
+DEFAULT_FALLBACK_RESOLUTION = 4  # grid slots per beat of quantize.fallback_quantize
+DEFAULT_ONSET_TOLERANCE = 0.05  # seconds, metrics.note_metrics
+DEFAULT_BEAT_TOLERANCE = 0.07  # seconds, metrics.downbeat_fmeasure
+DEFAULT_CLUSTER_WIDTH = 0.025  # seconds, tempo.estimate_tempo_ioi
+DEFAULT_MIN_BPM = 40.0  # tempo.estimate_tempo_ioi's bpm range
+DEFAULT_MAX_BPM = 350.0
 
 
 class Record:
@@ -92,12 +98,11 @@ class NoteEvent(Record):
 class Performance(Record):
     """A sequence of played notes, kept sorted by (onset, pitch)."""
 
-    __slots__ = ("notes", "source_label")
+    __slots__ = ("notes",)
 
-    def __init__(self, notes, source_label: str = ""):
+    def __init__(self, notes):
         ordered = tuple(sorted(notes, key=lambda n: (n.onset, n.pitch)))
         object.__setattr__(self, "notes", ordered)
-        object.__setattr__(self, "source_label", source_label)
 
     def __len__(self) -> int:
         return len(self.notes)
@@ -191,7 +196,7 @@ def enforce_monophony(perf: Performance) -> Performance:
             if duration != n.duration:
                 n = NoteEvent(n.onset, duration, n.pitch, n.velocity)
             out.append(n)
-    return Performance(out, perf.source_label)
+    return Performance(out)
 
 
 def load_beats(text: str) -> BeatGrid:

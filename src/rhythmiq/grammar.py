@@ -621,24 +621,17 @@ def sample_score(
         labels = tree.leaf_labels()
         sounding = labels[-1] in (NOTE, CONTINUATION)
 
-    # global (onset, extent, pitch) extraction with a pitch random walk
+    # the sampled notes in ticks of a measure ``length`` long, as
+    # decomposition takes them, pitched by a bounded random walk
+    spans = ScoreModel(time_signature, raw).notes()
+    length = math.lcm(*(x.denominator for span in spans for x in span[:2]))
     lo, hi = pitch_range
     pitch = (lo + hi) // 2
-    notes: list[tuple[Fraction, Fraction, int]] = []
-    for m, tree in enumerate(raw):
-        for leaf, left, right in tree.leaves():
-            if leaf.label == NOTE:
-                pitch = min(hi, max(lo, pitch + rng.randint(-4, 4)))
-                notes.append((m + left, m + right, pitch))
-            elif leaf.label == CONTINUATION:
-                onset, _, held = notes[-1]
-                notes[-1] = (onset, m + right, held)
-
-    # decomposition takes ticks of a measure ``length`` long
-    length = math.lcm(*(x.denominator for span in notes for x in span[:2]))
-    ticks = [(onset.numerator * (length // onset.denominator),
-              extent.numerator * (length // extent.denominator), held)
-             for onset, extent, held in notes]
+    ticks = []
+    for onset, extent, _ in spans:
+        pitch = min(hi, max(lo, pitch + rng.randint(-4, 4)))
+        ticks.append((onset.numerator * (length // onset.denominator),
+                      extent.numerator * (length // extent.denominator), pitch))
     measures = []
     for m in range(n_measures):
         onsets, extents, carried_pitch, carried_end = slice_measure(ticks, m, length)

@@ -8,14 +8,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .core import Performance, Record
+from .core import DEFAULT_BEAT_TOLERANCE, DEFAULT_ONSET_TOLERANCE, Performance, Record
 from .errors import ValidationError
 
 if TYPE_CHECKING:
     from .trees import ScoreModel
 
-DEFAULT_ONSET_TOLERANCE = 0.05
-DEFAULT_BEAT_TOLERANCE = 0.07
 ZERO_RESIDUAL_DB = 200.0
 
 

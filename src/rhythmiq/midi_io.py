@@ -7,11 +7,12 @@ single tempo event.
 """
 from __future__ import annotations
 
+import math
 import struct
 from bisect import bisect_right
 
 from .core import NoteEvent, Performance
-from .errors import EmptyInputError, FormatError
+from .errors import EmptyInputError, FormatError, ValidationError
 
 WRITE_TPQ = 480
 DEFAULT_TEMPO = 500000  # microseconds per quarter, 120 bpm
@@ -220,11 +221,11 @@ def save_midi(perf: Performance, bpm: float) -> bytes:
     """
     if not perf.notes:
         raise EmptyInputError("cannot write a MIDI file with no notes")
-    if bpm <= 0:
-        raise ValueError(f"bpm must be positive, got {bpm}")
-    tempo = round(60e6 / bpm)
-    if tempo > MAX_TEMPO:
-        raise ValueError(f"bpm {bpm} too slow to encode (tempo field overflow)")
+    # microseconds per quarter; a bpm that is not finite and positive has none
+    tempo = round(60e6 / bpm) if math.isfinite(bpm) and bpm > 0 else 0
+    if not 1 <= tempo <= MAX_TEMPO:
+        raise ValidationError(f"bpm {bpm} gives no MIDI tempo of 1..{MAX_TEMPO} "
+                              "microseconds per quarter")
 
     ticks_per_sec = WRITE_TPQ * 1e6 / tempo
     events = []  # (tick, order, message bytes)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 
 from .core import (
     DEFAULT_ALPHA,
+    DEFAULT_FALLBACK_RESOLUTION,
     DEFAULT_REST_THRESHOLD,
     BeatGrid,
     Performance,
@@ -454,7 +454,7 @@ def _grid_resolution(n_onsets: int, time_signature: TimeSignature,
 def fallback_quantize(
     measure: MeasureInput,
     time_signature: TimeSignature = TimeSignature(4, 4),
-    resolution: int = 4,
+    resolution: int = DEFAULT_FALLBACK_RESOLUTION,
 ) -> RhythmTree:
     """Snap onsets to a uniform grid of ``resolution`` slots per beat.
 
@@ -509,7 +509,7 @@ def quantize_performance(
     grammar: RhythmGrammar,
     config: QuantConfig | None = None,
     on_error: str = "raise",
-    fallback_resolution: int = 4,
+    fallback_resolution: int = DEFAULT_FALLBACK_RESOLUTION,
 ) -> tuple[ScoreModel, list[str]]:
     """Quantize a full performance against annotated beats.
 
@@ -635,14 +635,10 @@ def quantize_performance(
     intervals = [b - a for a, b in zip(grid.beats, grid.beats[1:])]
     tempo = 60.0 / (math.fsum(intervals) / len(intervals))
 
-    anacrusis = Fraction(0)
-    if m_lo < 0:
-        for leaf, left, right in measures[0].leaves():
-            if leaf.label == NOTE:
-                if left > 0:
-                    anacrusis = (1 - left) * sig.numerator
-                break
-
-    score = ScoreModel(sig, measures, tempo_marking=tempo,
-                       anacrusis_beats=anacrusis)
+    score = ScoreModel(sig, measures, tempo_marking=tempo)
+    if m_lo < 0:  # a note before the first downbeat opens a pickup
+        start = score.notes()[0][0]
+        if 0 < start < 1:
+            score = ScoreModel(sig, measures, tempo_marking=tempo,
+                               anacrusis_beats=(1 - start) * sig.numerator)
     return score, warnings

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .core import BeatGrid, Performance, Record, TimeSignature
+from .core import (DEFAULT_CLUSTER_WIDTH, DEFAULT_MAX_BPM, DEFAULT_MIN_BPM, BeatGrid,
+                   Performance, Record, TimeSignature)
 from .errors import InsufficientDataError, NoTempoError, ValidationError
 
 # Pairs of onsets further apart than this contribute no interval.  4 seconds
@@ -20,8 +21,6 @@ MAX_RATIO = 8
 RATIO_TOLERANCE = 0.1
 REFERENCE_BPM = 120.0
 
-DEFAULT_MIN_BPM = 40.0
-DEFAULT_MAX_BPM = 350.0
 PRIOR_MARGIN_BPM = 15.0
 
 
@@ -125,7 +124,7 @@ def _tempo_distance(bpm: float) -> float:
 
 def estimate_tempo_ioi(
     perf: Performance,
-    cluster_width: float = 0.025,
+    cluster_width: float = DEFAULT_CLUSTER_WIDTH,
     bpm_range: TempoBounds | None = None,
 ) -> TempoEstimate:
     """Estimate the beat tempo of a performance from its IOI distribution.

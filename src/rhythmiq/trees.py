@@ -547,6 +547,28 @@ class ScoreModel(Record):
         object.__setattr__(self, "tempo_marking", float(tempo_marking))
         object.__setattr__(self, "anacrusis_beats", anacrusis_beats)
 
+    def notes(self) -> list[tuple[Fraction, Fraction, int]]:
+        """The sounding notes as (start, end, pitch), in measures from the
+        start of ``measures[0]``.
+
+        A note leaf opens a note and the continuation leaves after it extend
+        it, across barlines too; a rest ends it.  Raises ValidationError on
+        a continuation with nothing sounding.
+        """
+        out: list[tuple[Fraction, Fraction, int]] = []
+        sounding = False
+        for m, tree in enumerate(self.measures):
+            for leaf, left, right in tree.leaves(Fraction(m), Fraction(m + 1)):
+                label = leaf.label
+                if label == NOTE:
+                    out.append((left, right, leaf.pitch))
+                elif label == CONTINUATION:
+                    if not sounding:
+                        raise ValidationError("continuation leaf with nothing to continue")
+                    out[-1] = (out[-1][0], right, out[-1][2])
+                sounding = label != REST
+        return out
+
     def measure_pieces(self):
         """Yield each measure's printed pieces (see ``_Notator.pieces``), a
         note held over a barline carried into the next measure."""
@@ -568,12 +590,12 @@ class ScoreModel(Record):
         return out
 
 
-def render_performance(score: ScoreModel, bpm: float | None = None,
-                       velocity: int = 64):
-    """Render a score to a Performance with mathematically exact timing.
+def render_performance(score: ScoreModel, bpm: float | None = None):
+    """Render a score to a Performance with mathematically exact timing:
+    one NoteEvent per note of ``score.notes()``, rests as silence.
 
-    Tied notes merge into single events; rests are silence.  The pickup, if
-    any, starts at time 0 and the first full measure begins after it.
+    The pickup, if any, starts at time 0 and the first full measure begins
+    after it; sound before the pickup's final beats is cut off.
     """
     from .core import NoteEvent, Performance
 
@@ -582,39 +604,11 @@ def render_performance(score: ScoreModel, bpm: float | None = None,
     beat = 60.0 / bpm
     num = score.time_signature.numerator
     pickup = score.anacrusis_beats
+    shift = num - pickup if pickup else 0  # beats of measures[0] before time 0
 
-    notes = []
-    pending = None  # (start_beats, end_beats, pitch)
-    for m_index, events in enumerate(score.notated_measures()):
-        if pickup > 0:
-            measure_start = Fraction(0) if m_index == 0 else pickup + (m_index - 1) * num
-            skip = 1 - Fraction(pickup, num) if m_index == 0 else Fraction(0)
-        else:
-            measure_start = Fraction(m_index * num)
-            skip = Fraction(0)
-        for ev in events:
-            if ev.onset < skip:
-                continue
-            start = measure_start + (ev.onset - skip) * num
-            end = start + ev.duration * num
-            if ev.kind == REST:
-                continue
-            if ev.tie_from and pending is not None and pending[2] == ev.pitch:
-                pending = (pending[0], end, ev.pitch)
-            else:
-                if pending is not None:
-                    notes.append(pending)
-                pending = (start, end, ev.pitch)
-            if not ev.tie_to:
-                notes.append(pending)
-                pending = None
-    if pending is not None:
-        notes.append(pending)
-
-    return Performance(
-        [
-            NoteEvent(float(s) * beat, float(e - s) * beat, p, velocity)
-            for s, e, p in notes
-        ],
-        source_label="rendered",
-    )
+    events = []
+    for start, end, pitch in score.notes():
+        start, end = max(start * num - shift, 0), end * num - shift
+        if end > 0:
+            events.append(NoteEvent(float(start) * beat, float(end - start) * beat, pitch))
+    return Performance(events)

@@ -4,8 +4,9 @@ memoized recursive solver the compiled-lattice solver must reproduce, and
 the Fraction-based decomposition, notation walk, augmenting-path note
 matcher and MusicXML parser that the integer-tick trees layer, the window
 matcher and the integer-tick MusicXML reader replaced, the score-edit keys
-taken from printed events that the keys from the tree walk replaced, and
-random scores to compare them on.
+taken from printed events that the keys from the tree walk replaced, the
+renderer from printed events that the one from ``ScoreModel.notes``
+replaced, and random scores to compare them on.
 
 The enumerator builds every derivation of the grammar explicitly (no
 memoized minima), so agreement with the solver's DP is a real check and not
@@ -29,7 +30,9 @@ from rhythmiq import (
     GrammarRule,
     Leaf,
     MeasureInput,
+    NoteEvent,
     ParseFailureError,
+    Performance,
     QuantConfig,
     RhythmGrammar,
     RhythmTree,
@@ -1035,3 +1038,46 @@ def reference_score_edit_metrics(ref: ScoreModel, est: ScoreModel) -> EditMetric
     n_ref_notes = sum(len(notes) for notes, _ in ref_keys)
     return EditMetrics(note_ins, note_del, rest_ins, rest_del, timesig,
                        n_ref_notes)
+
+
+def reference_render_performance(score: ScoreModel, bpm: float | None = None):
+    """``render_performance`` from printed events: notes tied across events
+    merge, rests are silence, and events before a pickup's final beats are
+    skipped.  Raises on a score whose durations cannot be printed."""
+    if bpm is None:
+        bpm = score.tempo_marking
+    beat = 60.0 / bpm
+    num = score.time_signature.numerator
+    pickup = score.anacrusis_beats
+
+    notes = []
+    pending = None  # (start_beats, end_beats, pitch)
+    for m_index, events in enumerate(reference_notated_measures(score)):
+        if pickup > 0:
+            measure_start = Fraction(0) if m_index == 0 else pickup + (m_index - 1) * num
+            skip = 1 - Fraction(pickup, num) if m_index == 0 else Fraction(0)
+        else:
+            measure_start = Fraction(m_index * num)
+            skip = Fraction(0)
+        for ev in events:
+            if ev.onset < skip:
+                continue
+            start = measure_start + (ev.onset - skip) * num
+            end = start + ev.duration * num
+            if ev.kind == REST:
+                continue
+            if ev.tie_from and pending is not None and pending[2] == ev.pitch:
+                pending = (pending[0], end, ev.pitch)
+            else:
+                if pending is not None:
+                    notes.append(pending)
+                pending = (start, end, ev.pitch)
+            if not ev.tie_to:
+                notes.append(pending)
+                pending = None
+    if pending is not None:
+        notes.append(pending)
+
+    return Performance(
+        [NoteEvent(float(s) * beat, float(e - s) * beat, p) for s, e, p in notes]
+    )

@@ -63,10 +63,25 @@ def test_load_config_overrides(tmp_path):
 
 
 def test_pipeline_config_takes_the_quantizer_defaults():
+    import inspect
+
+    from rhythmiq import metrics, quantize, tempo
     from rhythmiq.quantize import DEFAULT_ALPHA, QuantConfig
 
-    assert PipelineConfig().alpha == DEFAULT_ALPHA == QuantConfig().alpha
-    assert PipelineConfig().rest_threshold == QuantConfig().rest_threshold
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    cfg = PipelineConfig()
+    assert cfg.alpha == DEFAULT_ALPHA == QuantConfig().alpha
+    assert cfg.rest_threshold == QuantConfig().rest_threshold
+    assert (cfg.fallback_resolution == default(quantize.fallback_quantize, "resolution")
+            == default(quantize.quantize_performance, "fallback_resolution"))
+    assert (cfg.onset_tolerance == default(metrics.note_metrics, "onset_tolerance")
+            == metrics.DEFAULT_ONSET_TOLERANCE)
+    assert (cfg.beat_tolerance == default(metrics.downbeat_fmeasure, "tolerance")
+            == metrics.DEFAULT_BEAT_TOLERANCE)
+    assert cfg.cluster_width == default(tempo.estimate_tempo_ioi, "cluster_width")
+    assert (cfg.min_bpm, cfg.max_bpm) == (tempo.DEFAULT_MIN_BPM, tempo.DEFAULT_MAX_BPM)
 
 
 def test_load_config_errors(tmp_path):
@@ -446,6 +461,24 @@ def test_rotation_mode_flag_overrides_config(tmp_path, capsys):
                  "--ref", str(ref), "--config", str(cfg),
                  "--out-dir", str(out_dir), "--rotations", "all"]) == 0
     assert len(list(out_dir.glob("*.musicxml"))) == 4
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_rotations_best_without_a_reference_exits_3(tmp_path, capsys, source):
+    midi, beats, _ = _rotation_setup(tmp_path)
+    if source == "flag":
+        extra = ["--rotations", "best"]
+    else:
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("rotation_mode = best\n")
+        extra = ["--config", str(cfg)]
+    out_dir = tmp_path / "rendered"
+    assert main(["rotations", str(midi), "--beats", str(beats),
+                 "--out-dir", str(out_dir), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--ref" in captured.err
+    assert not out_dir.exists()
 
 
 # --- eval --------------------------------------------------------------------

@@ -8,7 +8,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from rhythmiq import EmptyInputError, FormatError, NoteEvent, Performance
+from rhythmiq import EmptyInputError, FormatError, NoteEvent, Performance, ValidationError
 from rhythmiq.midi_io import load_midi, save_midi
 
 
@@ -175,8 +175,10 @@ def test_save_midi_rejects_empty_and_bad_bpm():
     perf = Performance([NoteEvent(0.0, 1.0, 60)])
     with pytest.raises(EmptyInputError):
         save_midi(Performance([]), 120)
-    with pytest.raises(ValueError):
-        save_midi(perf, 0)
+    # 1e-9 bpm overflows the 24-bit tempo field; 1e9 rounds it to 0
+    for bpm in (0, -1, float("nan"), float("inf"), 1e-9, 1e9):
+        with pytest.raises(ValidationError, match="bpm"):
+            save_midi(perf, bpm)
 
 
 @given(

@@ -41,8 +41,7 @@ QUARTER = Fraction(1, 4)
 # (type, arguments, arguments with one field changed)
 CASES = [
     (NoteEvent, (0.5, 0.25, 60, 80), (0.5, 0.25, 61, 80)),
-    (Performance, ([NoteEvent(0.0, 1.0, 60)], "take"),
-     ([NoteEvent(0.0, 1.0, 60)], "other")),
+    (Performance, ([NoteEvent(0.0, 1.0, 60)],), ([NoteEvent(0.0, 1.0, 62)],)),
     (TimeSignature, (3, 4), (3, 8)),
     (BeatGrid, ([0.0, 0.5, 1.0, 1.5], 2), ([0.0, 0.5, 1.0, 1.5], 2, 1)),
     (Split, (("A", "B"),), (("A", "C"),)),

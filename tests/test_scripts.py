@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -29,3 +31,22 @@ def test_demo_pipeline_runs_end_to_end(tmp_path):
     for name in ("performance.mid", "beats.csv", "reference.musicxml",
                  "transcribed.musicxml"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("script, args, headers", [
+    ("tempo_sweep", ["--notes", "12", "--step", "130"],
+     ["isochronous pulse: estimate vs truth", "true bpm  estimated  est/true  support",
+      "swung eighths at 120 bpm: estimate vs swing ratio", "ratio   8 beats   24 beats"]),
+    ("training_convergence", ["--repeats", "1", "--measures", "2"],
+     ["trained probability vs corpus size", "D4 -> (D8 D8)",
+      "smoothing on a single-score corpus", "rules for D4"]),
+], ids=["tempo_sweep", "training_convergence"])
+def test_study_script_runs(script, args, headers):
+    # the study scripts are not run by anything else; a small setting of
+    # each checks that it still runs against the package
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py"), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for header in headers:
+        assert header in proc.stdout

@@ -329,6 +329,95 @@ def test_render_performance_output_is_monophonic():
     assert perf.is_monophonic(tol=1e-9)
 
 
+def test_score_notes_tie_over_a_barline_is_one_note():
+    m1 = split(rest(), rest(), note(60), note(62))
+    m2 = split(continuation(), continuation(), rest(), note(64))
+    m3 = split(continuation(), rest())
+    assert ScoreModel(SIG, [m1, m2, m3]).notes() == [
+        (F(1, 2), F(3, 4), 60), (F(3, 4), F(3, 2), 62), (F(7, 4), F(5, 2), 64)]
+
+
+@pytest.mark.parametrize("measures", [
+    [split(note(60), rest(), continuation(), rest())],  # after a rest
+    [split(rest(), note(60)), split(rest(), continuation())],  # after a rest, next bar
+    [split(continuation(), note(60), rest(), rest())],  # opening the score
+], ids=["after-rest", "after-rest-next-measure", "leading"])
+def test_score_notes_reject_a_continuation_with_nothing_sounding(measures):
+    score = ScoreModel(SIG, measures)
+    with pytest.raises(ValidationError, match="nothing to continue"):
+        score.notes()
+    with pytest.raises(ValidationError, match="nothing to continue"):
+        render_performance(score)
+
+
+def test_score_notes_keep_the_pickup_offset():
+    pickup = split(rest(), rest(), note(67), note(69))
+    full = split(note(60), continuation(), rest(), rest())
+    score = ScoreModel(SIG, [pickup, full], anacrusis_beats=2)
+    # notes count from the start of the pickup measure, silent part included
+    assert score.notes() == [(F(1, 2), F(3, 4), 67), (F(3, 4), F(1), 69),
+                             (F(1), F(3, 2), 60)]
+    perf = render_performance(score, bpm=60.0)
+    assert perf.onsets() == [0.0, 1.0, 2.0]
+    assert [n.duration for n in perf.notes] == [1.0, 1.0, 2.0]
+
+
+def test_render_cuts_sound_before_the_pickup():
+    # a pickup of three beats: what sounds before it is not in the score,
+    # so the first note goes and the second starts at time 0
+    pickup = split(split(note(60), note(62)), continuation(), note(64), note(65))
+    score = ScoreModel(SIG, [pickup], anacrusis_beats=3)
+    perf = render_performance(score, bpm=60.0)
+    assert [(n.onset, n.duration, n.pitch) for n in perf.notes] == [
+        (0.0, 1.0, 62), (1.0, 1.0, 64), (2.0, 1.0, 65)]
+
+
+def test_render_a_score_that_cannot_be_printed():
+    # thirds of a 5/4 measure last 5/12 of a whole note: no note value
+    score = ScoreModel(TimeSignature(5, 4), [split(note(60), note(62), continuation())])
+    with pytest.raises(ValidationError, match="not printable"):
+        score.notated_measures()
+    perf = render_performance(score, bpm=60.0)
+    assert [n.pitch for n in perf.notes] == [60, 62]
+    assert [n.onset for n in perf.notes] == [0.0, 5 / 3]
+    assert [n.duration for n in perf.notes] == [5 / 3, 10 / 3]
+
+
+def _with_pickup(score: ScoreModel) -> ScoreModel | None:
+    """``score`` with measures[0] a pickup that starts at its first note, as
+    the quantizer marks one; None when the first note is on the downbeat."""
+    notes = score.notes()
+    if not notes or not 0 < notes[0][0] < 1:
+        return None
+    num = score.time_signature.numerator
+    return ScoreModel(score.time_signature, score.measures, score.tempo_marking,
+                      anacrusis_beats=(1 - notes[0][0]) * num)
+
+
+def test_render_matches_the_printed_event_reference():
+    from rhythmiq import default_grammar, sample_score
+
+    grammar = default_grammar()
+    scores = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        scores.append(sample_score(grammar, rng.randint(1, 6), rng,
+                                   tempo=rng.choice((60.0, 120.0, 173.0))))
+        rng = random.Random(seed)
+        random_grammar = support.random_grammar(rng)
+        try:
+            scores.append(sample_score(random_grammar, rng.randint(1, 4), rng))
+        except RhythmiqError:  # a grammar the sampler cannot finish a measure of
+            pass
+    pickups = [s for s in map(_with_pickup, scores) if s is not None]
+    assert len(pickups) >= 10
+    for score in scores + pickups:
+        expected = support.reference_render_performance(score)
+        assert render_performance(score) == expected
+        assert render_performance(score, bpm=97.0) == support.reference_render_performance(
+            score, bpm=97.0)
+
+
 # ---------------------------------------------------------------------------
 # measure slicing
 
