@@ -239,8 +239,9 @@ def cmd_train_grammar(args) -> int:
     from .musicxml import parse_musicxml
 
     corpus = []
+    decomposed: dict = {}  # one tree per distinct measure of the corpus
     for path in args.scores:
-        score, _ = parse_musicxml(Path(path).read_text())
+        score, _ = parse_musicxml(Path(path).read_text(), decomposed=decomposed)
         corpus.append(score)
     grammar = train_grammar(corpus, smoothing=args.smoothing)
     text = serialize_grammar(grammar)
@@ -418,8 +419,11 @@ def cmd_eval_score(args) -> int:
     pairs = _pair_paths(args.ref, args.est, (".musicxml", ".xml"))
 
     def one(ref_path: Path, est_path: Path) -> dict:
-        ref, _ = parse_musicxml(ref_path.read_text())
-        est, _ = parse_musicxml(est_path.read_text())
+        # a measure the two scores share is one tree, decomposed and keyed
+        # once; each pair owns its map, so `--jobs` threads share nothing
+        decomposed: dict = {}
+        ref, _ = parse_musicxml(ref_path.read_text(), decomposed=decomposed)
+        est, _ = parse_musicxml(est_path.read_text(), decomposed=decomposed)
         return _edit_payload(score_edit_metrics(ref, est))
 
     _emit_eval(pairs, _run_pairs(pairs, one, args.jobs))

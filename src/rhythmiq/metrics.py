@@ -186,23 +186,41 @@ class EditMetrics(Record):
         return 100.0 * count / self.n_ref_notes
 
 
-def _measure_keys(score: ScoreModel):
-    """Per measure: the set of note keys (onset, pitch) and of rest keys
-    (onset), from the printed pieces without building events.  An onset is
-    its reduced (numerator, denominator) pair of the measure; a note counts
-    where it starts, not where a tie carries it on."""
+def _measure_keys(score: ScoreModel, keyed: dict):
+    """Per measure: the set of note keys (onset, pitch), the set of rest
+    keys (onset) and the pitch carried on into the next measure, from the
+    printed pieces without building events.  An onset is its reduced
+    (numerator, denominator) pair of the measure; a note counts where it
+    starts, not where a tie carries it on.
+
+    ``keyed`` maps (id(tree), carried pitch, time signature) to a measure's
+    entry, so a tree met again in this call, in either score, is printed
+    once; the caller keeps every keyed tree alive while it holds the map.
+    """
+    from .trees import _Notator  # here, as `eval notes` loads metrics but not trees
+
     gcd = math.gcd
+    sig = score.time_signature
+    notator = None
+    carried = None
     out = []
-    for pieces in score.measure_pieces():
-        notes = set()
-        rests = set()
-        for pitch, tie_from, onset, _, den, _, _, _ in pieces:
-            g = gcd(onset, den)
-            if pitch is None:
-                rests.add((onset // g, den // g))
-            elif not tie_from:
-                notes.add((onset // g, den // g, pitch))
-        out.append((notes, rests))
+    for tree in score.measures:
+        key = (id(tree), carried, sig)
+        entry = keyed.get(key)
+        if entry is None:
+            notator = notator or _Notator(sig)
+            pieces, after = notator.pieces(tree, carried)
+            notes = set()
+            rests = set()
+            for pitch, tie_from, onset, _, den, _, _, _ in pieces:
+                g = gcd(onset, den)
+                if pitch is None:
+                    rests.add((onset // g, den // g))
+                elif not tie_from:
+                    notes.add((onset // g, den // g, pitch))
+            entry = keyed[key] = (notes, rests, after)
+        out.append(entry)
+        carried = entry[2]
     return out
 
 
@@ -212,11 +230,15 @@ def score_edit_metrics(ref: ScoreModel, est: ScoreModel) -> EditMetrics:
     Events are keyed by quantized position (and pitch for notes) within each
     measure, measures aligned by index.  A measure present in only one score
     counts as a time-signature mismatch.  Rates normalize by the reference
-    note count, so scores with many spurious events can exceed 100%.
+    note count, so scores with many spurious events can exceed 100%.  A
+    tree object the two scores share is keyed once per carried pitch and
+    time signature; the reference is keyed first, so its error is the one
+    raised.
     """
-    ref_keys = _measure_keys(ref)
-    est_keys = _measure_keys(est)
-    empty = (set(), set())
+    keyed: dict = {}
+    ref_keys = _measure_keys(ref, keyed)
+    est_keys = _measure_keys(est, keyed)
+    empty = (set(), set(), None)
     n = max(len(ref_keys), len(est_keys))
 
     note_ins = note_del = rest_ins = rest_del = timesig = 0
@@ -225,14 +247,14 @@ def score_edit_metrics(ref: ScoreModel, est: ScoreModel) -> EditMetrics:
             timesig += 1
         elif ref.time_signature != est.time_signature:
             timesig += 1
-        ref_notes, ref_rests = ref_keys[i] if i < len(ref_keys) else empty
-        est_notes, est_rests = est_keys[i] if i < len(est_keys) else empty
+        ref_notes, ref_rests, _ = ref_keys[i] if i < len(ref_keys) else empty
+        est_notes, est_rests, _ = est_keys[i] if i < len(est_keys) else empty
         note_ins += len(ref_notes - est_notes)
         note_del += len(est_notes - ref_notes)
         rest_ins += len(ref_rests - est_rests)
         rest_del += len(est_rests - ref_rests)
 
-    n_ref_notes = sum(len(notes) for notes, _ in ref_keys)
+    n_ref_notes = sum(len(notes) for notes, _, _ in ref_keys)
     return EditMetrics(note_ins, note_del, rest_ins, rest_del, timesig,
                        n_ref_notes)
 

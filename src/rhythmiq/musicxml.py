@@ -313,7 +313,9 @@ def _integer(text: str | None, where: str, what: str, positive: bool = False) ->
     return value
 
 
-def parse_musicxml(text: str) -> tuple[ScoreModel, list[str]]:
+def parse_musicxml(
+    text: str, *, decomposed: dict | None = None,
+) -> tuple[ScoreModel, list[str]]:
     """Parse single-part partwise MusicXML back into a score.
 
     Chords and backup (second voices) raise UnsupportedContentError; grace
@@ -330,6 +332,14 @@ def parse_musicxml(text: str) -> tuple[ScoreModel, list[str]]:
     them, at most ``_PARSE_DEPTH`` levels deep.  A tie stop merges with the
     note before it when that note is open, has the same pitch and ends
     exactly where the stop begins.
+
+    ``decomposed`` maps a measure's slice in lowest terms (the time
+    signature, then the length, onsets, extents, carried pitch and carried
+    end with their ticks divided by their gcd) to its tree.  Decomposition
+    depends only on positions relative to the measure, so a slice met again,
+    in this score or in another parsed with the same map, at any
+    <divisions>, takes the same tree object.  Without a map each call uses a
+    fresh one.
     """
     import xml.etree.ElementTree as ET  # only parsing needs it, emitting does not
 
@@ -507,14 +517,25 @@ def parse_musicxml(text: str) -> tuple[ScoreModel, list[str]]:
                     f"fewer than {Fraction(4 * beats, beat_type)}"
                 )
 
+    if decomposed is None:
+        decomposed = {}
     notes = list(zip(onsets, extents, pitches))
     measures = []
     for m in range(n):
         starts, ends, carried_pitch, carried_end = slice_measure(notes, m, length)
-        measures.append(decompose_measure(
-            starts, ends, sig, length, max_depth=_PARSE_DEPTH,
-            carried_pitch=carried_pitch, carried_end=carried_end,
-        ))
+        g = gcd(length, carried_end, *ends, *[t for t, _ in starts])
+        if g > 1:
+            starts = tuple([(t // g, pitch) for t, pitch in starts])
+            ends = tuple([e // g for e in ends])
+            carried_end //= g
+        key = (sig, length // g, starts, ends, carried_pitch, carried_end)
+        tree = decomposed.get(key)
+        if tree is None:
+            tree = decomposed[key] = decompose_measure(
+                starts, ends, sig, length // g, max_depth=_PARSE_DEPTH,
+                carried_pitch=carried_pitch, carried_end=carried_end,
+            )
+        measures.append(tree)
 
     score = ScoreModel(
         sig, measures,

@@ -421,8 +421,9 @@ class _Notator:
         """Print one measure in integers, as ``tree_to_notation`` does.
 
         Leaves group into runs: a rest on its own, or a note and the
-        continuations after it; a continuation that opens a run is a note
-        of ``carried_pitch`` tied from before.  Within a run, leaves merge
+        continuations after it; a continuation that opens the measure is a
+        note of ``carried_pitch`` tied from before, and one that follows a
+        rest raises ValidationError.  Within a run, leaves merge
         while they share a tuplet ratio and group and their notated sum
         stays printable; each merged chunk prints as its pieces, tied.
         Within one tuplet ratio the notated duration is proportional to the
@@ -449,6 +450,8 @@ class _Notator:
                 if label == NOTE:
                     pitch = sounding = leaf.pitch
                     tied, end = False, idx + 1
+                elif idx:  # a note's run takes its continuations in: this follows a rest
+                    raise ValidationError("continuation leaf with nothing to continue")
                 elif carried_pitch is None:
                     raise ValidationError(
                         "measure starts with continuation but nothing carried")
@@ -516,7 +519,8 @@ def tree_to_notation(
     printed duration when the sum is printable and the run stays inside one
     tuplet group; otherwise the run is split into tied events.  A leading
     continuation run becomes a note tied from the previous measure
-    (``carried_pitch`` supplies its pitch).
+    (``carried_pitch`` supplies its pitch); a continuation after a rest
+    raises ValidationError.
     """
     pieces, _ = _Notator(time_signature).pieces(tree, carried_pitch)
     return _events(pieces)
@@ -569,19 +573,14 @@ class ScoreModel(Record):
                 sounding = label != REST
         return out
 
-    def measure_pieces(self):
-        """Yield each measure's printed pieces (see ``_Notator.pieces``), a
-        note held over a barline carried into the next measure."""
+    def notated_measures(self) -> list[list[NotatedEvent]]:
+        """Printed events per measure with cross-measure ties resolved: a
+        note held over a barline is carried into the next measure."""
         notator = _Notator(self.time_signature)
         carried: int | None = None
+        out: list[list[NotatedEvent]] = []
         for tree in self.measures:
             pieces, carried = notator.pieces(tree, carried)
-            yield pieces
-
-    def notated_measures(self) -> list[list[NotatedEvent]]:
-        """Printed events per measure with cross-measure ties resolved."""
-        out: list[list[NotatedEvent]] = []
-        for pieces in self.measure_pieces():
             events = _events(pieces)
             if out and out[-1][-1].kind == NOTE:
                 first = events[0]

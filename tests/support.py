@@ -632,7 +632,8 @@ def reference_tree_to_notation(
     printed duration when the sum is printable and the run stays inside one
     tuplet group; otherwise the run is split into tied events.  A leading
     continuation run becomes a note tied from the previous measure
-    (``carried_pitch`` supplies its pitch).
+    (``carried_pitch`` supplies its pitch); a continuation after a rest
+    raises ValidationError.
     """
     measure_whole = Fraction(time_signature.numerator, time_signature.denominator)
 
@@ -717,7 +718,9 @@ def reference_tree_to_notation(
                 run.append(flat[idx])
                 idx += 1
             emit_run(run, leaf.pitch, False)
-        else:  # leading continuation, tied from previous measure
+        else:  # a continuation run, tied from the previous measure when it opens this one
+            if idx:  # after a rest, as a note's run takes in its continuations
+                raise ValidationError("continuation leaf with nothing to continue")
             if carried_pitch is None:
                 raise ValidationError("measure starts with continuation but nothing carried")
             run = []

@@ -599,6 +599,26 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def test_eval_score_directories_print_the_same_with_two_jobs(tmp_path, capsys):
+    # each pair decomposes its shared measures once, in a map of its own, so
+    # threads grading pairs side by side share nothing
+    ref_dir, est_dir = tmp_path / "ref", tmp_path / "est"
+    ref_dir.mkdir()
+    est_dir.mkdir()
+    for seed in range(4):
+        ref = sample_score(default_grammar(), 6, random.Random(seed))
+        other = sample_score(default_grammar(), 6, random.Random(seed + 10))
+        est = ScoreModel(ref.time_signature, ref.measures[:3] + other.measures[3:])
+        (ref_dir / f"s{seed}.musicxml").write_text(emit_musicxml(ref))
+        (est_dir / f"s{seed}.musicxml").write_text(emit_musicxml(est))
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["eval", "score", str(ref_dir), str(est_dir), "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["summary"]["note_insertions"]["max"] > 0
+
+
 def test_eval_score_rates_without_reference_notes_print_null(tmp_path, capsys):
     # against a reference of one rest, every rate of a nonzero count is
     # infinite; it prints as null and directory summaries skip it

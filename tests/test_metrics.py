@@ -261,22 +261,24 @@ def _fraction_keys(score):
     keys."""
     return [({(Fraction(num, den), pitch) for num, den, pitch in notes},
              {Fraction(num, den) for num, den in rests})
-            for notes, rests in _measure_keys(score)]
+            for notes, rests, _ in _measure_keys(score, {})]
 
 
 def test_score_edit_keys_match_the_printed_events_on_the_hard_cases():
     sig58, sig54 = TimeSignature(5, 8), TimeSignature(5, 4)
     # a 5/16 rest prints as 1/4 + 1/16, the second piece at 4/5 of its span
-    two_piece_rest = ScoreModel(sig58, [split(note(60), rest())])
+    note_rest = split(note(60), rest())
+    two_piece_rest = ScoreModel(sig58, [note_rest])
     assert [ev.onset for ev in two_piece_rest.notated_measures()[0]
             if ev.kind == REST] == [Fraction(1, 2), Fraction(9, 10)]
     tuplet_rest = ScoreModel(SIG, [split(note(60), rest(), note(62))])
     assert tuplet_rest.notated_measures()[0][1].timemod == (3, 2)
-    tied_over = ScoreModel(SIG, [split(note(60), note(62)),
-                                 split(continuation(), note(64))])
+    held = split(continuation(), note(64))
+    tied_over = ScoreModel(SIG, [split(note(60), note(62)), held])
     assert tied_over.notated_measures()[1][0].tie_from
     opens_tied = ScoreModel(SIG, [split(continuation(), note(60))])
-    unprintable = ScoreModel(sig54, [split(note(60), note(62), note(64))])
+    triplet = split(note(60), note(62), note(64))
+    unprintable = ScoreModel(sig54, [triplet])
     cases = [
         (two_piece_rest, ScoreModel(sig58, [split(rest(), note(60))])),
         (two_piece_rest, ScoreModel(sig58, [split(note(62), split(rest(), rest()))])),
@@ -288,15 +290,29 @@ def test_score_edit_keys_match_the_printed_events_on_the_hard_cases():
         (tied_over, opens_tied),
         (unprintable, ScoreModel(sig54, [split(note(60), rest())])),
         (ScoreModel(sig54, [split(note(60), rest())]), unprintable),
+        # one tree object in both scores, met under another carried pitch
+        # or time signature, counts as its printed events there
+        (tied_over, ScoreModel(SIG, [split(note(60), note(61)), held])),
+        (tied_over, ScoreModel(SIG, [held])),
+        (ScoreModel(SIG, [note_rest]), two_piece_rest),
+        (ScoreModel(SIG, [triplet]), unprintable),
+        # the estimate fails first on a measure of its own, but the
+        # reference is keyed first
+        (ScoreModel(sig54, [note_rest, triplet]),
+         ScoreModel(sig54, [split(note(60), split(note(62), note(64), note(65))), triplet])),
     ]
-    for ref, est in cases:
-        expected = _outcome(support.reference_score_edit_metrics, ref, est)
-        assert _outcome(score_edit_metrics, ref, est) == expected
-    errors = [_outcome(score_edit_metrics, ref, est) for ref, est in cases[6:]]
-    assert errors[0] == errors[1] == (
-        ValidationError, "measure starts with continuation but nothing carried")
-    assert errors[2] == errors[3] == (
-        ValidationError, "duration 5/12 of a whole note is not printable")
+    outcomes = [_outcome(score_edit_metrics, ref, est) for ref, est in cases]
+    assert outcomes == [_outcome(support.reference_score_edit_metrics, ref, est)
+                        for ref, est in cases]
+    opens = (ValidationError, "measure starts with continuation but nothing carried")
+    five_twelfths = (ValidationError, "duration 5/12 of a whole note is not printable")
+    assert outcomes[6] == outcomes[7] == outcomes[11] == opens
+    assert outcomes[8] == outcomes[9] == outcomes[13] == outcomes[14] == five_twelfths
+    assert outcomes[10].note_deletions == 1
+    assert (outcomes[12].rest_deletions, outcomes[12].timesig_mismatches) == (1, 1)
+    est = cases[14][1]
+    assert _outcome(score_edit_metrics, est, est) == (
+        ValidationError, "duration 5/24 of a whole note is not printable")
 
 
 def _estimate(rng: random.Random, ref: ScoreModel) -> ScoreModel:
@@ -319,7 +335,7 @@ def _estimate(rng: random.Random, ref: ScoreModel) -> ScoreModel:
 def test_score_edit_metrics_match_the_printed_event_reference():
     # random pairs: the counts from the tree walk equal those from printed
     # events, measure keys included, or both raise the same error
-    outcomes = {"counted": 0, "unprintable": 0, "opens tied": 0}
+    outcomes = {"counted": 0, "unprintable": 0, "opens tied": 0, "after a rest": 0}
     for seed in range(400):
         rng = random.Random(seed)
         ref = support.random_score(rng)
@@ -330,7 +346,8 @@ def test_score_edit_metrics_match_the_printed_event_reference():
         outcome = _outcome(score_edit_metrics, ref, est)
         assert outcome == _outcome(support.reference_score_edit_metrics, ref, est), seed
         if isinstance(outcome, tuple):
-            outcomes["unprintable" if "printable" in outcome[1] else "opens tied"] += 1
+            outcomes["unprintable" if "printable" in outcome[1] else
+                     "opens tied" if "starts" in outcome[1] else "after a rest"] += 1
         else:
             outcomes["counted"] += 1
     # the generator reaches every branch

@@ -1,4 +1,5 @@
 import random
+import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from rhythmiq import (
+    DecompositionError,
     FormatError,
     RhythmiqError,
     ScoreModel,
@@ -20,6 +22,9 @@ from rhythmiq import (
     sample_score,
     spell_pitch,
 )
+import rhythmiq.musicxml as musicxml
+import rhythmiq.trees as trees
+from rhythmiq.metrics import score_edit_metrics
 from rhythmiq.musicxml import _dots_and_type
 from rhythmiq.trees import continuation, note, rest, split
 
@@ -508,3 +513,89 @@ def test_parse_matches_the_fraction_reference(seed):
         score = sample_score(default_grammar(), n_measures, rng)
     text = _rewrite(emit_musicxml(score), rng)
     assert _parsed(parse_musicxml, text) == _parsed(support.reference_parse_musicxml, text)
+
+
+# --- trees shared between the scores of a pair --------------------------------
+
+_A = split(note(60), note(62), note(64), rest())
+# the reference's measures: A twice, once after a rest and once opening the score
+_REF_MEASURES = [
+    _A,
+    split(split(note(65), note(67), note(69)), note(71), continuation(), rest()),
+    _A,
+    split(note(72), continuation(), continuation(), note(74)),
+    split(rest(), note(60), split(note(62), note(64)), note(65)),
+    split(note(60), continuation(), note(64), continuation()),
+]
+# the estimate differs in the third measure only, which ends on a rest
+_EST_MEASURES = [*_REF_MEASURES[:2], split(note(61), rest(), note(63), rest()),
+                 *_REF_MEASURES[3:]]
+
+
+def _rescaled(text: str, factor: int) -> str:
+    """The same score written at ``factor`` times its <divisions>."""
+    return re.sub(r"<(divisions|duration)>(\d+)</\1>",
+                  lambda m: f"<{m[1]}>{int(m[2]) * factor}</{m[1]}>", text)
+
+
+@pytest.mark.parametrize("factor", [1, 7, 40])
+def test_a_pair_parsed_with_one_map_shares_the_trees_of_equal_slices(factor):
+    # the slices are keyed in lowest terms, so an estimate written at other
+    # <divisions> shares the reference's trees too
+    ref_text = emit_musicxml(ScoreModel(SIG, _REF_MEASURES))
+    est_text = _rescaled(emit_musicxml(ScoreModel(SIG, _EST_MEASURES)), factor)
+    decomposed = {}
+    ref, _ = parse_musicxml(ref_text, decomposed=decomposed)
+    est, _ = parse_musicxml(est_text, decomposed=decomposed)
+    assert ref == parse_musicxml(ref_text)[0]
+    assert est == parse_musicxml(est_text)[0]
+    assert [e is r for e, r in zip(est.measures, ref.measures)] == [
+        True, True, False, True, True, True]
+    # within one score too, with or without a map
+    alone, _ = parse_musicxml(ref_text)
+    assert ref.measures[0] is ref.measures[2]
+    assert alone.measures[0] is alone.measures[2]
+    assert len(decomposed) == 6
+
+
+def test_a_pair_decomposes_and_prints_each_distinct_measure_once(monkeypatch):
+    decomposes, walks = [], []
+    decompose, pieces = musicxml.decompose_measure, trees._Notator.pieces
+    monkeypatch.setattr(musicxml, "decompose_measure",
+                        lambda *args, **kwargs: decomposes.append(args)
+                        or decompose(*args, **kwargs))
+    monkeypatch.setattr(trees._Notator, "pieces",
+                        lambda self, *args: walks.append(args) or pieces(self, *args))
+    decomposed = {}
+    ref, _ = parse_musicxml(emit_musicxml(ScoreModel(SIG, _REF_MEASURES)),
+                            decomposed=decomposed)
+    est, _ = parse_musicxml(_rescaled(emit_musicxml(ScoreModel(SIG, _EST_MEASURES)), 3),
+                            decomposed=decomposed)
+    walks.clear()  # the writer prints the scores it emits
+    counts = score_edit_metrics(ref, est)
+    # five distinct measures in the reference, one more in the estimate
+    assert len(decomposes) == 6
+    assert len(walks) == 6
+    assert (counts.note_insertions, counts.note_deletions,
+            counts.rest_insertions, counts.rest_deletions) == (3, 2, 0, 1)
+
+
+def test_a_measure_too_deep_for_the_pair_raises_the_reference_error():
+    # with 1024 divisions to the quarter, a second note at 1/4096 of the
+    # measure is deeper than the parse bound; sharing the map changes no error
+    body = "".join(
+        f"<note><pitch><step>{step}</step><octave>4</octave></pitch>"
+        f"<duration>{duration}</duration></note>"
+        for step, duration in (("C", 1), ("D", 4095)))
+    deep = (
+        '<score-partwise version="3.1"><part-list><score-part id="P1">'
+        '<part-name>x</part-name></score-part></part-list><part id="P1">'
+        '<measure number="1"><attributes><divisions>1024</divisions>'
+        "<time><beats>4</beats><beat-type>4</beat-type></time></attributes>"
+        f"{body}</measure></part></score-partwise>"
+    )
+    decomposed = {}
+    for text in (deep, _rescaled(deep, 5)):
+        with pytest.raises(DecompositionError, match=r"^onsets at \['1/4096'\] unreachable"):
+            parse_musicxml(text, decomposed=decomposed)
+    assert decomposed == {}

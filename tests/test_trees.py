@@ -19,7 +19,9 @@ from rhythmiq import (
     TimeSignature,
     ValidationError,
     decompose_measure,
+    emit_musicxml,
     render_performance,
+    score_edit_metrics,
     tree_to_notation,
 )
 from rhythmiq.grammar import sample_tree
@@ -172,6 +174,37 @@ def test_decompose_measure_matches_the_fraction_reference(seed, sig):
             carried_pitch, carried_end), max_depth
 
 
+@given(st.data(),
+       st.sampled_from([TimeSignature(3, 4), SIG, TimeSignature(5, 8), TimeSignature(6, 8)]),
+       st.sampled_from([3, 4, 10]), st.integers(min_value=2, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_decompose_measure_depends_only_on_the_slice_in_lowest_terms(data, sig, max_depth,
+                                                                     factor):
+    # scaling the ticks, the length and the carried end by any factor gives
+    # the same tree or the same error text, so the parser may key its trees
+    # on the slice in lowest terms
+    length = data.draw(st.integers(min_value=1, max_value=48))
+    positions = sorted(data.draw(st.lists(st.integers(0, length - 1), max_size=6,
+                                          unique=True)))
+    # each note ends by the next onset; the last may be held over the barline
+    bounds = positions[1:] + [2 * length]
+    extents = [data.draw(st.integers(p + 1, bound)) for p, bound in zip(positions, bounds)]
+    onsets = [(p, data.draw(st.sampled_from((60, 62, 64)))) for p in positions]
+    free = positions[0] if positions else length + 1  # where a carried note may end
+    carried_pitch = data.draw(st.sampled_from((None, 55))) if free else None
+    carried_end = data.draw(st.integers(1, free)) if carried_pitch is not None else 0
+
+    def decomposed(c):
+        try:
+            return decompose_measure([(p * c, pitch) for p, pitch in onsets],
+                                     [e * c for e in extents], sig, length * c, max_depth,
+                                     carried_pitch, carried_end * c)
+        except DecompositionError as exc:
+            return str(exc)
+
+    assert decomposed(factor) == decomposed(1)
+
+
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(SIGNATURES),
        st.sampled_from([None, 62]))
 @settings(max_examples=300, deadline=None)
@@ -195,20 +228,43 @@ def test_tree_to_notation_matches_the_fraction_reference(seed, sig, carried_pitc
 
 
 def test_notated_measures_match_the_fraction_reference():
-    # notes carried and tied over barlines, stray continuations printed in
-    # the carried pitch, and the errors of unprintable durations and of a
-    # first measure that opens with a continuation
+    # notes carried and tied over barlines, and the errors of unprintable
+    # durations, of a first measure that opens with a continuation and of a
+    # continuation after a rest
     stray = ScoreModel(SIG, [
         split(note(60), note(62)),
-        # prints 64, then 62 carried in after the rest; 64 is carried out
+        # the continuations after the rest have nothing to continue,
+        # though 62 is carried into the measure
         split(note(64), rest(), continuation(), continuation()),
         split(continuation(), note(60)),
     ])
-    assert [ev.pitch for ev in stray.notated_measures()[2]] == [64, 60]
+    with pytest.raises(ValidationError, match="^continuation leaf with nothing to continue$"):
+        stray.notated_measures()
     scores = [stray] + [support.random_score(random.Random(seed)) for seed in range(300)]
     for index, score in enumerate(scores):
         assert _outcome(ScoreModel.notated_measures, score) == _outcome(
             support.reference_notated_measures, score), index
+
+
+def test_a_continuation_after_a_rest_has_nothing_to_continue():
+    # 62 is carried into the second measure, but the rest ends it: the last
+    # continuation is printed by no writer and counted by no metric
+    score = ScoreModel(SIG, [split(note(60), note(62)),
+                             split(continuation(), rest(), continuation(), rest())])
+    message = "^continuation leaf with nothing to continue$"
+    for read in (ScoreModel.notated_measures, support.reference_notated_measures,
+                 emit_musicxml, ScoreModel.notes):
+        with pytest.raises(ValidationError, match=message):
+            read(score)
+    with pytest.raises(ValidationError, match=message):
+        score_edit_metrics(score, score)
+    for notate in (tree_to_notation, support.reference_tree_to_notation):
+        with pytest.raises(ValidationError, match=message):
+            notate(score.measures[1], SIG, 62)
+    # a measure that opens with a continuation and nothing carried keeps its
+    # own message
+    with pytest.raises(ValidationError, match="^measure starts with continuation"):
+        ScoreModel(SIG, [split(continuation(), note(60))]).notated_measures()
 
 
 def test_notatable():
