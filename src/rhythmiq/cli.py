@@ -56,6 +56,10 @@ class PipelineConfig(Record):
             raise ConfigError(
                 f"rotation_mode must be all|best, got {rotation_mode!r}"
             )
+        # checked here as ``spell_pitch`` does, so no command solves a
+        # performance before it fails
+        if not -7 <= fifths <= 7:
+            raise ValidationError(f"fifths {fifths} outside -7..7")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rest_threshold", rest_threshold)
         object.__setattr__(self, "fallback_resolution", fallback_resolution)

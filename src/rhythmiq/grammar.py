@@ -86,38 +86,118 @@ class LatticeNode(NamedTuple):
     """A reachable (head, cell, depth) of a measure's derivations.
 
     ``left``/``right`` are the cell's endpoints in measure units, rounded
-    once from exact fractions.  ``pushers`` are the (midpoint, left) of the
-    leaf cells that end at ``left``, in ascending order: only such a leaf
-    can align an onset onto the cell's left edge, one past its midpoint.
-    ``rules`` are the head's rules in grammar order, splits only above the
-    depth bound.
+    once from exact fractions.  ``rules`` are the head's rules in grammar
+    order, splits only above the depth bound.
     """
 
     left: float
     right: float
-    pushers: tuple[tuple[float, float], ...]
     rules: tuple[LatticeRule, ...]
+
+
+class SolvePlan(NamedTuple):
+    """A lattice laid out for the quantizer's bottom-up pass.
+
+    ``edges``: the distinct cell endpoints, ascending, so a measure looks
+    up its onsets once per edge rather than twice per node.
+
+    ``pushers``: per left edge that leaf cells end at, (edge index, lowest
+    midpoint, ((midpoint, left) of those cells, narrowest first)).  Only
+    such a leaf can align an onset onto the edge, one past its midpoint.
+
+    ``note_cells``: the nodes whose one rule is a NOTE leaf, as (node, left
+    edge index, right edge index, left, right, midpoint, rule).  They have
+    no children.
+
+    ``steps``: the other nodes in node order, as (node, left edge index,
+    right edge index, left, right, midpoint, NOTE rule, REST rule,
+    CONTINUATION rule, leaf rules, splits).  A label's rule is None where
+    the head has no such leaf; the leaf rules keep grammar order.  A split
+    is (weight, tuplet, ((child, 2 << i) for each child i), rule, fewest,
+    most + 1), where fewest and most bound the NOTE leaves of its
+    derivations: a derivation of a cell that takes k_in onsets in and gives
+    k_out out has k_in + onsets - k_out of them.
+
+    ``unit``: the node count.  A derivation has fewer tuplet nodes than
+    that, so leaves * unit + tuplets orders derivations as (leaves,
+    tuplets) does.
+    """
+
+    edges: tuple[float, ...]
+    pushers: tuple[tuple[int, float, tuple[tuple[float, float], ...]], ...]
+    note_cells: tuple[tuple, ...]
+    steps: tuple[tuple, ...]
+    unit: int
+
+
+def compile_plan(nodes: tuple[LatticeNode, ...]) -> SolvePlan:
+    """Lay out a lattice's nodes for the quantizer (see ``SolvePlan``)."""
+    edges = sorted({x for lf, rf, _ in nodes for x in (lf, rf)})
+    index = {x: i for i, x in enumerate(edges)}
+    ends: dict[float, set[float]] = {}  # right edge -> left edges of leaf cells
+    for lf, rf, rules in nodes:
+        if any(rule.label is not None for rule in rules):
+            ends.setdefault(rf, set()).add(lf)
+    pushers = []
+    for lf in sorted({node.left for node in nodes} & ends.keys()):
+        cells = sorted(((edge + lf) / 2, edge) for edge in ends[lf])
+        pushers.append((index[lf], cells[0][0], tuple(reversed(cells))))
+    fewest: list[float] = []  # per node, of the NOTE leaves of a derivation
+    most: list[float] = []
+    note_cells, steps = [], []
+    for node, (lf, rf, rules) in enumerate(nodes):
+        counts = [(int(rule.label == NOTE),) * 2 if rule.label is not None else
+                  (sum(fewest[c] for c in rule.children), sum(most[c] for c in rule.children))
+                  for rule in rules]
+        fewest.append(min((low for low, _ in counts), default=math.inf))
+        most.append(max((high for _, high in counts), default=-math.inf))
+        cell = (node, index[lf], index[rf], lf, rf, (lf + rf) / 2)
+        if len(rules) == 1 and rules[0].label == NOTE:
+            note_cells.append((*cell, rules[0]))
+            continue
+        leaves = tuple(rule for rule in rules if rule.label is not None)
+        by_label = {rule.label: rule for rule in leaves}
+        splits = tuple(
+            (rule.weight, rule.tuplet,
+             tuple((child, 2 << i) for i, child in enumerate(rule.children)), rule,
+             low, high + 1)
+            for rule, (low, high) in zip(rules, counts) if rule.label is None
+        )
+        steps.append((*cell, by_label.get(NOTE), by_label.get(REST),
+                      by_label.get(CONTINUATION), leaves, splits))
+    return SolvePlan(tuple(edges), tuple(pushers), tuple(note_cells), tuple(steps),
+                     len(nodes))
 
 
 class Lattice(Record):
     """Every derivation of one measure in a time signature, as a DAG.
 
     ``nodes`` list children before parents; the start symbol's node over the
-    whole measure is last.  ``empty_entries`` holds, per node, the (0, 0)
-    state-table entry of a cell with no onset under silence and under a
-    sound held through it, in that order; the quantizer's first solve on
-    the lattice fills it; equality, hash and repr leave it out.
+    whole measure is last.  ``plan`` is the nodes laid out for the
+    quantizer: ``compile_lattice`` builds it with the lattice, and a lattice
+    built without one (a copy, say) builds it on first use.
+    ``empty_entries`` holds, per node, the (0, 0) state-table entry of a
+    cell with no onset under silence and under a sound held through it, in
+    that order; the quantizer's first solve on the lattice fills it.
+    Equality, hash and repr leave the plan and ``empty_entries`` out.
     """
 
-    __slots__ = ("nodes", "empty_entries")
+    __slots__ = ("nodes", "empty_entries", "_plan")
     _fields = ("nodes",)
 
     def __init__(self, nodes: tuple[LatticeNode, ...],
-                 empty_entries: list | None = None):
+                 empty_entries: list | None = None, plan: SolvePlan | None = None):
         if empty_entries is None:
             empty_entries = []
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "empty_entries", empty_entries)
+        object.__setattr__(self, "_plan", plan)
+
+    @property
+    def plan(self) -> SolvePlan:
+        if self._plan is None:
+            object.__setattr__(self, "_plan", compile_plan(self.nodes))
+        return self._plan
 
     def max_leaves(self) -> int:
         """Most leaves of any derivation of the whole measure."""
@@ -136,47 +216,46 @@ class Lattice(Record):
 
 
 def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> Lattice:
-    """Expand the grammar's derivations of one measure into a ``Lattice``.
+    """Expand the grammar's derivations of one measure into a ``Lattice``,
+    with its solve plan.
 
     Raises GrammarError when the grammar has no start symbol for
     ``time_signature``.
     """
     start = grammar.start_for(time_signature)
     ids: dict[tuple, int] = {}
-    cells: list[tuple[Fraction, Fraction, tuple[LatticeRule, ...]]] = []
+    nodes: list[LatticeNode] = []
 
-    def visit(head: str, left: Fraction, right: Fraction, depth: int) -> int:
-        key = (head, left, right, depth)
-        if key in ids:
-            return ids[key]
+    def visit(head: str, left: int, right: int, den: int, depth: int) -> int:
+        # the cell [left / den, right / den) in lowest terms, so a cell
+        # reached along two paths is one node; int / int rounds once, as
+        # float(Fraction) does
+        g = math.gcd(left, right, den)
+        left, right, den = left // g, right // g, den // g
+        key = (head, left, right, den, depth)
+        node = ids.get(key)
+        if node is not None:
+            return node
         rules = []
         for rule in grammar.rules_for(head):
             if isinstance(rule.body, Leaf):
                 rules.append(LatticeRule(rule.weight, rule.body.label, (), 0))
             elif depth < grammar.max_depth:
                 k = len(rule.body.children)
-                width = (right - left) / k
+                width = right - left
                 children = tuple(
-                    visit(child, left + i * width, left + (i + 1) * width, depth + 1)
+                    visit(child, left * k + i * width, left * k + (i + 1) * width,
+                          den * k, depth + 1)
                     for i, child in enumerate(rule.body.children)
                 )
                 rules.append(LatticeRule(rule.weight, None, children,
                                          int(k & (k - 1) != 0)))
-        ids[key] = len(cells)
-        cells.append((left, right, tuple(rules)))
-        return ids[key]
+        ids[key] = node = len(nodes)
+        nodes.append(LatticeNode(left / den, right / den, tuple(rules)))
+        return node
 
-    visit(start, Fraction(0), Fraction(1), 0)
-    ends: dict[float, set[float]] = {}  # right edge -> left edges of leaf cells
-    for left, right, rules in cells:
-        if any(rule.label is not None for rule in rules):
-            ends.setdefault(float(right), set()).add(float(left))
-    nodes = []
-    for left, right, rules in cells:
-        lf = float(left)
-        pushers = tuple(sorted(((edge + lf) / 2, edge) for edge in ends.get(lf, ())))
-        nodes.append(LatticeNode(lf, float(right), pushers, rules))
-    return Lattice(tuple(nodes))
+    visit(start, 0, 1, 1, 0)
+    return Lattice(tuple(nodes), plan=compile_plan(tuple(nodes)))
 
 
 class RhythmGrammar:

@@ -32,9 +32,7 @@ from .errors import (
 )
 from .grammar import RhythmGrammar
 from .trees import (
-    CONTINUATION,
     NOTE,
-    REST,
     RhythmTree,
     ScoreModel,
     decompose_measure,
@@ -146,14 +144,16 @@ def quantize_measure(
     the measure has a ``carried_pitch``, which is then the note aligned onto
     the downbeat (sounding until ``carried_end``, 0 when it stopped before).
 
-    One bottom-up pass over the grammar's compiled lattice: per node, its
-    leaf options per k_in, then each split's children chained through the
-    lanes k = 0 and k = 1.  A child whose only entry is (0, 0) adds its
-    cost to lane 0 and closes lane 1.  A cell with no onset that takes none
-    in and is silent or held all through takes the entry that the
-    lattice's first solve worked out for it.  On equal (cost, leaves,
-    tuplets) the earlier rule keeps an entry, and a split's chain keeps,
-    per k after each child, the first best of k = 0, then k = 1, before it.
+    One bottom-up pass over the solve plan of the grammar's compiled
+    lattice: per node, its leaf options per k_in, then each split's children
+    chained through the lanes k = 0 and k = 1.  A child whose only entry is
+    (0, 0) adds its cost to lane 0 and closes lane 1.  A cell whose one rule
+    is a NOTE leaf takes its entries directly, and a split whose children
+    cannot hold the cell's notes is not tried.  A cell with no onset that is
+    silent or held all through takes the (0, 0) entry that the lattice's
+    first solve worked out for it.  On equal (cost, leaves, tuplets) the
+    earlier rule keeps an entry, and a split's chain keeps, per k after each
+    child, the first best of k = 0, then k = 1, before it.
     """
     config = config or QuantConfig()
     table = MeasureStates(measure, grammar, config, time_signature, states, final)
@@ -172,14 +172,16 @@ class MeasureStates:
 
     ``results`` holds each lattice node's (0, 0) entry and ``states`` all
     four, indexed 2 * k_in + k_out, or None where (0, 0) is the only one.
-    An entry is (cost, leaves, tuplets, rule, first onset, k mask); bit i
-    of a split's mask is the k before child i, its last bit the k_out.
+    An entry is (cost, size, rule, first onset, k mask), where size is
+    leaves * ``SolvePlan.unit`` + tuplets, so it orders as (leaves,
+    tuplets) does; bit i of a split's mask is the k before child i, its
+    last bit the k_out.
 
-    A node whose cell holds no onset, takes none in, and is silent or held
-    all through takes its entry from ``Lattice.empty_entries``, which the
-    first solve on the lattice fills by this same pass over two empty
-    measures (``share_empty`` off): one silent, one under a note held past
-    the closing barline.
+    A node whose cell holds no onset and is silent or held all through
+    takes its (0, 0) entry from ``Lattice.empty_entries``, which the first
+    solve on the lattice fills by this same pass over two empty measures
+    (``share_empty`` off): one silent, one under a note held past the
+    closing barline.
     """
 
     def __init__(self, measure: MeasureInput, grammar: RhythmGrammar,
@@ -199,147 +201,217 @@ class MeasureStates:
                     for empty in (MeasureInput(), MeasureInput(carried_pitch=0, carried_end=2.0))
                 ]
             silent, held = shared
+        edges, pushers, note_cells, steps, unit = self.lattice.plan
         alpha = config.alpha
-        theta = config.rest_threshold
+        theta = config.rest_threshold + EPS
         onsets, extents = measure.onsets, measure.extents
         positions = [pos for pos, _ in onsets]
         carried_end = measure.carried_end if measure.carried_pitch is not None else 0.0
-        lead_in = lead_in and measure.carried_pitch is not None
 
-        nodes = self.lattice.nodes
-        self.results = results = []
-        self.states = states = [None] * len(nodes)
-        for node, (lf, rf, pushers, rules) in enumerate(nodes):
-            lo = bisect_left(positions, lf - EPS)
-            hi = bisect_left(positions, rf - EPS, lo)
-            # whatever was sounding when the cell begins
-            sound_end = extents[lo - 1] if lo else carried_end
-            # a leaf ending at lf aligns at most one onset onto it: the last
-            # of at most two, from its right half
-            if lo:
+        # per cell edge: the onsets before it, and whether a leaf ending
+        # there aligns one onto it, the last of at most two from its right
+        # half.  Only the previous measure aligns one onto the downbeat
+        lows = [bisect_left(positions, edge - EPS) for edge in edges]
+        pushed = [False] * len(edges)
+        pushed[0] = lead_in and measure.carried_pitch is not None
+        for e, first, cells in pushers:
+            lo = lows[e]
+            if lo and positions[lo - 1] > first + EPS:
+                # of the leaves past whose midpoint the last onset lies,
+                # the narrowest holds the fewest onsets
                 last = positions[lo - 1]
-                pushed_in = pushers and last > pushers[0][0] + EPS and any(
-                    last > edge_mid + EPS and (lo < 3 or positions[lo - 3] < edge - EPS)
-                    for edge_mid, edge in pushers)
-            else:
-                pushed_in = lead_in and lf == 0.0
-            # a cell with no onset and k_in = 0 has the same (0, 0) entry in
-            # every measure where it is silent or held all through: nothing
-            # is displaced, so alpha adds nothing; a silent cell is a rest
-            # and a held one has no tail, so theta decides nothing; and
-            # ``final`` moves nothing, since right == hi.  The shared entry's
-            # first onset is never read: a k_in = 0 derivation of an empty
-            # cell has no NOTE leaf
-            if lo == hi and not pushed_in and silent is not None:
-                if sound_end <= lf + EPS:
-                    results.append(silent[node])
+                for middle, start in cells:
+                    if last > middle + EPS:
+                        pushed[e] = lo < 3 or positions[lo - 3] < start - EPS
+                        break
+
+        self.results = results = [None] * unit
+        self.states = states = [None] * unit
+        # a cell whose one rule is a NOTE leaf has an entry exactly when one
+        # note lands in it, whatever its tail: the relaxed leaf would be the
+        # same NOTE at the same cost.  Such cells have no children, so they
+        # go first
+        for node, li, ri, lf, rf, mid, note in note_cells:
+            lo = lows[li]
+            hi = lows[ri]
+            pushed_in = pushed[li]
+            # ``right`` is the first onset in the right half; at the
+            # score's end none moves
+            if lo == hi:
+                if not pushed_in:
                     continue
-                if sound_end >= rf:
-                    results.append(held[node])
-                    continue
-            k_ins = (0, 1) if pushed_in else (0,)
-            # as a leaf: per k_in, (entry index, strict labels, relaxed
-            # labels, cost on top of the rule weight).  ``right`` is the
-            # first onset in the right half; at the score's end none moves
-            if lo == hi or (final and rf == 1.0):
+                right = hi
+            elif final and rf == 1.0:
                 right = hi
             else:
-                right = bisect_right(positions, (lf + rf) / 2 + EPS, lo, hi)
+                right = bisect_right(positions, mid + EPS, lo, hi)
             k_out = hi - right
-            leaf = []
-            if k_out <= 1:
-                push = alpha * (rf - positions[right]) if k_out else 0.0
-                for k_in in k_ins:
-                    notes = k_in + right - lo
-                    extra = push
-                    if notes == 1 and not k_in:  # one aligned in is already paid for
-                        dist = abs(positions[lo] - lf)
-                        extra = alpha * (dist if dist >= EPS else 0.0) + push
-                    note_end = sound_end if k_in else extents[lo] if notes else 0.0
-                    strict, relaxed = _leaf_labels(notes, note_end, sound_end, lf, rf, theta)
-                    if relaxed:
-                        leaf.append((2 * k_in + k_out, strict, relaxed, extra))
+            if k_out > 1:
+                continue
+            push = alpha * (rf - positions[right]) if k_out else 0.0
+            own = carried = None
+            if right - lo == 1:
+                dist = abs(positions[lo] - lf)
+                own = (note.weight + (alpha * (dist if dist >= EPS else 0.0) + push),
+                       unit, note, lo, 0)
+            if pushed_in and right == lo:
+                carried = (note.weight + push, unit, note, lo, 0)
+            if k_out:
+                if own or carried:
+                    states[node] = [None, own, None, carried]
+            else:
+                results[node] = own
+                if carried:
+                    states[node] = [own, None, carried, None]
 
-            # a candidate must beat an entry's (cost, leaves, tuplets) outright
-            entries: list = [None] * 4
-            for rule in rules:
-                weight, label, children, tuplet = rule
-                if label is not None:
-                    for i, strict, _, extra in leaf:
-                        if label in strict:
-                            old = entries[i]
-                            cost = weight + extra
-                            if old is None or (cost, 1, 0) < old[:3]:
-                                entries[i] = (cost, 1, 0, rule, lo, 0)
-                    continue
-                for k_in in k_ins:
-                    # the best derivation so far per k after the child: lane
-                    # 0 as (cost, leaves, tuplets, mask), cost None when no
-                    # derivation reaches it, lane 1 as a tuple or None.  Each
-                    # keeps the first best of k = 0, then k = 1, before it
-                    if k_in:
-                        cost, one = None, (weight, 0, tuplet, 1)
+        for node, li, ri, lf, rf, mid, note, rest, cont, leaves, splits in steps:
+            lo = lows[li]
+            hi = lows[ri]
+            pushed_in = pushed[li]
+            sound_end = extents[lo - 1] if lo else carried_end
+            own_lane = True  # the k_in = 0 entries are yet to find
+            if lo == hi:  # see above for ``right``
+                right = hi
+                # a cell with no onset and k_in = 0 has the same (0, 0)
+                # entry in every measure where it is silent or held all
+                # through: nothing is displaced, so alpha adds nothing; a
+                # silent cell is a rest and a held one has no tail, so theta
+                # decides nothing; and ``final`` moves nothing, since
+                # right == hi.  The shared entry's first onset is never
+                # read: a k_in = 0 derivation of an empty cell has no NOTE
+                # leaf.  Nor can such a cell give an onset out, so an onset
+                # aligned onto it from before leaves only the k_in = 1
+                # entries to find
+                if silent is not None and (sound_end <= lf + EPS or sound_end >= rf):
+                    same = silent[node] if sound_end <= lf + EPS else held[node]
+                    if not pushed_in:
+                        results[node] = same
+                        continue
+                    own_lane = False
+            elif final and rf == 1.0:
+                right = hi
+            else:
+                right = bisect_right(positions, mid + EPS, lo, hi)
+            k_out = hi - right
+            if own_lane:
+                entries: list = [None] * 4
+                k_ins = (0, 1) if pushed_in else (0,)
+            else:
+                entries = [same, None, None, None]
+                k_ins = (1,)
+            # as a leaf: the leaf whose tail is at most theta of its width,
+            # or else, once no split fits either, the relaxed leaf, which
+            # drops that bound the way the notation builder does at its
+            # depth limit.  A leaf never ties a split, which has more
+            # leaves, so leaves go first
+            relaxed = None
+            if leaves and k_out <= 1:
+                push = alpha * (rf - positions[right]) if k_out else 0.0
+                stay = right - lo  # the onsets that stay in the cell
+                if own_lane and stay <= 1:
+                    if stay:  # the cell's own note
+                        if note is not None:
+                            dist = abs(positions[lo] - lf)
+                            entry = (note.weight + (alpha * (dist if dist >= EPS else 0.0)
+                                                    + push), unit, note, lo, 0)
+                            # the silence after the note, relative to the width
+                            end = extents[lo]
+                            if end >= rf or (rf - (end if end > lf else lf)) / (rf - lf) <= theta:
+                                entries[k_out] = entry
+                            else:
+                                relaxed = [(k_out, entry)]
+                    elif sound_end <= lf + EPS:
+                        if rest is not None:
+                            entries[k_out] = (rest.weight + push, unit, rest, lo, 0)
+                    # a continuation needs sound at the left edge, and its
+                    # uncovered tail is the silence after that sound; a rest
+                    # there is only a relaxed option
+                    elif cont is not None and (sound_end >= rf
+                                               or (rf - sound_end) / (rf - lf) <= theta):
+                        entries[k_out] = (cont.weight + push, unit, cont, lo, 0)
                     else:
-                        cost, leaves, tuplets, mask, one = weight, 0, tuplet, 0, None
-                    bit = 2
-                    for child in children:
+                        best = None
+                        for rule in leaves:
+                            if rule is not note:
+                                cost = rule.weight + push
+                                if best is None or cost < best[0]:
+                                    best = (cost, unit, rule, lo, 0)
+                        if best:
+                            relaxed = [(k_out, best)]
+                if pushed_in and not stay and note is not None:  # the note aligned in
+                    entry = (note.weight + push, unit, note, lo, 0)
+                    end = sound_end
+                    if end >= rf or (rf - (end if end > lf else lf)) / (rf - lf) <= theta:
+                        entries[2 + k_out] = entry
+                    else:
+                        relaxed = (relaxed or []) + [(2 + k_out, entry)]
+
+            # a candidate must beat an entry's (cost, size) outright; a split
+            # whose children cannot hold k_in + onsets - k_out notes for
+            # either k_out has no entry
+            onsets_in = hi - lo
+            for weight, tuplet, children, rule, fewest, most in splits:
+                for k_in in k_ins:
+                    if not fewest <= onsets_in + k_in <= most:
+                        continue
+                    # the best derivation so far per k after the child, as
+                    # (cost, size, mask) in lane 0 and lane 1, cost None
+                    # where none reaches it.  Each keeps the first best of
+                    # k = 0, then k = 1, before it
+                    if k_in:
+                        c0, c1, s1, m1 = None, weight, tuplet, 1
+                    else:
+                        c0, s0, m0, c1 = weight, tuplet, 0, None
+                    for child, bit in children:
                         sub = states[child]
                         if sub is None:  # takes and gives nothing
                             e = results[child]
-                            if cost is None or e is None:
+                            if c0 is None or e is None:
                                 break
-                            cost += e[0]
-                            leaves += e[1]
-                            tuplets += e[2]
-                            one = None
+                            c0 += e[0]
+                            s0 += e[1]
+                            c1 = None
+                            continue
+                        e00, e01, e10, e11 = sub
+                        n1 = None
+                        if c0 is not None:
+                            if e01 is not None:
+                                n1, t1, b1 = c0 + e01[0], s0 + e01[1], m0 | bit
+                            if e00 is None:
+                                c0 = None
+                            else:
+                                c0 += e00[0]
+                                s0 += e00[1]
+                        if c1 is not None:
+                            if e10 is not None:
+                                c, s = c1 + e10[0], s1 + e10[1]
+                                if c0 is None or c < c0 or c == c0 and s < s0:
+                                    c0, s0, m0 = c, s, m1
+                            if e11 is not None:
+                                c, s = c1 + e11[0], s1 + e11[1]
+                                if n1 is None or c < n1 or c == n1 and s < t1:
+                                    n1, t1, b1 = c, s, m1 | bit
+                        if n1 is None:
+                            if c0 is None:
+                                break
+                            c1 = None
                         else:
-                            nxt = None
-                            if cost is not None:
-                                e = sub[1]
-                                if e is not None:
-                                    nxt = (cost + e[0], leaves + e[1], tuplets + e[2],
-                                           mask | bit)
-                                e = sub[0]
-                                if e is None:
-                                    cost = None
-                                else:
-                                    cost += e[0]
-                                    leaves += e[1]
-                                    tuplets += e[2]
-                            if one is not None:
-                                e = sub[2]
-                                if e is not None:
-                                    cand = (one[0] + e[0], one[1] + e[1], one[2] + e[2])
-                                    if cost is None or cand < (cost, leaves, tuplets):
-                                        (cost, leaves, tuplets), mask = cand, one[3]
-                                e = sub[3]
-                                if e is not None:
-                                    cand = (one[0] + e[0], one[1] + e[1], one[2] + e[2],
-                                            one[3] | bit)
-                                    if nxt is None or cand[:3] < nxt[:3]:
-                                        nxt = cand
-                            one = nxt
-                            if cost is None and one is None:
-                                break
-                        bit <<= 1
+                            c1, s1, m1 = n1, t1, b1
                     else:
                         i = 2 * k_in
-                        old = entries[i]
-                        if cost is not None and (old is None
-                                                 or (cost, leaves, tuplets) < old[:3]):
-                            entries[i] = (cost, leaves, tuplets, rule, lo, mask)
-                        old = entries[i + 1]
-                        if one is not None and (old is None or one[:3] < old[:3]):
-                            entries[i + 1] = (one[0], one[1], one[2], rule, lo, one[3])
-            for i, _, relaxed, extra in leaf:
-                if entries[i] is None:
-                    for rule in rules:
-                        if rule.label in relaxed:
+                        if c0 is not None:
                             old = entries[i]
-                            cost = rule.weight + extra
-                            if old is None or (cost, 1, 0) < old[:3]:
-                                entries[i] = (cost, 1, 0, rule, lo, 0)
-            results.append(entries[0])
+                            if old is None or c0 < old[0] or c0 == old[0] and s0 < old[1]:
+                                entries[i] = (c0, s0, rule, lo, m0)
+                        if c1 is not None:
+                            old = entries[i + 1]
+                            if old is None or c1 < old[0] or c1 == old[0] and s1 < old[1]:
+                                entries[i + 1] = (c1, s1, rule, lo, m1)
+            if relaxed:
+                for i, entry in relaxed:
+                    if entries[i] is None:
+                        entries[i] = entry
+            results[node] = entries[0]
             if entries[1] or entries[2] or entries[3]:
                 states[node] = entries
 
@@ -359,7 +431,7 @@ class MeasureStates:
 
     def _tree(self, node: int, k_in: int, k_out: int) -> RhythmTree:
         entry = self._entry(node, k_in, k_out)
-        rule, lo, mask = entry[3], entry[4], entry[5]
+        rule, lo, mask = entry[2], entry[3], entry[4]
         if rule.label is None:
             return RhythmTree(children=tuple(
                 self._tree(child, mask >> i & 1, mask >> i + 1 & 1)
@@ -406,30 +478,6 @@ class MeasureStates:
             "no derivation fits this measure; the grammar lacks a rule for a "
             "needed leaf"
         )
-
-
-def _leaf_labels(notes: int, note_end: float, sound_end: float, lf: float,
-                 rf: float, theta: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The (strict, relaxed) labels a leaf [lf, rf) may take with ``notes``
-    notes in it: the one sounding until ``note_end``, or else whatever sounds
-    until ``sound_end``.
-
-    A leaf's uncovered tail, silence after the note or the carried sound
-    relative to the leaf width, may be at most theta; when no strict option
-    fits, the relaxed leaves drop that bound the way the notation builder
-    does at its depth limit.
-    """
-    if notes > 1:
-        return (), ()
-    if notes == 1:
-        tail = (rf - min(max(note_end, lf), rf)) / (rf - lf)
-        return ((NOTE,) if tail <= theta + EPS else ()), (NOTE,)
-    if sound_end <= lf + EPS:
-        return (REST,), (REST,)
-    # a continuation needs sound at the left edge; a rest there is only a
-    # relaxed option
-    tail = (rf - min(sound_end, rf)) / (rf - lf)
-    return ((CONTINUATION,) if tail <= theta + EPS else ()), (REST, CONTINUATION)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,8 @@ def estimate_tempo_ioi(
         bpm_range = TempoBounds(DEFAULT_MIN_BPM, DEFAULT_MAX_BPM)
     if cluster_width <= 0:
         raise ValidationError(f"cluster_width must be positive, got {cluster_width}")
+    if not math.isfinite(cluster_width):
+        raise ValidationError(f"cluster_width must be finite, got {cluster_width}")
     if len(perf.notes) < 3:
         raise InsufficientDataError(
             f"tempo estimation needs >= 3 notes, got {len(perf.notes)}"

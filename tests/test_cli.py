@@ -367,6 +367,30 @@ def test_eval_rejects_a_non_finite_tolerance(tmp_path, capsys, value):
         f"error: onset_tolerance must be finite, got {value}\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_tempo_rejects_a_non_finite_cluster_width(tmp_path, capsys, value):
+    midi = _quarters_midi(tmp_path)
+    cfg = tmp_path / "width.cfg"
+    cfg.write_text(f"cluster_width = {value}\n")
+    assert main(["tempo", str(midi), "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: cluster_width must be finite, got {value}\n")
+
+
+def test_a_key_signature_out_of_range_exits_1_before_any_work(tmp_path, capsys):
+    # the MIDI file does not exist: the check comes before it is read
+    midi, beats = tmp_path / "absent.mid", _beats_csv(tmp_path, 5)
+    error = "error: fifths 99 outside -7..7\n"
+    assert main(["quantize", str(midi), "--beats", str(beats), "--fifths", "99"]) == 1
+    assert capsys.readouterr() == ("", error)
+    cfg = tmp_path / "key.cfg"
+    cfg.write_text("fifths = 99\n")
+    for command in ("quantize", "rotations"):
+        assert main([command, str(midi), "--beats", str(beats), "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", error)
+    for fifths in (-7, 7):
+        assert PipelineConfig(fifths=fifths).fifths == fifths
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 def test_quantize_rejects_a_non_finite_alpha(tmp_path, capsys, alpha):
     midi = _quarters_midi(tmp_path, n=4)

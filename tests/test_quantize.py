@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -147,6 +148,50 @@ def test_lattice_solver_matches_the_recursive_reference(seed, at_boundaries, tie
     assert (_entries(measure, grammar, config, final)
             == support.reference_quantize_measure(measure, grammar, config,
                                                   states=True, final=final))
+
+
+@st.composite
+def _played_measure(draw) -> MeasureInput:
+    """Onsets on the 1/32 or 1/24 grid of a measure, each jittered by up to
+    6/1000 of it (as much as a few ms at the bench's tempi) or left on the
+    grid, released early, late or at the next onset, and a carried note that
+    stopped before the barline (only aligned onto the downbeat), is released
+    inside the measure, or is held through it."""
+    grid = draw(st.sampled_from((24, 32)))
+    slots = sorted(draw(st.sets(st.integers(0, grid - 1), max_size=12)))
+    positions = [min(0.999, max(0.0, slot / grid + draw(
+        st.just(0.0) | st.floats(-0.006, 0.006)))) for slot in slots]
+    extents = []
+    for i, pos in enumerate(positions):
+        ceiling = positions[i + 1] if i + 1 < len(positions) else 1.3
+        extents.append(pos + (ceiling - pos) * draw(st.sampled_from((0.3, 0.7, 1.0))))
+    carried = draw(st.sampled_from((None, 0.0, 0.4, 1.5)))
+    onsets = tuple((pos, 60 + i) for i, pos in enumerate(positions))
+    if carried is None:
+        return MeasureInput(onsets, tuple(extents))
+    first = positions[0] if positions else 1.0
+    return MeasureInput(onsets, tuple(extents), 59, min(carried, first))
+
+
+def _exactly(entries: dict) -> dict:
+    """Each entry's tree and the bits of its cost."""
+    return {k: entry and (entry[0], entry[1].hex()) for k, entry in entries.items()}
+
+
+_DEFAULT_GRAMMAR = default_grammar()
+
+
+@given(_played_measure(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_default_grammar_matches_the_recursive_reference(measure, final):
+    # the shipped grammar is deeper than the random ones (depth 4, with
+    # triplets and cells that only take a NOTE): all four entries, with and
+    # without the carried note aligned onto the downbeat, give the
+    # reference's trees and bit-identical costs
+    grammar, config = _DEFAULT_GRAMMAR, QuantConfig()
+    assert (_exactly(_entries(measure, grammar, config, final))
+            == _exactly(support.reference_quantize_measure(measure, grammar, config,
+                                                           states=True, final=final)))
 
 
 def test_equal_cost_chains_keep_no_alignment_across_the_child_boundary():
@@ -718,16 +763,24 @@ def test_round_trip_through_rendered_midi():
 # compiled lattice
 
 def _count_compiles(monkeypatch) -> list:
+    """The time signature of each lattice compiled, and "plan" for each
+    solve plan built, in order."""
     import rhythmiq.grammar as grammar_module
 
     calls = []
     compile_lattice = grammar_module.compile_lattice
+    compile_plan = grammar_module.compile_plan
 
     def counted(grammar, time_signature):
         calls.append(time_signature)
         return compile_lattice(grammar, time_signature)
 
+    def counted_plan(nodes):
+        calls.append("plan")
+        return compile_plan(nodes)
+
     monkeypatch.setattr(grammar_module, "compile_lattice", counted)
+    monkeypatch.setattr(grammar_module, "compile_plan", counted_plan)
     return calls
 
 
@@ -740,12 +793,38 @@ def test_lattice_compiles_once_per_grammar_and_signature(monkeypatch):
         + [NoteEvent(1.97, 1.0, 72)]  # an onset aligned across a barline
     )
     quantize_performance(perf, _grid(2), grammar)
-    assert calls == [SIG]
+    assert calls == [SIG, "plan"]  # the plan is built with its lattice
     for _ in range(3):
         quantize_measure(MeasureInput(((0.25, 60),), (0.5,)), grammar)
-    assert calls == [SIG]
+    assert calls == [SIG, "plan"]
     quantize_measure(MeasureInput(), default_grammar())
-    assert calls == [SIG, SIG]  # another grammar compiles its own
+    assert calls == [SIG, "plan"] * 2  # another grammar compiles its own
+
+
+def test_equal_grammars_compile_equal_lattices_and_plans():
+    first, second = default_grammar().lattice(SIG), default_grammar().lattice(SIG)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first.plan == second.plan
+    plan = first.plan
+    assert len(plan.edges) == 49  # 97 nodes, 49 distinct cell edges
+    assert len(plan.note_cells) == 56  # the X and G cells
+
+
+def test_a_new_grammar_solves_from_its_own_plan():
+    # each grammar keeps its lattice and plan, so a grammar built after
+    # another one is collected (and may reuse its id) still solves as the
+    # reference does
+    rng = random.Random(2027)
+    for trial in range(30):
+        grammar = support.random_grammar(rng)
+        measure = support.random_measure(rng)
+        final = rng.random() < 0.5
+        assert (_entries(measure, grammar, QuantConfig(), final)
+                == support.reference_quantize_measure(measure, grammar, states=True,
+                                                      final=final)), trial
+        del grammar
+        gc.collect()
 
 
 def test_lattice_for_a_signature_without_start_symbol_raises(monkeypatch):

@@ -76,6 +76,14 @@ def test_cluster_width_validation():
         estimate_tempo_ioi(_perf([0.0, 0.5, 1.0]), cluster_width=0.0)
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf])
+def test_cluster_width_must_be_finite(width):
+    # every comparison with nan is false, and inf merges every interval
+    # into one cluster, so neither may reach the clustering
+    with pytest.raises(ValidationError, match="cluster_width must be finite"):
+        estimate_tempo_ioi(_perf([0.0, 0.5, 1.0, 1.5]), cluster_width=width)
+
+
 @given(
     st.floats(min_value=0.2, max_value=1.0, allow_nan=False),
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
