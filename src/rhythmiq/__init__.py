@@ -23,9 +23,9 @@ _SUBMODULES = {
         "UnsupportedContentError", "ValidationError",
     ),
     "grammar": (
-        "GrammarRule", "Leaf", "RhythmGrammar", "Split", "adjust_rule_weight",
-        "default_grammar", "parse_grammar_file", "sample_score", "sample_tree",
-        "serialize_grammar", "train_grammar",
+        "GrammarRule", "Leaf", "RhythmGrammar", "Split", "default_grammar",
+        "parse_grammar_file", "sample_score", "sample_tree", "serialize_grammar",
+        "train_grammar",
     ),
     "metrics": (
         "EditMetrics", "NoteMetrics", "best_rotation_fmeasure",
@@ -40,7 +40,7 @@ _SUBMODULES = {
     ),
     "tempo": (
         "TempoBounds", "TempoEstimate", "enumerate_rotations",
-        "estimate_tempo_ioi", "grid_from_tempo", "tempo_bounds",
+        "estimate_tempo_ioi", "tempo_bounds",
     ),
     "trees": (
         "CONTINUATION", "NOTE", "REST", "NotatedEvent", "RhythmTree",

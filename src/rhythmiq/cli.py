@@ -138,11 +138,13 @@ def _load_downbeats(path: Path) -> list[float]:
     try:
         return load_beats(text).downbeats()
     except RhythmiqError:
+        lines = [(lineno, raw.split("#", 1)[0].strip())
+                 for lineno, raw in enumerate(text.splitlines(), start=1)]
+        lines = [(lineno, line) for lineno, line in lines if line]
+        if lines and all(line.count(",") == 1 for _, line in lines):
+            raise  # every line is a time,beat_in_bar record: a bad beats CSV
         times = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in lines:
             try:
                 t = float(line.split(",")[0])
             except ValueError:
@@ -257,7 +259,7 @@ def cmd_train_grammar(args) -> int:
 
 
 def cmd_rotations(args) -> int:
-    from .metrics import downbeat_fmeasure
+    from .metrics import rotation_fmeasures
     from .midi_io import load_midi
     from .tempo import enumerate_rotations
 
@@ -274,8 +276,7 @@ def cmd_rotations(args) -> int:
                for phase, rotated in enumerate(rotations)]
     report = {"beats_per_bar": grid.beats_per_bar, "rotations": entries}
     if ref is not None:
-        scores = [downbeat_fmeasure(ref, rotated.downbeats(), cfg.beat_tolerance)
-                  for rotated in rotations]
+        scores = rotation_fmeasures(ref, grid.beats, grid.beats_per_bar, cfg.beat_tolerance)
         for entry, f in zip(entries, scores):
             entry["downbeat_f"] = _round(f)
         best = scores.index(max(scores))  # ties go to the smallest phase

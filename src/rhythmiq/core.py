@@ -110,12 +110,6 @@ class Performance(Record):
     def onsets(self) -> list[float]:
         return [n.onset for n in self.notes]
 
-    def is_monophonic(self, tol: float = 0.0) -> bool:
-        return all(
-            a.offset <= b.onset + tol
-            for a, b in zip(self.notes, self.notes[1:])
-        )
-
 
 class TimeSignature(Record):
     __slots__ = ("numerator", "denominator")
@@ -204,10 +198,12 @@ def load_beats(text: str) -> BeatGrid:
 
     Each data line is ``time_sec,beat_in_bar`` where beat_in_bar counts from 1
     at the downbeat.  Lines starting with ``#`` are comments; a non-numeric
-    first line is treated as a header.
+    first line is treated as a header.  The bar is as long as the largest
+    position, and every position must be the one that bar gives its line.
     """
     times: list[float] = []
     positions: list[int] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -217,7 +213,8 @@ def load_beats(text: str) -> BeatGrid:
             raise ValidationError(f"line {lineno}: expected 2 fields, got {len(fields)}")
         try:
             t = float(fields[0])
-            b = int(float(fields[1]))
+            b = float(fields[1])
+            position = int(b)
         except (ValueError, OverflowError):  # OverflowError: int() of inf
             if not times:
                 continue  # header line
@@ -225,8 +222,12 @@ def load_beats(text: str) -> BeatGrid:
         if not math.isfinite(t):
             raise ValidationError(
                 f"line {lineno}: beat time must be finite, got {fields[0]!r}")
+        if position != b:
+            raise ValidationError(
+                f"line {lineno}: beat position must be a whole number, got {fields[1]!r}")
         times.append(t)
-        positions.append(b)
+        positions.append(position)
+        linenos.append(lineno)
     if not times:
         raise ValidationError("no beat records found")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
@@ -238,7 +239,13 @@ def load_beats(text: str) -> BeatGrid:
         phase = positions.index(1)
     except ValueError:
         raise ValidationError("no downbeat (beat position 1) in annotation")
-    return BeatGrid(times, beats_per_bar, phase)
+    grid = BeatGrid(times, beats_per_bar, phase)
+    for i, (position, lineno) in enumerate(zip(positions, linenos)):
+        if position != grid.beat_position(i):
+            raise ValidationError(
+                f"line {lineno}: beat position {position} where bars of "
+                f"{beats_per_bar} beats put {grid.beat_position(i)}")
+    return grid
 
 
 def save_beats(grid: BeatGrid) -> str:

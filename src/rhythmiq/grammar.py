@@ -174,30 +174,22 @@ class Lattice(Record):
 
     ``nodes`` list children before parents; the start symbol's node over the
     whole measure is last.  ``plan`` is the nodes laid out for the
-    quantizer: ``compile_lattice`` builds it with the lattice, and a lattice
-    built without one (a copy, say) builds it on first use.
+    quantizer, compiled with the lattice.
     ``empty_entries`` holds, per node, the (0, 0) state-table entry of a
     cell with no onset under silence and under a sound held through it, in
     that order; the quantizer's first solve on the lattice fills it.
     Equality, hash and repr leave the plan and ``empty_entries`` out.
     """
 
-    __slots__ = ("nodes", "empty_entries", "_plan")
+    __slots__ = ("nodes", "empty_entries", "plan")
     _fields = ("nodes",)
 
-    def __init__(self, nodes: tuple[LatticeNode, ...],
-                 empty_entries: list | None = None, plan: SolvePlan | None = None):
+    def __init__(self, nodes: tuple[LatticeNode, ...], empty_entries: list | None = None):
         if empty_entries is None:
             empty_entries = []
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "empty_entries", empty_entries)
-        object.__setattr__(self, "_plan", plan)
-
-    @property
-    def plan(self) -> SolvePlan:
-        if self._plan is None:
-            object.__setattr__(self, "_plan", compile_plan(self.nodes))
-        return self._plan
+        object.__setattr__(self, "plan", compile_plan(nodes))
 
     def max_leaves(self) -> int:
         """Most leaves of any derivation of the whole measure."""
@@ -255,7 +247,7 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
         return node
 
     visit(start, 0, 1, 1, 0)
-    return Lattice(tuple(nodes), plan=compile_plan(tuple(nodes)))
+    return Lattice(tuple(nodes))
 
 
 class RhythmGrammar:
@@ -341,12 +333,6 @@ class RhythmGrammar:
 
     def rules_for(self, head: str) -> list[GrammarRule]:
         return self._by_head.get(head, [])
-
-    def leaf_rule(self, head: str, label: str) -> GrammarRule | None:
-        for rule in self._by_head.get(head, ()):
-            if isinstance(rule.body, Leaf) and rule.body.label == label:
-                return rule
-        return None
 
     def start_for(self, time_signature: TimeSignature) -> str:
         try:
@@ -538,60 +524,6 @@ def train_grammar(
 
     depth_bound = max_depth if max_depth is not None else deepest
     return RhythmGrammar(starts, rules, depth_bound)
-
-
-# ---------------------------------------------------------------------------
-# weight adjustment
-
-def parse_rule_selector(text: str):
-    """Compile a selector like ``split=3``, ``head=B,leaf=rest`` to a predicate."""
-    clauses = []
-    for part in text.split(","):
-        key, _, value = part.strip().partition("=")
-        if key == "head":
-            clauses.append(lambda r, v=value: r.head == v)
-        elif key == "split":
-            arity = int(value)
-            clauses.append(
-                lambda r, a=arity: isinstance(r.body, Split) and len(r.body.children) == a
-            )
-        elif key == "leaf":
-            if value not in LEAF_LABELS:
-                raise ValidationError(f"unknown leaf label {value!r}")
-            clauses.append(
-                lambda r, v=value: isinstance(r.body, Leaf) and r.body.label == v
-            )
-        else:
-            raise ValidationError(f"unknown selector clause {part.strip()!r}")
-    return lambda rule: all(c(rule) for c in clauses)
-
-
-def adjust_rule_weight(grammar: RhythmGrammar, selector, factor: float) -> RhythmGrammar:
-    """Scale the probability of all rules matched by ``selector`` by ``factor``
-    and renormalize each affected head.  Unmatched heads are untouched.
-    """
-    if factor <= 0:
-        raise ValidationError(f"factor must be > 0, got {factor}")
-    predicate = parse_rule_selector(selector) if isinstance(selector, str) else selector
-
-    matched_heads = {r.head for r in grammar.rules if predicate(r)}
-    if not matched_heads:
-        return grammar
-
-    scaled: dict[int, float] = {}
-    totals: dict[str, float] = {}
-    for i, r in enumerate(grammar.rules):
-        if r.head in matched_heads:
-            scaled[i] = r.probability * (factor if predicate(r) else 1.0)
-            totals[r.head] = totals.get(r.head, 0) + scaled[i]
-
-    rules = [
-        GrammarRule(r.head, r.body, -math.log(scaled[i] / totals[r.head]))
-        if i in scaled
-        else r
-        for i, r in enumerate(grammar.rules)
-    ]
-    return RhythmGrammar(grammar.starts, rules, grammar.max_depth)
 
 
 # ---------------------------------------------------------------------------

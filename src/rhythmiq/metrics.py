@@ -107,6 +107,20 @@ def downbeat_fmeasure(
     return _f_measure(precision, recall)
 
 
+def rotation_fmeasures(
+    ref_downbeats,
+    beat_times,
+    beats_per_bar: int,
+    tolerance: float = DEFAULT_BEAT_TOLERANCE,
+) -> list[float]:
+    """The downbeat F-measure of every rotation of a beat sequence, by phase:
+    phase p takes ``beat_times[p::beats_per_bar]`` as its downbeats."""
+    if beats_per_bar < 1:
+        raise ValidationError("beats_per_bar must be >= 1")
+    return [downbeat_fmeasure(ref_downbeats, beat_times[phase::beats_per_bar], tolerance)
+            for phase in range(beats_per_bar)]
+
+
 def best_rotation_fmeasure(
     ref_downbeats,
     beat_times,
@@ -117,15 +131,9 @@ def best_rotation_fmeasure(
 
     Ties resolve to the smallest phase so results are reproducible.
     """
-    if beats_per_bar < 1:
-        raise ValidationError("beats_per_bar must be >= 1")
-    best_f, best_phase = -1.0, 0
-    for phase in range(beats_per_bar):
-        f = downbeat_fmeasure(ref_downbeats, beat_times[phase::beats_per_bar],
-                              tolerance)
-        if f > best_f:
-            best_f, best_phase = f, phase
-    return best_f, best_phase
+    scores = rotation_fmeasures(ref_downbeats, beat_times, beats_per_bar, tolerance)
+    best = scores.index(max(scores))
+    return scores[best], best
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tempo estimation from inter-onset intervals, and beat-grid construction.
+"""Tempo estimation from inter-onset intervals, and beat-grid rotations.
 
 The estimator follows the classic IOI clustering recipe: collect intervals
 between pairs of nearby onsets, agglomerate them into clusters, let clusters
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .core import (DEFAULT_CLUSTER_WIDTH, DEFAULT_MAX_BPM, DEFAULT_MIN_BPM, BeatGrid,
-                   Performance, Record, TimeSignature)
+                   Performance, Record)
 from .errors import InsufficientDataError, NoTempoError, ValidationError
 
 # Pairs of onsets further apart than this contribute no interval.  4 seconds
@@ -199,26 +199,6 @@ def tempo_bounds(prior: TempoEstimate) -> TempoBounds:
     floor = max(prior.bpm - PRIOR_MARGIN_BPM, 1.0)
     floor = min(floor, DEFAULT_MAX_BPM - 5.0)
     return TempoBounds(floor, DEFAULT_MAX_BPM)
-
-
-def grid_from_tempo(
-    bpm: float,
-    anchor: float,
-    span: float,
-    time_signature: TimeSignature = TimeSignature(4, 4),
-    phase: int = 0,
-) -> BeatGrid:
-    """Uniform beat grid at ``bpm`` covering [anchor, anchor + span]."""
-    if bpm <= 0:
-        raise ValidationError(f"bpm must be positive, got {bpm}")
-    if span <= 0:
-        raise ValidationError(f"span must be positive, got {span}")
-    period = 60.0 / bpm
-    count = int(span / period + 1e-9) + 1
-    beats = [anchor + k * period for k in range(count)]
-    if len(beats) < 2:
-        beats.append(anchor + period)
-    return BeatGrid(beats, time_signature.numerator, phase, time_signature)
 
 
 def enumerate_rotations(grid: BeatGrid) -> list[BeatGrid]:

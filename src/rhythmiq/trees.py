@@ -65,8 +65,8 @@ class RhythmTree(Record):
         for i, child in enumerate(self.children):
             yield from child.leaves(left + i * width, left + (i + 1) * width)
 
-    def _leaf_nodes(self) -> list["RhythmTree"]:
-        """The leaves in order, without their spans."""
+    def leaf_labels(self) -> list[str]:
+        """The leaves' labels in order."""
         out = []
         stack = [self]
         while stack:
@@ -74,27 +74,13 @@ class RhythmTree(Record):
             if node.children:
                 stack.extend(reversed(node.children))
             else:
-                out.append(node)
+                out.append(node.label)
         return out
-
-    def leaf_labels(self) -> list[str]:
-        return [leaf.label for leaf in self._leaf_nodes()]
 
     def depth(self) -> int:
         if self.is_leaf:
             return 0
         return 1 + max(c.depth() for c in self.children)
-
-    def count_leaves(self) -> int:
-        return len(self._leaf_nodes())
-
-    def validate_flow(self, carried: bool = False) -> None:
-        """Check that every continuation leaf has a sounding predecessor."""
-        prev_sounding = carried
-        for leaf in self._leaf_nodes():
-            if leaf.label == CONTINUATION and not prev_sounding:
-                raise ValidationError("continuation leaf with nothing to continue")
-            prev_sounding = leaf.label in (NOTE, CONTINUATION)
 
 
 def note(pitch: int) -> RhythmTree:
@@ -233,9 +219,7 @@ def decompose_measure(
             for c in range(k)
         ]))
 
-    tree = build(0, length * scale, 0)
-    tree.validate_flow(carried=carried_pitch is not None and carried_end > 0)
-    return tree
+    return build(0, length * scale, 0)
 
 
 # ---------------------------------------------------------------------------

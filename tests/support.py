@@ -62,6 +62,11 @@ SIG44 = TimeSignature(4, 4)
 EPS = 1e-9
 
 
+def is_monophonic(perf: Performance, tol: float = 0.0) -> bool:
+    """Whether each note of ``perf`` ends by the next onset, within ``tol``."""
+    return all(a.offset <= b.onset + tol for a, b in zip(perf.notes, perf.notes[1:]))
+
+
 def random_grammar(rng: random.Random, max_rules: int = 12,
                    max_depth: int = 3) -> RhythmGrammar:
     """A small random grammar over heads A..D.
@@ -614,8 +619,18 @@ def reference_decompose_measure(
         return RhythmTree(children=children)
 
     tree = build(Fraction(0), Fraction(1), 0)
-    tree.validate_flow(carried=carried_pitch is not None and carried_end > 0)
+    _check_flow(tree, carried=carried_pitch is not None and carried_end > 0)
     return tree
+
+
+def _check_flow(tree: RhythmTree, carried: bool) -> None:
+    """Raise ValidationError on a continuation leaf with no sounding leaf
+    (or ``carried`` sound) before it."""
+    sounding = carried
+    for leaf, _, _ in tree.leaves():
+        if leaf.label == CONTINUATION and not sounding:
+            raise ValidationError("continuation leaf with nothing to continue")
+        sounding = leaf.label != REST
 
 
 def reference_tree_to_notation(

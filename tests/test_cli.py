@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.io import wavfile
 
 from rhythmiq import (
@@ -13,14 +14,19 @@ from rhythmiq import (
     Performance,
     ScoreModel,
     TimeSignature,
+    best_rotation_fmeasure,
     default_grammar,
+    downbeat_fmeasure,
     emit_musicxml,
+    enumerate_rotations,
+    load_beats,
     parse_grammar_file,
     sample_score,
     save_beats,
     save_midi,
 )
 from rhythmiq.cli import PipelineConfig, load_config, main
+from rhythmiq.metrics import rotation_fmeasures
 from rhythmiq.musicxml import parse_musicxml
 from rhythmiq.trees import note, rest, split
 
@@ -209,7 +215,7 @@ def test_the_package_resolves_its_public_names_lazily():
     )
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[] 67 [] []"
+    assert out.stdout.strip() == "[] 65 [] []"
     for name in rhythmiq.__all__:
         value = getattr(rhythmiq, name)
         module = getattr(value, "__module__", None)
@@ -487,6 +493,43 @@ def test_rotation_mode_flag_overrides_config(tmp_path, capsys):
     assert len(list(out_dir.glob("*.musicxml"))) == 4
 
 
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=24),
+       st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_rotations_report_the_shared_rotation_scores(tmp_path, capsys, beats_per_bar,
+                                                     n_beats, data):
+    # per phase, the F-measure of that rotation's downbeats; the best phase
+    # is best_rotation_fmeasure's, the smallest of tied ones
+    periods = data.draw(st.lists(st.sampled_from((0.25, 0.4, 0.5, 0.6)),
+                                 min_size=n_beats - 1, max_size=n_beats - 1))
+    times = [0.0]
+    for period in periods:
+        times.append(times[-1] + period)
+    phase = data.draw(st.integers(0, min(beats_per_bar, n_beats) - 1))
+    beats = tmp_path / "beats.csv"
+    beats.write_text(save_beats(BeatGrid(times, beats_per_bar, phase)))
+    grid = load_beats(beats.read_text())
+    picks = data.draw(st.lists(st.tuples(st.integers(0, n_beats - 1),
+                                         st.sampled_from((0.0, 0.03, -0.06, 0.1, 0.25))),
+                               min_size=1, max_size=8))
+    ref_times = [grid.beats[i] + shift for i, shift in picks]
+    ref = tmp_path / "ref.txt"
+    ref.write_text("".join(f"{t!r}\n" for t in ref_times))
+    midi = _quarters_midi(tmp_path, n=4)
+    assert main(["rotations", str(midi), "--beats", str(beats), "--ref", str(ref)]) == 0
+    payload = _json_out(capsys)
+
+    scores = [downbeat_fmeasure(ref_times, rotated.downbeats())
+              for rotated in enumerate_rotations(grid)]
+    assert rotation_fmeasures(ref_times, grid.beats, grid.beats_per_bar) == scores
+    best_f, best = best_rotation_fmeasure(ref_times, grid.beats, grid.beats_per_bar)
+    assert best == min(p for p, f in enumerate(scores) if f == max(scores))
+    assert [entry["downbeat_f"] for entry in payload["rotations"]] == [
+        round(f, 4) for f in scores]
+    assert (payload["best_phase"], payload["best_downbeat_f"]) == (best, round(best_f, 4))
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_rotations_best_without_a_reference_exits_3(tmp_path, capsys, source):
     midi, beats, _ = _rotation_setup(tmp_path)
@@ -583,6 +626,32 @@ def test_eval_downbeats_rejects_a_bad_line(tmp_path, capsys, line, message):
     b.write_text("0.0\n2.0\n4.0\n")
     assert main(["eval", "downbeats", str(a), str(b)]) == 1
     assert capsys.readouterr().err == f"error: {a}:2: {message}\n"
+
+
+# bars of 3 beats until line 4 restarts the count; its downbeats are at 0,
+# 1.5 and 3.5 s, and no bar length puts every position where it stands
+SHIFTING_BARS = "0,1\n.5,2\n1,3\n1.5,1\n2,2\n2.5,3\n3,4\n3.5,1\n"
+
+
+@pytest.mark.parametrize("command", ["quantize", "rotations", "eval"])
+def test_a_beats_csv_whose_positions_disagree_with_its_bar_exits_1(tmp_path, capsys,
+                                                                   command):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(SHIFTING_BARS)
+    midi = _quarters_midi(tmp_path, n=4)
+    if command == "quantize":
+        argv = ["quantize", str(midi), "--beats", str(bad)]
+    elif command == "rotations":
+        argv = ["rotations", str(midi), "--beats", str(_beats_csv(tmp_path, 9)),
+                "--ref", str(bad)]
+    else:  # its first column must not be read as one downbeat per line
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0\n1.5\n3.5\n")
+        argv = ["eval", "downbeats", str(bad), str(truth)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 4: beat position 1 where bars of 4 beats put 4\n"
 
 
 def test_eval_score_identical(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,8 @@ from rhythmiq import (
     load_beats,
     save_beats,
 )
+
+import support
 
 
 def test_note_event_validation():
@@ -35,18 +39,10 @@ def test_performance_sorts_notes():
     assert len(perf) == 2
 
 
-def test_is_monophonic():
-    mono = Performance([NoteEvent(0.0, 0.5, 60), NoteEvent(0.5, 0.5, 62)])
-    poly = Performance([NoteEvent(0.0, 1.0, 60), NoteEvent(0.5, 0.5, 62)])
-    assert mono.is_monophonic()
-    assert not poly.is_monophonic()
-    assert poly.is_monophonic(tol=0.5)
-
-
 def test_enforce_monophony_truncates():
     poly = Performance([NoteEvent(0.0, 1.0, 60), NoteEvent(0.5, 0.5, 62)])
     fixed = enforce_monophony(poly)
-    assert fixed.is_monophonic()
+    assert support.is_monophonic(fixed)
     assert fixed.notes[0].duration == 0.5
 
 
@@ -69,7 +65,7 @@ def test_enforce_monophony_idempotent(raw):
     perf = Performance([NoteEvent(o, d, p) for o, d, p in raw])
     once = enforce_monophony(perf)
     # tol covers the one-ulp slack of onset + truncated duration
-    assert once.is_monophonic(tol=1e-9)
+    assert support.is_monophonic(once, tol=1e-9)
     assert enforce_monophony(once) == once
 
 
@@ -137,6 +133,31 @@ def test_load_beats_rejects_non_finite_times(record):
 def test_load_beats_rejects_a_non_finite_position():
     with pytest.raises(ValidationError, match="line 2: non-numeric beat record"):
         load_beats("0.0,1\n0.5,inf\n")
+
+
+# bars of 3 beats until line 4 restarts the count: read as bars of 4, this
+# file put its downbeats at 0 and 2 s where it marks 0, 1.5 and 3.5 s
+SHIFTING_BARS = "0,1\n.5,2\n1,3\n1.5,1\n2,2\n2.5,3\n3,4\n3.5,1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (SHIFTING_BARS, "line 4: beat position 1 where bars of 4 beats put 4"),
+    ("# time,beat\n0,1\n.5,2.9\n1,3\n", "line 3: beat position must be a whole number, got '2.9'"),
+    ("0,1\n.5,2\n1,4\n1.5,1\n", "line 3: beat position 4 where bars of 4 beats put 3"),
+    ("0,3\n.5,1\n1,3\n", "line 3: beat position 3 where bars of 3 beats put 2"),
+], ids=["restarted-bar", "fraction", "skipped-beat", "short-bar"])
+def test_load_beats_rejects_positions_that_disagree_with_the_bar(text, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_beats(text)
+
+
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_a_saved_grid_with_a_whole_bar_loads_back(beats_per_bar, data):
+    phase = data.draw(st.integers(min_value=0, max_value=beats_per_bar - 1))
+    n_beats = data.draw(st.integers(min_value=max(2, phase + beats_per_bar), max_value=40))
+    grid = BeatGrid([0.25 * k for k in range(n_beats)], beats_per_bar, phase)
+    back = load_beats(save_beats(grid))
+    assert (back.beats_per_bar, back.phase) == (beats_per_bar, phase)
 
 
 def test_save_beats_round_trip():

@@ -14,7 +14,6 @@ from rhythmiq import (
     Split,
     TimeSignature,
     ValidationError,
-    adjust_rule_weight,
     default_grammar,
     parse_grammar_file,
     sample_score,
@@ -22,7 +21,6 @@ from rhythmiq import (
     serialize_grammar,
     train_grammar,
 )
-from rhythmiq.grammar import parse_rule_selector
 from rhythmiq.trees import CONTINUATION, NOTE, decompose_measure, note, split
 
 import support
@@ -46,7 +44,7 @@ def test_parse_basic():
     assert g.start_for(SIG) == "S"
     assert g.nonterminals == {"S", "H"}
     assert len(g.rules_for("H")) == 3
-    note_rule = g.leaf_rule("S", NOTE)
+    [note_rule] = [r for r in g.rules_for("S") if r.body == Leaf(NOTE)]
     assert note_rule.probability == pytest.approx(0.4)
 
 
@@ -98,8 +96,6 @@ def test_grammar_structural_validation():
 
 
 def test_duplicate_rules_are_rejected():
-    # a repeated rule line used to make adjust_rule_weight rescale only the
-    # first copy and then fail its own normalization check
     text = ("start 4/4 = M\nM -> (B B) : 0.25\nM -> (B B) : 0.25\n"
             "M -> note : 0.5\nB -> note : 1.0\n")
     with pytest.raises(GrammarError, match=r"line 3: duplicate rule M -> \(B B\)"):
@@ -194,42 +190,7 @@ def test_train_rejects_bad_args():
 def test_trained_grammar_usable_for_sampling():
     g = train_grammar([_duplet_triplet_score(6, 2)], smoothing=1.0)
     tree = sample_tree(g, random.Random(7), g.start_for(SIG))
-    tree.validate_flow()
-
-
-# ---------------------------------------------------------------------------
-# weight adjustment
-
-def test_adjust_rule_weight_scales_and_renormalizes():
-    g = parse_grammar_file(SMALL)
-    out = adjust_rule_weight(g, "head=H,leaf=rest", 2.0)
-    probs = {str(r.body): r.probability for r in out.rules_for("H")}
-    # 0.5/0.6/0.2 after doubling rest, then renormalized by 1.3
-    assert probs["rest"] == pytest.approx(0.6 / 1.3)
-    assert probs["note"] == pytest.approx(0.5 / 1.3)
-    assert probs["continuation"] == pytest.approx(0.2 / 1.3)
-    # untouched head keeps its exact weights
-    assert out.rules_for("S") == list(g.rules_for("S"))
-
-
-def test_adjust_rule_weight_no_match_is_identity():
-    g = parse_grammar_file(SMALL)
-    assert adjust_rule_weight(g, "split=5", 3.0) == g
-
-
-def test_rule_selector_clauses():
-    g = parse_grammar_file(SMALL)
-    by_split = parse_rule_selector("split=2")
-    assert [r.head for r in g.rules if by_split(r)] == ["S"]
-    with pytest.raises(ValidationError):
-        parse_rule_selector("leaf=chord")
-    with pytest.raises(ValidationError):
-        parse_rule_selector("arity=2")
-
-
-def test_adjust_rule_weight_validates_factor():
-    with pytest.raises(ValidationError):
-        adjust_rule_weight(parse_grammar_file(SMALL), "leaf=note", 0.0)
+    ScoreModel(SIG, [tree]).notes()  # raises on a continuation after silence
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +200,7 @@ def test_sample_tree_respects_flow():
     g = default_grammar()
     for seed in range(40):
         tree = sample_tree(g, random.Random(seed), "M")
-        tree.validate_flow()  # continuation never follows silence
+        ScoreModel(SIG, [tree]).notes()  # continuation never follows silence
 
 
 def test_sample_tree_deterministic_per_seed():

@@ -29,6 +29,7 @@ from rhythmiq import (
     TempoEstimate,
     TimeSignature,
     default_grammar,
+    parse_grammar_file,
 )
 from rhythmiq.cli import PipelineConfig
 from rhythmiq.grammar import Lattice
@@ -36,6 +37,8 @@ from rhythmiq.trees import note, rest, split
 
 SIG = TimeSignature(4, 4)
 NODES = default_grammar().lattice(SIG).nodes
+OTHER_NODES = parse_grammar_file(
+    "start 4/4 = S\nS -> (H H) : 0.6\nS -> note : 0.4\nH -> note : 1.0\n").lattice(SIG).nodes
 QUARTER = Fraction(1, 4)
 
 # (type, arguments, arguments with one field changed)
@@ -47,7 +50,7 @@ CASES = [
     (Split, (("A", "B"),), (("A", "C"),)),
     (Leaf, ("note",), ("rest",)),
     (GrammarRule, ("S", Leaf("note"), 0.5), ("S", Leaf("note"), 0.7)),
-    (Lattice, (NODES,), (NODES[1:],)),
+    (Lattice, (NODES,), (OTHER_NODES,)),
     (QuantConfig, (2.0, 0.5), (2.0, 0.25)),
     (MeasureInput, (((0.0, 60),), (0.5,)), (((0.0, 62),), (0.5,))),
     (RhythmTree, ((note(60), rest()),), ((note(60), note(62)),)),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhythmiq import (
+    BeatGrid,
     InsufficientDataError,
     NoteEvent,
     NoTempoError,
@@ -13,7 +14,6 @@ from rhythmiq import (
     ValidationError,
     enumerate_rotations,
     estimate_tempo_ioi,
-    grid_from_tempo,
     tempo_bounds,
 )
 from rhythmiq.tempo import _cluster, score_clusters
@@ -133,17 +133,8 @@ def test_bounds_rule():
     assert (b.min_bpm, b.max_bpm) == (345.0, 350.0)
 
 
-def test_grid_from_tempo_spacing():
-    grid = grid_from_tempo(120.0, anchor=1.0, span=4.0)
-    assert grid.beats[0] == 1.0
-    assert len(grid.beats) == 9
-    assert all(
-        abs(b2 - b1 - 0.5) < 1e-9 for b1, b2 in zip(grid.beats, grid.beats[1:])
-    )
-
-
 def test_enumerate_rotations_covers_all_phases():
-    grid = grid_from_tempo(120.0, 0.0, 4.0)
+    grid = BeatGrid([0.5 * k for k in range(9)], 4)
     rotations = enumerate_rotations(grid)
     assert [g.phase for g in rotations] == [0, 1, 2, 3]
     assert rotations[2].downbeats()[0] == pytest.approx(1.0)

@@ -73,15 +73,15 @@ def test_leaves_intervals_are_exact():
         (NOTE, F(3, 4), F(1)),
     ]
     assert tree.depth() == 2
-    assert tree.count_leaves() == 3
 
 
 def test_validate_flow():
-    split(note(60), continuation()).validate_flow()
-    with pytest.raises(ValidationError):
-        split(rest(), continuation()).validate_flow()
-    # carried sound from the previous measure satisfies a leading continuation
-    split(continuation(), rest()).validate_flow(carried=True)
+    # ScoreModel.notes() is the one check that a continuation has sound before it
+    ScoreModel(SIG, [split(note(60), continuation())]).notes()
+    with pytest.raises(ValidationError, match="nothing to continue"):
+        ScoreModel(SIG, [split(rest(), continuation())]).notes()
+    # sound carried from the previous measure satisfies a leading continuation
+    ScoreModel(SIG, [note(62), split(continuation(), rest())]).notes()
 
 
 def test_split_arity_prefers_binary():
@@ -174,15 +174,9 @@ def test_decompose_measure_matches_the_fraction_reference(seed, sig):
             carried_pitch, carried_end), max_depth
 
 
-@given(st.data(),
-       st.sampled_from([TimeSignature(3, 4), SIG, TimeSignature(5, 8), TimeSignature(6, 8)]),
-       st.sampled_from([3, 4, 10]), st.integers(min_value=2, max_value=40))
-@settings(max_examples=300, deadline=None)
-def test_decompose_measure_depends_only_on_the_slice_in_lowest_terms(data, sig, max_depth,
-                                                                     factor):
-    # scaling the ticks, the length and the carried end by any factor gives
-    # the same tree or the same error text, so the parser may key its trees
-    # on the slice in lowest terms
+def _draw_tick_measure(data):
+    """A monophonic measure in ticks, as ``decompose_measure`` takes it:
+    (onsets, extents, length, carried_pitch, carried_end)."""
     length = data.draw(st.integers(min_value=1, max_value=48))
     positions = sorted(data.draw(st.lists(st.integers(0, length - 1), max_size=6,
                                           unique=True)))
@@ -193,6 +187,19 @@ def test_decompose_measure_depends_only_on_the_slice_in_lowest_terms(data, sig, 
     free = positions[0] if positions else length + 1  # where a carried note may end
     carried_pitch = data.draw(st.sampled_from((None, 55))) if free else None
     carried_end = data.draw(st.integers(1, free)) if carried_pitch is not None else 0
+    return onsets, extents, length, carried_pitch, carried_end
+
+
+@given(st.data(),
+       st.sampled_from([TimeSignature(3, 4), SIG, TimeSignature(5, 8), TimeSignature(6, 8)]),
+       st.sampled_from([3, 4, 10]), st.integers(min_value=2, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_decompose_measure_depends_only_on_the_slice_in_lowest_terms(data, sig, max_depth,
+                                                                     factor):
+    # scaling the ticks, the length and the carried end by any factor gives
+    # the same tree or the same error text, so the parser may key its trees
+    # on the slice in lowest terms
+    onsets, extents, length, carried_pitch, carried_end = _draw_tick_measure(data)
 
     def decomposed(c):
         try:
@@ -203,6 +210,23 @@ def test_decompose_measure_depends_only_on_the_slice_in_lowest_terms(data, sig, 
             return str(exc)
 
     assert decomposed(factor) == decomposed(1)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=4))
+@settings(max_examples=300, deadline=None)
+def test_decomposed_continuations_follow_sound(data, numerator, max_depth):
+    # every continuation leaf of a decomposed measure has sound before it,
+    # so ScoreModel.notes() reads the tree; a carried note sounds from a
+    # note measure put first
+    sig = TimeSignature(numerator, 4)
+    onsets, extents, length, carried_pitch, carried_end = _draw_tick_measure(data)
+    try:
+        tree = decompose_measure(onsets, extents, sig, length, max_depth,
+                                 carried_pitch, carried_end)
+    except DecompositionError:
+        return
+    measures = [tree] if carried_pitch is None else [note(carried_pitch), tree]
+    ScoreModel(sig, measures).notes()
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(SIGNATURES),
@@ -382,7 +406,7 @@ def test_render_anacrusis_starts_at_zero():
 def test_render_performance_output_is_monophonic():
     m = split(note(60), split(note(62), note(64)), note(65), rest())
     perf = render_performance(ScoreModel(SIG, [m, m]))
-    assert perf.is_monophonic(tol=1e-9)
+    assert support.is_monophonic(perf, tol=1e-9)
 
 
 def test_score_notes_tie_over_a_barline_is_one_note():
