@@ -137,12 +137,13 @@ def _load_downbeats(path: Path) -> list[float]:
     text = path.read_text()
     try:
         return load_beats(text).downbeats()
-    except RhythmiqError:
+    except RhythmiqError as exc:
         lines = [(lineno, raw.split("#", 1)[0].strip())
                  for lineno, raw in enumerate(text.splitlines(), start=1)]
         lines = [(lineno, line) for lineno, line in lines if line]
         if lines and all(line.count(",") == 1 for _, line in lines):
-            raise  # every line is a time,beat_in_bar record: a bad beats CSV
+            # every line is a time,beat_in_bar record: a bad beats CSV
+            raise ValidationError(f"{path}: {exc}") from None
         times = []
         for lineno, line in lines:
             try:
@@ -259,7 +260,7 @@ def cmd_train_grammar(args) -> int:
 
 
 def cmd_rotations(args) -> int:
-    from .metrics import rotation_fmeasures
+    from .metrics import best_phase, rotation_fmeasures
     from .midi_io import load_midi
     from .tempo import enumerate_rotations
 
@@ -279,7 +280,7 @@ def cmd_rotations(args) -> int:
         scores = rotation_fmeasures(ref, grid.beats, grid.beats_per_bar, cfg.beat_tolerance)
         for entry, f in zip(entries, scores):
             entry["downbeat_f"] = _round(f)
-        best = scores.index(max(scores))  # ties go to the smallest phase
+        best = best_phase(scores)
         report["best_phase"] = best
         report["best_downbeat_f"] = _round(scores[best])
     if args.out_dir:

@@ -121,6 +121,11 @@ def rotation_fmeasures(
             for phase in range(beats_per_bar)]
 
 
+def best_phase(scores: list[float]) -> int:
+    """The phase with the highest score; ties go to the smallest phase."""
+    return scores.index(max(scores))
+
+
 def best_rotation_fmeasure(
     ref_downbeats,
     beat_times,
@@ -132,7 +137,7 @@ def best_rotation_fmeasure(
     Ties resolve to the smallest phase so results are reproducible.
     """
     scores = rotation_fmeasures(ref_downbeats, beat_times, beats_per_bar, tolerance)
-    best = scores.index(max(scores))
+    best = best_phase(scores)
     return scores[best], best
 
 

@@ -493,20 +493,20 @@ def test_rotation_mode_flag_overrides_config(tmp_path, capsys):
     assert len(list(out_dir.glob("*.musicxml"))) == 4
 
 
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=24),
-       st.data())
+@given(st.integers(min_value=1, max_value=6), st.data())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_rotations_report_the_shared_rotation_scores(tmp_path, capsys, beats_per_bar,
-                                                     n_beats, data):
+def test_rotations_report_the_shared_rotation_scores(tmp_path, capsys, beats_per_bar, data):
     # per phase, the F-measure of that rotation's downbeats; the best phase
-    # is best_rotation_fmeasure's, the smallest of tied ones
+    # is best_rotation_fmeasure's, the smallest of tied ones.  The grid holds
+    # a whole bar after its phase, so every rotation has a downbeat.
+    phase = data.draw(st.integers(0, beats_per_bar - 1))
+    n_beats = data.draw(st.integers(max(2, phase + beats_per_bar), 24))
     periods = data.draw(st.lists(st.sampled_from((0.25, 0.4, 0.5, 0.6)),
                                  min_size=n_beats - 1, max_size=n_beats - 1))
     times = [0.0]
     for period in periods:
         times.append(times[-1] + period)
-    phase = data.draw(st.integers(0, min(beats_per_bar, n_beats) - 1))
     beats = tmp_path / "beats.csv"
     beats.write_text(save_beats(BeatGrid(times, beats_per_bar, phase)))
     grid = load_beats(beats.read_text())
@@ -651,7 +651,9 @@ def test_a_beats_csv_whose_positions_disagree_with_its_bar_exits_1(tmp_path, cap
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 4: beat position 1 where bars of 4 beats put 4\n"
+    # a downbeats file is named, since `eval downbeats` reads two of them
+    where = "" if command == "quantize" else f"{bad}: "
+    assert captured.err == f"error: {where}line 4: beat position 1 where bars of 4 beats put 4\n"
 
 
 def test_eval_score_identical(tmp_path, capsys):
