@@ -43,9 +43,8 @@ _SUBMODULES = {
         "estimate_tempo_ioi", "tempo_bounds",
     ),
     "trees": (
-        "CONTINUATION", "NOTE", "REST", "NotatedEvent", "RhythmTree",
-        "ScoreModel", "decompose_measure", "render_performance",
-        "tree_to_notation",
+        "CONTINUATION", "NOTE", "REST", "RhythmTree", "ScoreModel",
+        "decompose_measure", "render_performance",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SUBMODULES.items() for name in names}

@@ -273,7 +273,8 @@ def cmd_rotations(args) -> int:
     ref = _load_downbeats(Path(args.ref)) if args.ref else None
 
     rotations = enumerate_rotations(grid)
-    entries = [{"phase": phase, "first_downbeat": rotated.downbeats()[0]}
+    # a grid shorter than a bar leaves some phases without a downbeat
+    entries = [{"phase": phase, "first_downbeat": (rotated.downbeats() or [None])[0]}
                for phase, rotated in enumerate(rotations)]
     report = {"beats_per_bar": grid.beats_per_bar, "rotations": entries}
     if ref is not None:

@@ -184,11 +184,9 @@ class Lattice(Record):
     __slots__ = ("nodes", "empty_entries", "plan")
     _fields = ("nodes",)
 
-    def __init__(self, nodes: tuple[LatticeNode, ...], empty_entries: list | None = None):
-        if empty_entries is None:
-            empty_entries = []
+    def __init__(self, nodes: tuple[LatticeNode, ...]):
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "empty_entries", empty_entries)
+        object.__setattr__(self, "empty_entries", [])
         object.__setattr__(self, "plan", compile_plan(nodes))
 
     def max_leaves(self) -> int:

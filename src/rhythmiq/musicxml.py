@@ -12,14 +12,7 @@ from math import gcd, lcm
 
 from .core import Record, TimeSignature
 from .errors import FormatError, UnsupportedContentError, ValidationError
-from .trees import (
-    NOTE,
-    REST,
-    NotatedEvent,
-    ScoreModel,
-    decompose_measure,
-    slice_measure,
-)
+from .trees import ScoreModel, decompose_measure, slice_measure
 
 _NATURAL_PC = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _STEP_ORDER = {s: i for i, s in enumerate("CDEFGAB")}
@@ -134,19 +127,17 @@ def emit_musicxml(
 ) -> str:
     """Serialize a score as single-part MusicXML (partwise, version 3.1).
 
-    Durations are integer divisions: each event's length in quarters is
-    worked out once, and <divisions> is the LCM of their denominators.
+    Durations are integer divisions: a piece of ``duration / den`` of the
+    measure lasts ``duration * 4 * beats / (den * beat_type)`` quarters,
+    and <divisions> is the LCM of those denominators.
     """
     sig = score.time_signature
     measures = score.notated_measures()
-
-    # each event's duration in quarters, as (numerator, denominator)
-    quarters = [
-        [(ev.duration.numerator * 4 * sig.numerator, ev.duration.denominator * sig.denominator)
-         for ev in events]
-        for events in measures
-    ]
-    divisions = lcm(*(den // gcd(num, den) for row in quarters for num, den in row))
+    scale_num, scale_den = 4 * sig.numerator, sig.denominator
+    divisions = lcm(*(
+        den * scale_den // gcd(duration * scale_num, den * scale_den)
+        for pieces in measures for _, _, _, duration, den, _, _, _ in pieces
+    ))
 
     pickup = score.anacrusis_beats > 0
     lines = [
@@ -173,13 +164,16 @@ def emit_musicxml(
     pitches: dict[int, str] = {}
     types: dict[tuple[int, int], str] = {}
 
-    for i, (events, durations) in enumerate(zip(measures, quarters)):
+    for i, pieces in enumerate(measures):
+        # a note is tied on when the piece after it, here or in the next
+        # measure, is tied from it (only a note's piece is followed by one)
+        following = measures[i + 1][0] if i + 1 < len(measures) else None
         number = i if pickup else i + 1
         attrs = f'number="{number}"'
         if pickup and i == 0:
             attrs += ' implicit="yes"'
-            while events and events[0].kind == REST:
-                events, durations = events[1:], durations[1:]
+            while pieces and pieces[0][0] is None:
+                pieces = pieces[1:]
         lines.append(f"    <measure {attrs}>")
 
         if i == 0:
@@ -200,16 +194,20 @@ def emit_musicxml(
                 "      </direction>",
             ]
 
+        # a lone rest filling the measure
         whole_rest = (
-            len(events) == 1
-            and events[0].kind == REST
-            and events[0].duration == 1
+            len(pieces) == 1
+            and pieces[0][0] is None
+            and pieces[0][3] == pieces[0][4]
             and not (pickup and i == 0)
         )
-        group_edges = _tuplet_edges(events)
-        for j, (ev, (num, den)) in enumerate(zip(events, durations)):
+        group_edges = _tuplet_edges(pieces)
+        for j, piece in enumerate(pieces):
+            after = pieces[j + 1] if j + 1 < len(pieces) else following
+            tie_to = after is not None and after[1]
+            duration = piece[3] * scale_num * divisions // (piece[4] * scale_den)
             lines.append(_note_xml(
-                ev, j, num * divisions // den, fifths, whole_rest, group_edges,
+                piece, j, duration, fifths, whole_rest, tie_to, group_edges,
                 pitches, types,
             ))
         lines.append("    </measure>")
@@ -218,44 +216,40 @@ def emit_musicxml(
     return "\n".join(lines)
 
 
-def _tuplet_edges(events: list[NotatedEvent]) -> dict[int, tuple[int, int]]:
-    """Map tuplet group id to (first, last) event index."""
+def _tuplet_edges(pieces) -> dict[int, tuple[int, int]]:
+    """Map tuplet group id to (first, last) piece index."""
     edges: dict[int, tuple[int, int]] = {}
-    for j, ev in enumerate(events):
-        if ev.tuplet_group is None:
-            continue
-        if ev.tuplet_group not in edges:
-            edges[ev.tuplet_group] = (j, j)
-        else:
-            first, _ = edges[ev.tuplet_group]
-            edges[ev.tuplet_group] = (first, j)
+    for j, piece in enumerate(pieces):
+        group = piece[7]
+        if group is not None:
+            edges[group] = (edges.get(group, (j,))[0], j)
     return edges
 
 
 def _note_xml(
-    ev: NotatedEvent,
+    piece,
     index: int,
     duration: int,
     fifths: int,
     whole_rest: bool,
+    tie_to: bool,
     group_edges: dict[int, tuple[int, int]],
     pitches: dict[int, str],
     types: dict[tuple[int, int], str],
 ) -> str:
-    """One <note> element, its lines joined without a final newline;
-    ``pitches`` and ``types`` cache the pitch and <type>/<dot> lines across
-    calls."""
+    """One <note> element of a printed piece (see ``_Notator.pieces``), its
+    lines joined without a final newline; ``pitches`` and ``types`` cache
+    the pitch and <type>/<dot> lines across calls."""
+    midi, tie_from, _, _, _, notated, timemod, group = piece
     out = ["      <note>"]
-    tie_from = ev.kind == NOTE and ev.tie_from
-    tie_to = ev.kind == NOTE and ev.tie_to
-    if ev.kind == REST:
+    if midi is None:
         out.append('        <rest measure="yes"/>' if whole_rest else "        <rest/>")
     else:
-        pitch = pitches.get(ev.pitch)
+        pitch = pitches.get(midi)
         if pitch is None:
-            sp = spell_pitch(ev.pitch, fifths)
+            sp = spell_pitch(midi, fifths)
             alter = f"\n          <alter>{sp.alter}</alter>" if sp.alter else ""
-            pitch = pitches[ev.pitch] = (
+            pitch = pitches[midi] = (
                 f"        <pitch>\n          <step>{sp.step}</step>{alter}\n"
                 f"          <octave>{sp.octave}</octave>\n        </pitch>"
             )
@@ -266,14 +260,15 @@ def _note_xml(
     if tie_to:
         out.append('        <tie type="start"/>')
     if not whole_rest:
-        key = (ev.notated.numerator, ev.notated.denominator)
-        notated = types.get(key)
-        if notated is None:
-            type_name, dots = _dots_and_type(ev.notated)
-            notated = types[key] = f"        <type>{type_name}</type>" + "\n        <dot/>" * dots
-        out.append(notated)
-    if ev.timemod is not None:
-        actual, normal = ev.timemod
+        key = (notated.numerator, notated.denominator)
+        type_lines = types.get(key)
+        if type_lines is None:
+            type_name, dots = _dots_and_type(notated)
+            type_lines = types[key] = (
+                f"        <type>{type_name}</type>" + "\n        <dot/>" * dots)
+        out.append(type_lines)
+    if timemod is not None:
+        actual, normal = timemod
         out.append(
             f"        <time-modification><actual-notes>{actual}</actual-notes>"
             f"<normal-notes>{normal}</normal-notes></time-modification>"
@@ -283,8 +278,8 @@ def _note_xml(
         notations += '<tied type="stop"/>'
     if tie_to:
         notations += '<tied type="start"/>'
-    if ev.tuplet_group is not None:
-        first, last = group_edges[ev.tuplet_group]
+    if group is not None:
+        first, last = group_edges[group]
         if index == first:
             notations += '<tuplet type="start" number="1"/>'
         if index == last:

@@ -1,4 +1,4 @@
-"""Rhythm trees, canonical decomposition, and conversion to notated events.
+"""Rhythm trees, canonical decomposition, and the printed pieces of a measure.
 
 A rhythm tree describes one measure as nested equal subdivisions of the
 interval [0, 1).  Leaves are sounded notes, rests, or continuations of the
@@ -257,39 +257,6 @@ def slice_measure(notes, m: int, length=1):
 # notation
 
 
-class NotatedEvent(Record):
-    """A printed note or rest within one measure.
-
-    ``onset`` and ``duration`` are fractions of the measure (sounding time);
-    ``notated`` is the printed duration in whole-note units, which differs
-    from sounding time inside tuplets.  ``timemod`` is the MusicXML
-    actual/normal pair for tuplet members.  Unlike the other records it is
-    mutable, and so unhashable: ``tie_to`` is settled after the next event
-    is printed.
-    """
-
-    __slots__ = ("kind", "onset", "duration", "notated", "pitch", "timemod",
-                 "tuplet_group", "tie_from", "tie_to")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-    def __init__(self, kind: str, onset: Fraction, duration: Fraction,
-                 notated: Fraction, pitch: int | None = None,
-                 timemod: tuple[int, int] | None = None,
-                 tuplet_group: int | None = None, tie_from: bool = False,
-                 tie_to: bool = False):
-        self.kind = kind
-        self.onset = onset
-        self.duration = duration
-        self.notated = notated
-        self.pitch = pitch
-        self.timemod = timemod
-        self.tuplet_group = tuplet_group
-        self.tie_from = tie_from
-        self.tie_to = tie_to
-
-
 def notatable(q: Fraction) -> bool:
     """True when ``q`` whole notes prints as one symbol (up to two dots)."""
     den = q.denominator
@@ -402,7 +369,7 @@ class _Notator:
         return records, ticks
 
     def pieces(self, tree: RhythmTree, carried_pitch: int | None):
-        """Print one measure in integers, as ``tree_to_notation`` does.
+        """Print one measure in integers.
 
         Leaves group into runs: a rest on its own, or a note and the
         continuations after it; a continuation that opens the measure is a
@@ -479,37 +446,6 @@ class _Notator:
         return out, sounding if records[-1][0].label != REST else None
 
 
-def _events(pieces) -> list[NotatedEvent]:
-    """Wrap printed pieces into events, each note tied to the next event
-    when that is a note of the same pitch tied from it."""
-    events = [
-        NotatedEvent(REST if pitch is None else NOTE, Fraction(onset, den),
-                     Fraction(duration, den), notated, pitch, timemod, group, tie_from)
-        for pitch, tie_from, onset, duration, den, notated, timemod, group in pieces
-    ]
-    for a, b in zip(events, events[1:]):
-        a.tie_to = a.kind == NOTE and b.kind == NOTE and b.tie_from and b.pitch == a.pitch
-    return events
-
-
-def tree_to_notation(
-    tree: RhythmTree,
-    time_signature: TimeSignature,
-    carried_pitch: int | None = None,
-) -> list[NotatedEvent]:
-    """Flatten a measure tree into printed events.
-
-    Runs of a note leaf followed by continuation leaves merge into a single
-    printed duration when the sum is printable and the run stays inside one
-    tuplet group; otherwise the run is split into tied events.  A leading
-    continuation run becomes a note tied from the previous measure
-    (``carried_pitch`` supplies its pitch); a continuation after a rest
-    raises ValidationError.
-    """
-    pieces, _ = _Notator(time_signature).pieces(tree, carried_pitch)
-    return _events(pieces)
-
-
 class ScoreModel(Record):
     """A notated score: one rhythm tree per measure plus global attributes.
 
@@ -557,19 +493,16 @@ class ScoreModel(Record):
                 sounding = label != REST
         return out
 
-    def notated_measures(self) -> list[list[NotatedEvent]]:
-        """Printed events per measure with cross-measure ties resolved: a
-        note held over a barline is carried into the next measure."""
+    def notated_measures(self) -> list[list[tuple]]:
+        """The printed pieces of each measure, as ``_Notator.pieces`` gives
+        them: a note held over a barline opens the next measure as a piece
+        of its pitch tied from before."""
         notator = _Notator(self.time_signature)
         carried: int | None = None
-        out: list[list[NotatedEvent]] = []
+        out = []
         for tree in self.measures:
             pieces, carried = notator.pieces(tree, carried)
-            events = _events(pieces)
-            if out and out[-1][-1].kind == NOTE:
-                first = events[0]
-                out[-1][-1].tie_to = first.kind == NOTE and first.tie_from
-            out.append(events)
+            out.append(pieces)
         return out
 
 

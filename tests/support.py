@@ -17,6 +17,7 @@ is meaningful.
 import math
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 from fractions import Fraction
 
 from math import gcd
@@ -47,7 +48,6 @@ from rhythmiq.trees import (
     CONTINUATION,
     NOTE,
     REST,
-    NotatedEvent,
     _nominal_power,
     continuation,
     notatable,
@@ -633,13 +633,52 @@ def _check_flow(tree: RhythmTree, carried: bool) -> None:
         sounding = leaf.label != REST
 
 
+@dataclass
+class Event:
+    """A printed note or rest of the reference walks.
+
+    ``onset`` and ``duration`` are fractions of the measure (sounding time);
+    ``notated`` is the printed duration in whole-note units; ``timemod`` is
+    the MusicXML actual/normal pair of a tuplet member.  ``tie_to`` is
+    settled once the next event is printed.
+    """
+
+    kind: str
+    onset: Fraction
+    duration: Fraction
+    notated: Fraction
+    pitch: int | None = None
+    timemod: tuple[int, int] | None = None
+    tuplet_group: int | None = None
+    tie_from: bool = False
+    tie_to: bool = False
+
+
+def printed_events(measures) -> list[list[Event]]:
+    """Per measure, the printed pieces of ``_Notator.pieces`` (a list of
+    them per measure, as ``ScoreModel.notated_measures`` gives) as events,
+    for comparison with the reference walks: a note is tied on when the
+    piece after it, in its measure or the next, is tied from it, which is
+    where ``emit_musicxml`` prints a tie start."""
+    out = [
+        [Event(REST if pitch is None else NOTE, Fraction(onset, den),
+               Fraction(duration, den), notated, pitch, timemod, group, tie_from)
+         for pitch, tie_from, onset, duration, den, notated, timemod, group in pieces]
+        for pieces in measures
+    ]
+    flat = [ev for events in out for ev in events]
+    for a, b in zip(flat, flat[1:]):
+        a.tie_to = a.kind == NOTE and b.tie_from
+    return out
+
+
 def reference_tree_to_notation(
     tree: RhythmTree,
     time_signature: TimeSignature,
     carried_pitch: int | None = None,
-) -> list[NotatedEvent]:
-    """The Fraction walk that ``tree_to_notation`` replaced, kept as its
-    reference: equal events, same errors.
+) -> list[Event]:
+    """The Fraction walk that the integer ``_Notator.pieces`` replaced,
+    kept as its reference: equal events, same errors.
 
     Flatten a measure tree into printed events.
 
@@ -680,7 +719,7 @@ def reference_tree_to_notation(
     walk(tree, Fraction(0), Fraction(1), measure_whole, (1, 1), None)
 
     # group into runs: note + following continuations, rests standalone
-    events: list[NotatedEvent] = []
+    events: list[Event] = []
 
     def emit_run(leaves, pitch, tie_from_prev):
         kind = NOTE if pitch is not None else REST
@@ -704,7 +743,7 @@ def reference_tree_to_notation(
             pos = left
             for piece_index, piece in enumerate(split_notatable(total)):
                 width = run_width * piece / total
-                events.append(NotatedEvent(
+                events.append(Event(
                     kind=kind,
                     onset=pos,
                     duration=width,
@@ -989,7 +1028,7 @@ def random_score(rng: random.Random, sig: TimeSignature | None = None,
     return ScoreModel(sig, [tree(3) for _ in range(n_measures)])
 
 
-def reference_notated_measures(score: ScoreModel) -> list[list[NotatedEvent]]:
+def reference_notated_measures(score: ScoreModel) -> list[list[Event]]:
     """``ScoreModel.notated_measures`` on the Fraction walk: each measure
     printed by ``reference_tree_to_notation``, the pitch of its last note
     leaf carried on while its last leaf sounds."""
@@ -1014,14 +1053,14 @@ def reference_notated_measures(score: ScoreModel) -> list[list[NotatedEvent]]:
 
 
 def reference_measure_keys(score: ScoreModel):
-    """The score-edit keys taken from printed events, kept as the reference
-    of the keys ``score_edit_metrics`` takes from the tree walk: equal
-    counts, same errors.
+    """The score-edit keys taken from the printed events of the Fraction
+    walk, kept as the reference of the keys ``score_edit_metrics`` takes
+    from the integer tree walk: equal counts, same errors.
 
     Per measure: set of note keys (onset, pitch) and rest keys (onset).
     """
     out = []
-    for events in score.notated_measures():
+    for events in reference_notated_measures(score):
         notes = set()
         rests = set()
         for ev in events:

@@ -215,7 +215,7 @@ def test_the_package_resolves_its_public_names_lazily():
     )
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[] 65 [] []"
+    assert out.stdout.strip() == "[] 63 [] []"
     for name in rhythmiq.__all__:
         value = getattr(rhythmiq, name)
         module = getattr(value, "__module__", None)
@@ -491,6 +491,25 @@ def test_rotation_mode_flag_overrides_config(tmp_path, capsys):
                  "--ref", str(ref), "--config", str(cfg),
                  "--out-dir", str(out_dir), "--rotations", "all"]) == 0
     assert len(list(out_dir.glob("*.musicxml"))) == 4
+
+
+@pytest.mark.parametrize("render", [False, True], ids=["report", "out-dir"])
+def test_rotations_of_a_grid_shorter_than_a_bar(tmp_path, capsys, render):
+    # three beats of 4-beat bars: phase 3 has no downbeat, which the report
+    # prints as null, and its rendering still quantizes
+    midi = _quarters_midi(tmp_path, n=2)
+    beats = tmp_path / "short.csv"
+    beats.write_text("0.0,4\n0.5,1\n1.0,2\n")
+    out_dir = tmp_path / "rendered"
+    extra = ["--out-dir", str(out_dir)] if render else []
+    assert main(["rotations", str(midi), "--beats", str(beats)] + extra) == 0
+    payload = _json_out(capsys)
+    assert [entry["first_downbeat"] for entry in payload["rotations"]] == [
+        0.0, 0.5, 1.0, None]
+    if render:
+        assert sorted(p.name for p in out_dir.glob("*.musicxml")) == [
+            f"{midi.stem}.rot{phase}.musicxml" for phase in range(4)]
+        parse_musicxml((out_dir / f"{midi.stem}.rot3.musicxml").read_text())
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())

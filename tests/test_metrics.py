@@ -23,7 +23,7 @@ from rhythmiq import (
     summarize,
 )
 from rhythmiq.metrics import ZERO_RESIDUAL_DB, _measure_keys
-from rhythmiq.trees import REST, continuation, note, rest, split
+from rhythmiq.trees import continuation, note, rest, split
 
 import support
 
@@ -269,13 +269,15 @@ def test_score_edit_keys_match_the_printed_events_on_the_hard_cases():
     # a 5/16 rest prints as 1/4 + 1/16, the second piece at 4/5 of its span
     note_rest = split(note(60), rest())
     two_piece_rest = ScoreModel(sig58, [note_rest])
-    assert [ev.onset for ev in two_piece_rest.notated_measures()[0]
-            if ev.kind == REST] == [Fraction(1, 2), Fraction(9, 10)]
+    # a piece is (pitch, tie_from, onset, duration, den, notated, timemod, group)
+    assert [Fraction(onset, den) for pitch, _, onset, _, den, _, _, _
+            in two_piece_rest.notated_measures()[0]
+            if pitch is None] == [Fraction(1, 2), Fraction(9, 10)]
     tuplet_rest = ScoreModel(SIG, [split(note(60), rest(), note(62))])
-    assert tuplet_rest.notated_measures()[0][1].timemod == (3, 2)
+    assert tuplet_rest.notated_measures()[0][1][6] == (3, 2)
     held = split(continuation(), note(64))
     tied_over = ScoreModel(SIG, [split(note(60), note(62)), held])
-    assert tied_over.notated_measures()[1][0].tie_from
+    assert tied_over.notated_measures()[1][0][1]
     opens_tied = ScoreModel(SIG, [split(continuation(), note(60))])
     triplet = split(note(60), note(62), note(64))
     unprintable = ScoreModel(sig54, [triplet])

@@ -2,11 +2,10 @@
 
 Each case builds a record twice from the same arguments and once with one
 field changed.  Records compare by type and field values, frozen ones hash
-by them and refuse assignment, and ``NotatedEvent`` stays mutable.
+by them and refuse assignment.
 """
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from rhythmiq import (
     GrammarRule,
     Leaf,
     MeasureInput,
-    NotatedEvent,
     NoteEvent,
     NoteMetrics,
     Performance,
@@ -39,7 +37,6 @@ SIG = TimeSignature(4, 4)
 NODES = default_grammar().lattice(SIG).nodes
 OTHER_NODES = parse_grammar_file(
     "start 4/4 = S\nS -> (H H) : 0.6\nS -> note : 0.4\nH -> note : 1.0\n").lattice(SIG).nodes
-QUARTER = Fraction(1, 4)
 
 # (type, arguments, arguments with one field changed)
 CASES = [
@@ -54,8 +51,6 @@ CASES = [
     (QuantConfig, (2.0, 0.5), (2.0, 0.25)),
     (MeasureInput, (((0.0, 60),), (0.5,)), (((0.0, 62),), (0.5,))),
     (RhythmTree, ((note(60), rest()),), ((note(60), note(62)),)),
-    (NotatedEvent, ("note", Fraction(0), QUARTER, QUARTER, 60),
-     ("note", Fraction(0), QUARTER, QUARTER, 62)),
     (ScoreModel, (SIG, [split(note(60), rest())]),
      (SIG, [split(note(60), rest())], 100.0)),
     (SpelledPitch, ("C", 0, 4), ("C", 1, 4)),
@@ -79,10 +74,6 @@ def test_record_semantics(cls, args, changed):
     assert copy.deepcopy(a) == a
     assert pickle.loads(pickle.dumps(a)) == a
     assert repr(a).startswith(f"{cls.__name__}(")
-    if cls is NotatedEvent:
-        with pytest.raises(TypeError):
-            hash(a)
-        return
     assert hash(a) == hash(b)
     for name in cls.__slots__:
         with pytest.raises(AttributeError):
@@ -94,22 +85,14 @@ def test_record_semantics(cls, args, changed):
     assert a == b
 
 
-def test_notated_event_ties_are_assigned_after_construction():
-    event = NotatedEvent("note", Fraction(0), QUARTER, QUARTER, 60)
-    twin = NotatedEvent("note", Fraction(0), QUARTER, QUARTER, 60)
-    event.tie_to = True
-    assert event.tie_to and event != twin
-    twin.tie_to = True
-    assert event == twin
-
-
 def test_record_repr_names_every_field():
     assert repr(SIG) == "TimeSignature(numerator=4, denominator=4)"
     assert repr(note(60)) == "RhythmTree(children=(), label='note', pitch=60)"
 
 
 def test_lattice_equality_ignores_its_shared_entries():
-    filled = Lattice(NODES, [None] * len(NODES))
+    filled = Lattice(NODES)
+    filled.empty_entries[:] = [None] * len(NODES)
     assert filled == Lattice(NODES)
     assert hash(filled) == hash(Lattice(NODES))
     assert "empty_entries" not in repr(filled)

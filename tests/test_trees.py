@@ -22,10 +22,10 @@ from rhythmiq import (
     emit_musicxml,
     render_performance,
     score_edit_metrics,
-    tree_to_notation,
 )
 from rhythmiq.grammar import sample_tree
 from rhythmiq.trees import (
+    _Notator,
     _split_arity,
     continuation,
     notatable,
@@ -49,6 +49,12 @@ def _outcome(fn, *args):
         return fn(*args)
     except RhythmiqError as exc:
         return type(exc)
+
+
+def _printed(tree, sig, carried_pitch=None):
+    """The printed pieces of one measure, as the reference walk's events."""
+    pieces, _ = _Notator(sig).pieces(tree, carried_pitch)
+    return support.printed_events([pieces])[0]
 
 
 def test_tree_validation():
@@ -232,7 +238,7 @@ def test_decomposed_continuations_follow_sound(data, numerator, max_depth):
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(SIGNATURES),
        st.sampled_from([None, 62]))
 @settings(max_examples=300, deadline=None)
-def test_tree_to_notation_matches_the_fraction_reference(seed, sig, carried_pitch):
+def test_printed_pieces_match_the_fraction_reference(seed, sig, carried_pitch):
     # random grammars give nested duplets and triplets; decomposed measures
     # add quintuplets, septuplets and deeper odd splits
     rng = random.Random(seed)
@@ -247,7 +253,7 @@ def test_tree_to_notation_matches_the_fraction_reference(seed, sig, carried_pitc
     for tree in (sampled, decomposed):
         if not isinstance(tree, RhythmTree):
             continue  # no tree within the grammar's depth bound
-        assert _outcome(tree_to_notation, tree, sig, carried_pitch) == _outcome(
+        assert _outcome(_printed, tree, sig, carried_pitch) == _outcome(
             support.reference_tree_to_notation, tree, sig, carried_pitch)
 
 
@@ -266,8 +272,8 @@ def test_notated_measures_match_the_fraction_reference():
         stray.notated_measures()
     scores = [stray] + [support.random_score(random.Random(seed)) for seed in range(300)]
     for index, score in enumerate(scores):
-        assert _outcome(ScoreModel.notated_measures, score) == _outcome(
-            support.reference_notated_measures, score), index
+        printed = _outcome(lambda s: support.printed_events(s.notated_measures()), score)
+        assert printed == _outcome(support.reference_notated_measures, score), index
 
 
 def test_a_continuation_after_a_rest_has_nothing_to_continue():
@@ -282,7 +288,7 @@ def test_a_continuation_after_a_rest_has_nothing_to_continue():
             read(score)
     with pytest.raises(ValidationError, match=message):
         score_edit_metrics(score, score)
-    for notate in (tree_to_notation, support.reference_tree_to_notation):
+    for notate in (_printed, support.reference_tree_to_notation):
         with pytest.raises(ValidationError, match=message):
             notate(score.measures[1], SIG, 62)
     # a measure that opens with a continuation and nothing carried keeps its
@@ -311,7 +317,7 @@ def test_dotted_merge():
         note(64),
         rest(),
     )
-    events = tree_to_notation(tree, SIG)
+    events = _printed(tree, SIG)
     assert [(e.kind, e.notated, e.tie_from, e.tie_to) for e in events] == [
         (NOTE, F(3, 8), False, False),  # dotted quarter
         (NOTE, F(1, 8), False, False),
@@ -324,7 +330,7 @@ def test_dotted_merge():
 
 def test_tuplet_notation():
     tree = split(split(note(60), note(62), note(64)), rest(), rest(), rest())
-    events = tree_to_notation(tree, SIG)
+    events = _printed(tree, SIG)
     triplet = events[:3]
     assert all(e.timemod == (3, 2) for e in triplet)
     assert all(e.notated == F(1, 8) for e in triplet)
@@ -340,17 +346,19 @@ def test_unprintable_run_splits_into_tie():
         rest(),
         rest(),
     )
-    events = tree_to_notation(tree, SIG)
+    events = _printed(tree, SIG)
     notes = [e for e in events if e.kind == NOTE]
     assert [n.notated for n in notes] == [F(1, 4), F(1, 16)]
     assert notes[0].tie_to and notes[1].tie_from
+    xml = emit_musicxml(ScoreModel(SIG, [tree]))
+    assert xml.count('<tie type="start"/>') == xml.count('<tie type="stop"/>') == 1
 
 
 def test_leading_continuation_needs_carried_pitch():
     tree = split(continuation(), rest(), rest(), rest())
     with pytest.raises(ValidationError):
-        tree_to_notation(tree, SIG)
-    events = tree_to_notation(tree, SIG, carried_pitch=57)
+        _printed(tree, SIG)
+    events = _printed(tree, SIG, carried_pitch=57)
     assert events[0].kind == NOTE
     assert events[0].pitch == 57
     assert events[0].tie_from
@@ -369,10 +377,11 @@ def test_cross_measure_tie():
     m1 = split(rest(), rest(), rest(), note(60))
     m2 = split(continuation(), rest(), rest(), rest())
     score = ScoreModel(SIG, [m1, m2])
-    measures = score.notated_measures()
-    assert measures[0][-1].tie_to
-    assert measures[1][0].tie_from
-    assert measures[1][0].pitch == 60
+    pitch, tie_from = score.notated_measures()[1][0][:2]
+    assert (pitch, tie_from) == (60, True)
+    first, second, _ = emit_musicxml(score).split("</measure>")
+    assert '<tie type="start"/>' in first and '<tie type="stop"/>' not in first
+    assert '<tie type="stop"/>' in second and '<tie type="start"/>' not in second
 
 
 def test_render_performance_exact_timing():
