@@ -36,7 +36,7 @@ _SUBMODULES = {
     "musicxml": ("SpelledPitch", "emit_musicxml", "parse_musicxml", "spell_pitch"),
     "quantize": (
         "MeasureInput", "QuantConfig", "fallback_quantize", "quantize_measure",
-        "quantize_performance", "time_to_beats",
+        "quantize_performance",
     ),
     "tempo": (
         "TempoBounds", "TempoEstimate", "enumerate_rotations",

@@ -70,15 +70,19 @@ class Record:
 class NoteEvent(Record):
     """A single played note.
 
-    onset: seconds, >= 0.  duration: seconds, > 0.
+    onset: finite seconds, >= 0.  duration: finite seconds, > 0.
     pitch: MIDI number 0..127.  velocity: 1..127.
     """
 
     __slots__ = ("onset", "duration", "pitch", "velocity")
 
     def __init__(self, onset: float, duration: float, pitch: int, velocity: int = 64):
+        if not math.isfinite(onset):
+            raise ValidationError(f"onset must be finite, got {onset}")
         if onset < 0:
             raise ValidationError(f"onset must be >= 0, got {onset}")
+        if not math.isfinite(duration):
+            raise ValidationError(f"duration must be finite, got {duration}")
         if duration <= 0:
             raise ValidationError(f"duration must be > 0, got {duration}")
         if not 0 <= pitch <= 127:

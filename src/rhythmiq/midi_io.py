@@ -51,11 +51,23 @@ def _varlen(data: bytes, pos: int) -> tuple[int, int]:
     raise FormatError("variable-length quantity longer than 4 bytes")
 
 
-def _parse_track(chunk: bytes):
-    """Yield (tick, kind, payload) events from one MTrk chunk body."""
+def _read_track(chunk: bytes, offset: int,
+                tempos: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    """Read one MTrk chunk body, which starts ``offset`` bytes into the file.
+
+    Appends its set-tempo events as (tick, microseconds per quarter) to
+    ``tempos`` and returns its notes as (on tick, off tick, pitch, velocity),
+    in order of release, then the notes still sounding in the order their
+    (channel, pitch) first sounded; those close at the tick of the track's
+    last note, set-tempo or end-of-track event.  A note-off closes the
+    earliest open note of its channel and pitch, and a note that does not
+    end after it starts is dropped.
+    """
     size = len(chunk)
-    pos = tick = 0
+    pos = tick = last = 0
     running = None
+    sounding: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    notes = []
     while pos < size:
         if chunk[pos] < 0x80:  # a one-byte delta time
             tick += chunk[pos]
@@ -79,17 +91,16 @@ def _parse_track(chunk: bytes):
             length, pos = _varlen(chunk, pos + 1)
             if pos + length > size:
                 raise FormatError("truncated MIDI data")
-            payload = chunk[pos : pos + length]
             pos += length
             running = None
             if meta_type == 0x51:
                 if length != 3:
                     raise FormatError("set-tempo meta event must carry 3 bytes")
-                tempo = int.from_bytes(payload, "big")
-                yield tick, "tempo", tempo
+                tempos.append((tick, int.from_bytes(chunk[pos - 3 : pos], "big")))
+                last = tick
             elif meta_type == 0x2F:
-                yield tick, "end", None
-                return
+                last = tick
+                break
         elif status in (0xF0, 0xF7):
             length, pos = _varlen(chunk, pos)
             if pos + length > size:
@@ -104,12 +115,24 @@ def _parse_track(chunk: bytes):
             end = pos + _CHANNEL_DATA_BYTES[kind]
             if end > size:
                 raise FormatError("truncated MIDI data")
-            channel = status & 0x0F
-            if kind == 0x90 and chunk[pos + 1] > 0:
-                yield tick, "on", (channel, chunk[pos], chunk[pos + 1])
-            elif kind == 0x80 or kind == 0x90:
-                yield tick, "off", (channel, chunk[pos])
+            if (chunk[pos] | chunk[end - 1]) > 0x7F:
+                bad = pos if chunk[pos] > 0x7F else end - 1
+                raise FormatError(f"data byte 0x{chunk[bad]:02x} at offset "
+                                  f"{offset + bad} has its high bit set")
+            if kind == 0x90 or kind == 0x80:
+                last = tick
+                key = (status & 0x0F, chunk[pos])
+                velocity = chunk[pos + 1]
+                if kind == 0x90 and velocity:
+                    sounding.setdefault(key, []).append((tick, velocity))
+                elif stack := sounding.get(key):
+                    on, velocity = stack.pop(0)
+                    if tick > on:
+                        notes.append((on, tick, key[1], velocity))
             pos = end
+    for (_, pitch), stack in sounding.items():
+        notes.extend((on, last, pitch, velocity) for on, velocity in stack if last > on)
+    return notes
 
 
 class _TempoMap:
@@ -153,41 +176,15 @@ def load_midi(data: bytes) -> Performance:
     if division == 0:
         raise FormatError("division must be positive")
 
-    tracks = []
+    tempos: list[tuple[int, int]] = []
+    notes = []
     for _ in range(ntracks):
         if r.take(4) != b"MTrk":
             raise FormatError("missing MTrk chunk")
         length = struct.unpack(">I", r.take(4))[0]
-        tracks.append(list(_parse_track(r.take(length))))
-
-    tempo_events = [
-        (tick, payload)
-        for track in tracks
-        for tick, kind, payload in track
-        if kind == "tempo"
-    ]
-    tmap = _TempoMap(tempo_events, division)
-
-    notes = []
-    for track in tracks:
-        open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        last_tick = track[-1][0] if track else 0  # ticks never decrease
-        for tick, kind, payload in track:
-            if kind == "on":
-                channel, pitch, velocity = payload
-                open_notes.setdefault((channel, pitch), []).append((tick, velocity))
-            elif kind == "off":
-                channel, pitch = payload
-                stack = open_notes.get((channel, pitch))
-                if stack:
-                    on_tick, velocity = stack.pop(0)
-                    if tick > on_tick:
-                        notes.append((on_tick, tick, pitch, velocity))
-        # close anything left hanging at end of track
-        for (channel, pitch), stack in open_notes.items():
-            for on_tick, velocity in stack:
-                if last_tick > on_tick:
-                    notes.append((on_tick, last_tick, pitch, velocity))
+        start = r.pos
+        notes += _read_track(r.take(length), start, tempos)
+    tmap = _TempoMap(tempos, division)
 
     if not notes:
         raise EmptyInputError("MIDI file contains no notes")
@@ -199,7 +196,7 @@ def load_midi(data: bytes) -> Performance:
             onset=onset,
             duration=tmap.seconds(off) - onset,
             pitch=pitch,
-            velocity=max(1, velocity),
+            velocity=velocity,
         ))
     return Performance(events)
 

@@ -542,15 +542,6 @@ def fallback_quantize(
 # ---------------------------------------------------------------------------
 # performance-level driver
 
-def time_to_beats(grid: BeatGrid, t: float) -> float:
-    """Map seconds to a continuous beat coordinate (0 = first annotation)."""
-    beats = grid.beats
-    i = bisect_right(beats, t) - 1
-    i = max(0, min(i, len(beats) - 2))
-    dt = beats[i + 1] - beats[i]
-    return i + (t - beats[i]) / dt
-
-
 def quantize_performance(
     performance: Performance,
     grid: BeatGrid,
@@ -590,18 +581,26 @@ def quantize_performance(
     sig = grid.time_signature
     bpb = grid.beats_per_bar
 
-    def units(t: float) -> float:
-        # measure units, 0 = first downbeat; a position within EPS of a
-        # barline is on it, so every later comparison can be exact
-        u = (time_to_beats(grid, t) - grid.phase) / bpb
-        bar = round(u)
-        return float(bar) if abs(u - bar) <= EPS else u
+    beats = grid.beats
+    top = len(beats) - 2  # past either end, the nearest interval's rate continues
 
-    # (onset, extent, pitch), sorted by onset since the mapping is monotone
+    def units(t: float, i: int) -> tuple[float, int]:
+        # measure units, 0 = first downbeat, and the beat interval that maps
+        # ``t``, walked to from interval ``i`` at or before it; a position
+        # within EPS of a barline is on it, so every later comparison can be exact
+        while i < top and beats[i + 1] <= t:
+            i += 1
+        u = (i + (t - beats[i]) / (beats[i + 1] - beats[i]) - grid.phase) / bpb
+        bar = round(u)
+        return (float(bar) if abs(u - bar) <= EPS else u), i
+
+    # (onset, extent, pitch), sorted by onset since the mapping is monotone;
+    # onsets walk the beats once, and each release walks on from its onset
     notes = []
+    i = 0
     for note in performance.notes:
-        onset = units(note.onset)
-        notes.append((onset, max(units(note.offset), onset + 1e-6), note.pitch))
+        onset, i = units(note.onset, i)
+        notes.append((onset, max(units(note.offset, i)[0], onset + 1e-6), note.pitch))
 
     m_lo = math.floor(notes[0][0])
     m_hi = math.floor(notes[-1][0])

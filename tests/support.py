@@ -6,7 +6,9 @@ matcher and MusicXML parser that the integer-tick trees layer, the window
 matcher and the integer-tick MusicXML reader replaced, the score-edit keys
 taken from printed events that the keys from the tree walk replaced, the
 renderer from printed events that the one from ``ScoreModel.notes``
-replaced, and random scores to compare them on.
+replaced, the three-pass MIDI reader and bisecting beat mapping that the
+one-pass reader and the walk along the beats replaced, and random scores
+to compare them on.
 
 The enumerator builds every derivation of the grammar explicitly (no
 memoized minima), so agreement with the solver's DP is a real check and not
@@ -16,7 +18,9 @@ is meaningful.
 """
 import math
 import random
+import struct
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +28,11 @@ from math import gcd
 
 from rhythmiq import (
     AlignmentError,
+    BeatGrid,
     CapacityError,
     DecompositionError,
     EditMetrics,
+    EmptyInputError,
     FormatError,
     GrammarRule,
     Leaf,
@@ -43,6 +49,7 @@ from rhythmiq import (
     UnsupportedContentError,
     ValidationError,
 )
+from rhythmiq.midi_io import _CHANNEL_DATA_BYTES, _Reader, _TempoMap, _varlen
 from rhythmiq.musicxml import _NATURAL_PC, _integer
 from rhythmiq.trees import (
     CONTINUATION,
@@ -1138,3 +1145,145 @@ def reference_render_performance(score: ScoreModel, bpm: float | None = None):
     return Performance(
         [NoteEvent(float(s) * beat, float(e - s) * beat, p) for s, e, p in notes]
     )
+
+
+# ---------------------------------------------------------------------------
+# the MIDI reader and beat mapping the one-pass reader and walk replaced
+
+def _reference_parse_track(chunk: bytes):
+    """Yield (tick, kind, payload) events from one MTrk chunk body; data
+    bytes are read as they come, high bit or not."""
+    size = len(chunk)
+    pos = tick = 0
+    running = None
+    while pos < size:
+        if chunk[pos] < 0x80:  # a one-byte delta time
+            tick += chunk[pos]
+            pos += 1
+        else:
+            delta, pos = _varlen(chunk, pos)
+            tick += delta
+        if pos >= size:
+            raise FormatError("truncated MIDI data")
+        status = chunk[pos]
+        if status < 0x80:
+            if running is None:
+                raise FormatError("data byte with no running status")
+            status = running  # the byte read is the message's first data byte
+        else:
+            pos += 1
+        if status == 0xFF:
+            if pos >= size:
+                raise FormatError("truncated MIDI data")
+            meta_type = chunk[pos]
+            length, pos = _varlen(chunk, pos + 1)
+            if pos + length > size:
+                raise FormatError("truncated MIDI data")
+            payload = chunk[pos : pos + length]
+            pos += length
+            running = None
+            if meta_type == 0x51:
+                if length != 3:
+                    raise FormatError("set-tempo meta event must carry 3 bytes")
+                yield tick, "tempo", int.from_bytes(payload, "big")
+            elif meta_type == 0x2F:
+                yield tick, "end", None
+                return
+        elif status in (0xF0, 0xF7):
+            length, pos = _varlen(chunk, pos)
+            if pos + length > size:
+                raise FormatError("truncated MIDI data")
+            pos += length
+            running = None
+        elif status >= 0xF0:
+            raise FormatError(f"unsupported system message 0x{status:02x}")
+        else:
+            running = status
+            kind = status & 0xF0
+            end = pos + _CHANNEL_DATA_BYTES[kind]
+            if end > size:
+                raise FormatError("truncated MIDI data")
+            channel = status & 0x0F
+            if kind == 0x90 and chunk[pos + 1] > 0:
+                yield tick, "on", (channel, chunk[pos], chunk[pos + 1])
+            elif kind == 0x80 or kind == 0x90:
+                yield tick, "off", (channel, chunk[pos])
+            pos = end
+
+
+def reference_load_midi(data: bytes) -> Performance:
+    """``load_midi`` as three passes: parse every track into tagged events,
+    collect the tempo events, then pair note-ons with note-offs per track."""
+    r = _Reader(data)
+    if r.take(4) != b"MThd":
+        raise FormatError("missing MThd header")
+    if struct.unpack(">I", r.take(4))[0] != 6:
+        raise FormatError("bad MThd length")
+    fmt, ntracks, division = struct.unpack(">HHH", r.take(6))
+    if fmt not in (0, 1):
+        raise FormatError(f"unsupported MIDI format {fmt}")
+    if division & 0x8000:
+        raise FormatError("SMPTE division is not supported")
+    if division == 0:
+        raise FormatError("division must be positive")
+
+    tracks = []
+    for _ in range(ntracks):
+        if r.take(4) != b"MTrk":
+            raise FormatError("missing MTrk chunk")
+        length = struct.unpack(">I", r.take(4))[0]
+        tracks.append(list(_reference_parse_track(r.take(length))))
+
+    tempo_events = [
+        (tick, payload)
+        for track in tracks
+        for tick, kind, payload in track
+        if kind == "tempo"
+    ]
+    tmap = _TempoMap(tempo_events, division)
+
+    notes = []
+    for track in tracks:
+        open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        last_tick = track[-1][0] if track else 0  # ticks never decrease
+        for tick, kind, payload in track:
+            if kind == "on":
+                channel, pitch, velocity = payload
+                open_notes.setdefault((channel, pitch), []).append((tick, velocity))
+            elif kind == "off":
+                channel, pitch = payload
+                stack = open_notes.get((channel, pitch))
+                if stack:
+                    on_tick, velocity = stack.pop(0)
+                    if tick > on_tick:
+                        notes.append((on_tick, tick, pitch, velocity))
+        # close anything left hanging at end of track
+        for (channel, pitch), stack in open_notes.items():
+            for on_tick, velocity in stack:
+                if last_tick > on_tick:
+                    notes.append((on_tick, last_tick, pitch, velocity))
+
+    if not notes:
+        raise EmptyInputError("MIDI file contains no notes")
+
+    events = []
+    for on, off, pitch, velocity in notes:
+        onset = tmap.seconds(on)
+        events.append(NoteEvent(
+            onset=onset,
+            duration=tmap.seconds(off) - onset,
+            pitch=pitch,
+            velocity=max(1, velocity),
+        ))
+    return Performance(events)
+
+
+def time_to_beats(grid: BeatGrid, t: float) -> float:
+    """Map seconds to a continuous beat coordinate (0 = first annotation):
+    linear within the beat interval that holds ``t``, found by bisection,
+    and past either end along the nearest interval."""
+    beats = grid.beats
+    i = bisect_right(beats, t) - 1
+    i = max(0, min(i, len(beats) - 2))
+    dt = beats[i + 1] - beats[i]
+    return i + (t - beats[i]) / dt

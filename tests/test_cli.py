@@ -215,7 +215,7 @@ def test_the_package_resolves_its_public_names_lazily():
     )
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[] 63 [] []"
+    assert out.stdout.strip() == "[] 62 [] []"
     for name in rhythmiq.__all__:
         value = getattr(rhythmiq, name)
         module = getattr(value, "__module__", None)

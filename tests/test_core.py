@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -26,6 +27,17 @@ def test_note_event_validation():
         NoteEvent(0.0, 1.0, 128)
     with pytest.raises(ValidationError):
         NoteEvent(0.0, 1.0, 60, velocity=0)
+
+
+@pytest.mark.parametrize("onset, duration, message", [
+    (math.nan, 1.0, "onset must be finite, got nan"),
+    (math.inf, 1.0, "onset must be finite, got inf"),
+    (0.0, math.nan, "duration must be finite, got nan"),
+    (0.0, math.inf, "duration must be finite, got inf"),
+])
+def test_note_event_times_must_be_finite(onset, duration, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        NoteEvent(onset, duration, 60)
 
 
 def test_note_event_offset():

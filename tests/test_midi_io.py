@@ -6,10 +6,20 @@ worked out by hand, independent of the code under test.
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rhythmiq import EmptyInputError, FormatError, NoteEvent, Performance, ValidationError
+from rhythmiq import (
+    EmptyInputError,
+    FormatError,
+    NoteEvent,
+    Performance,
+    RhythmiqError,
+    ValidationError,
+)
+from rhythmiq.cli import main
 from rhythmiq.midi_io import load_midi, save_midi
+
+import support
 
 
 def _varlen(value: int) -> bytes:
@@ -149,6 +159,26 @@ def test_track_format_errors():
         load_midi(_smf(_event(0, 0xF2, 0x00, 0x00) + END))
 
 
+@pytest.mark.parametrize("event, byte", [
+    (_event(0, 0x90, 60, 0x90), 0x90),
+    (_event(0, 0x90, 0xC8, 64), 0xC8),
+    (_event(0, 0xB0, 7, 0xFF), 0xFF),
+], ids=["note-on velocity", "note-on pitch", "controller value"])
+def test_a_data_byte_with_its_high_bit_set_is_a_format_error(event, byte, tmp_path, capsys):
+    before = _event(0, 0x90, 62, 64) + _event(240, 0x80, 62, 0)
+    data = _smf(before + event + END)
+    # the header is 14 bytes and the chunk's head 8; the event's delta time
+    # and status byte come before its data
+    offset = 22 + len(before) + event.index(byte, 2)
+    message = f"data byte 0x{byte:02x} at offset {offset} has its high bit set"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        load_midi(data)
+    path = tmp_path / "bad.mid"
+    path.write_bytes(data)
+    assert main(["tempo", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_fifty_tempo_changes_by_hand():
     # beat k (480 ticks) runs at 500000 + 10000 k us per quarter, and a
     # half-beat note starts at its midpoint, so note k starts after
@@ -164,6 +194,79 @@ def test_fifty_tempo_changes_by_hand():
         beat = 0.5 + 0.01 * k
         assert n.onset == pytest.approx(0.5 * k + 0.005 * k * (k - 1) + beat / 2, abs=1e-9)
         assert n.duration == pytest.approx(beat / 2, abs=1e-9)
+
+
+@st.composite
+def _track(draw) -> bytes:
+    """A track body of random events with data bytes below 0x80: a status
+    byte that running status allows may be left out, and the end-of-track
+    event may be missing or come early."""
+    body = bytearray()
+    running = None
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        # ties in time between events are common, and a delta may take 4 bytes
+        body += _varlen(draw(st.one_of(st.sampled_from([0, 0, 1, 30]),
+                                       st.integers(0, 1 << 27))))
+        kind = draw(st.sampled_from(["note", "note", "note", "channel", "tempo",
+                                     "meta", "sysex"]))
+        if kind in ("note", "channel"):
+            if kind == "note":  # few pitches and channels, so notes overlap
+                status = (draw(st.sampled_from([0x80, 0x90, 0x90]))
+                          | draw(st.sampled_from([0, 0, 1])))
+                data = [draw(st.integers(60, 61)),
+                        draw(st.sampled_from([0, 1, 64, 127]))]
+            else:  # poly pressure, controller, program, channel pressure, pitch bend
+                status = draw(st.sampled_from([0xA0, 0xB0, 0xC0, 0xD0, 0xE0]))
+                data = [draw(st.integers(0, 0x7F))
+                        for _ in range(1 if status in (0xC0, 0xD0) else 2)]
+            if status != running or not draw(st.booleans()):
+                body.append(status)
+            body += bytes(data)
+            running = status
+        elif kind == "tempo":
+            body += bytes((0xFF, 0x51, 0x03))
+            body += draw(st.integers(1, 0xFFFFFF)).to_bytes(3, "big")
+            running = None
+        elif kind == "meta":  # text, marker, time signature, end of track, ...
+            payload = draw(st.binary(max_size=6))
+            body += bytes((0xFF, draw(st.sampled_from([0x01, 0x06, 0x2F, 0x51, 0x58]))))
+            body += _varlen(len(payload)) + payload
+            running = None
+        else:
+            payload = draw(st.binary(max_size=6))
+            body += bytes((draw(st.sampled_from([0xF0, 0xF7])),))
+            body += _varlen(len(payload)) + payload
+            running = None
+    if draw(st.booleans()):
+        body += END
+    return bytes(body)
+
+
+def _outcome(read, data: bytes):
+    try:
+        return read(data)
+    except RhythmiqError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.sampled_from([0, 1]), st.integers(1, 960), st.lists(_track(), min_size=1, max_size=3))
+# notes left sounding on two channels, at one tick and pitch: the first
+# channel to sound comes first
+@example(0, 480, [_event(0, 0x91, 60, 10) + _event(0, 0x90, 60, 20)
+                  + _event(0, 0x90, 60, 30) + _event(480, 0xFF, 0x2F, 0x00)])
+@settings(max_examples=150, deadline=None)
+def test_reader_matches_the_three_pass_reference(fmt, tpq, tracks):
+    header = b"MThd" + struct.pack(">IHHH", 6, fmt, len(tracks), tpq)
+    chunks = [b"MTrk" + struct.pack(">I", len(body)) + body for body in tracks]
+    data = header + b"".join(chunks)
+    # the file whole and cut at every byte, then its last track cut at every
+    # byte with the chunk length made to fit
+    head = header + b"".join(chunks[:-1])
+    last = tracks[-1]
+    variants = [data[:cut] for cut in range(len(data) + 1)]
+    variants += [head + b"MTrk" + struct.pack(">I", cut) + last[:cut] for cut in range(len(last))]
+    for variant in variants:
+        assert _outcome(load_midi, variant) == _outcome(support.reference_load_midi, variant)
 
 
 def test_no_notes_is_empty_input():

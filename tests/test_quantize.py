@@ -30,7 +30,6 @@ from rhythmiq import (
     parse_grammar_file,
     quantize_measure,
     quantize_performance,
-    time_to_beats,
 )
 from rhythmiq.quantize import DEFAULT_ALPHA
 from rhythmiq.trees import CONTINUATION, NOTE, REST
@@ -478,13 +477,17 @@ def test_fallback_resolution_validation():
 # beat mapping
 
 def test_time_to_beats_linear_and_extrapolated():
-    grid = BeatGrid([1.0, 1.5, 2.0, 3.0], 4)
-    assert time_to_beats(grid, 1.0) == pytest.approx(0.0)
-    assert time_to_beats(grid, 1.75) == pytest.approx(1.5)
-    assert time_to_beats(grid, 2.5) == pytest.approx(2.5)
+    grid = BeatGrid([1.0, 1.5, 2.0, 3.0, 4.0], 4)
+    times = [0.5, 1.0, 1.75, 2.5, 4.5]
+    beats = [support.time_to_beats(grid, t) for t in times]
     # beyond the ends, the nearest interval's rate continues
-    assert time_to_beats(grid, 0.5) == pytest.approx(-1.0)
-    assert time_to_beats(grid, 4.0) == pytest.approx(4.0)
+    assert beats == pytest.approx([-1.0, 0.0, 1.5, 2.5, 4.5])
+    # the quantizer puts each onset there: a pickup beat, then two bars
+    perf = Performance([NoteEvent(t, 0.2, 60 + k) for k, t in enumerate(times)])
+    score, warnings = quantize_performance(perf, grid, default_grammar())
+    assert not warnings
+    assert score.anacrusis_beats == 1
+    assert [start * 4 - 4 for start, _, _ in score.notes()] == beats
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +671,7 @@ def test_onset_a_rounding_error_before_a_barline_is_on_it():
 
     grid = _grid(2)
     onset = 2.0 - 2e-15
-    assert 0 < 1 - time_to_beats(grid, onset) / 4 < 1e-9
+    assert 0 < 1 - support.time_to_beats(grid, onset) / 4 < 1e-9
     perf = Performance([NoteEvent(0.5 * k, 0.5, 60) for k in range(3)]
                        + [NoteEvent(onset, 1.0, 72)])
     score, warnings = quantize_performance(perf, grid, default_grammar())
@@ -757,6 +760,40 @@ def test_round_trip_through_rendered_midi():
         out, warnings = quantize_performance(perf, grid, g)
         assert not warnings
         assert out == score
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_round_trip_through_an_irregular_grid(seed):
+    # beat intervals of 0.7-1.4 times 0.5 s, annotated from beat q of the
+    # score (so from phase 4 - q) until its last bar: the first note sounds
+    # before the first annotated beat and the last bar past the final one,
+    # both placed along the nearest interval
+    from rhythmiq import render_performance, sample_score
+
+    g = default_grammar()
+    rng = random.Random(seed)
+    while True:
+        score = sample_score(g, rng.randint(2, 5), rng)
+        labels = [m.leaf_labels() for m in score.measures]
+        if labels[0][0] == NOTE and NOTE in labels[-1]:
+            break
+    q = rng.randint(1, 3 if len(score.measures) == 2 else 4)
+    last = 4 * (len(score.measures) - 1)
+    times = [3.0]
+    for _ in range(last - q):
+        times.append(times[-1] + 0.5 * rng.uniform(0.7, 1.4))
+
+    def seconds(beat: float) -> float:
+        k = min(max(math.floor(beat) - q, 0), len(times) - 2)
+        return times[k] + (beat - q - k) * (times[k + 1] - times[k])
+
+    perf = Performance([NoteEvent(seconds(n.onset), seconds(n.offset) - seconds(n.onset),
+                                  n.pitch)
+                        for n in render_performance(score, 60.0).notes])
+    assert perf.notes[0].onset < times[0] < times[-1] < perf.notes[-1].offset
+    out, warnings = quantize_performance(perf, BeatGrid(times, 4, (4 - q) % 4), g)
+    assert not warnings
+    assert (out.measures, out.anacrusis_beats) == (score.measures, 0)
 
 
 # ---------------------------------------------------------------------------
