@@ -241,15 +241,21 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def cmd_train_grammar(args) -> int:
-    from .grammar import serialize_grammar, train_grammar
+def _read_score(path: Path, decomposed: dict):
+    """Parse a MusicXML file, printing each of the parser's warnings."""
     from .musicxml import parse_musicxml
 
-    corpus = []
+    score, warnings = parse_musicxml(path.read_text(), decomposed=decomposed)
+    for w in warnings:  # one write, so lines of parallel pairs do not mix
+        sys.stderr.write(f"warning: {path}: {w}\n")
+    return score
+
+
+def cmd_train_grammar(args) -> int:
+    from .grammar import serialize_grammar, train_grammar
+
     decomposed: dict = {}  # one tree per distinct measure of the corpus
-    for path in args.scores:
-        score, _ = parse_musicxml(Path(path).read_text(), decomposed=decomposed)
-        corpus.append(score)
+    corpus = [_read_score(Path(path), decomposed) for path in args.scores]
     grammar = train_grammar(corpus, smoothing=args.smoothing)
     text = serialize_grammar(grammar)
     if args.out:
@@ -421,7 +427,6 @@ def _edit_payload(m: EditMetrics) -> dict:
 
 def cmd_eval_score(args) -> int:
     from .metrics import score_edit_metrics
-    from .musicxml import parse_musicxml
 
     pairs = _pair_paths(args.ref, args.est, (".musicxml", ".xml"))
 
@@ -429,9 +434,8 @@ def cmd_eval_score(args) -> int:
         # a measure the two scores share is one tree, decomposed and keyed
         # once; each pair owns its map, so `--jobs` threads share nothing
         decomposed: dict = {}
-        ref, _ = parse_musicxml(ref_path.read_text(), decomposed=decomposed)
-        est, _ = parse_musicxml(est_path.read_text(), decomposed=decomposed)
-        return _edit_payload(score_edit_metrics(ref, est))
+        ref = _read_score(ref_path, decomposed)
+        return _edit_payload(score_edit_metrics(ref, _read_score(est_path, decomposed)))
 
     _emit_eval(pairs, _run_pairs(pairs, one, args.jobs))
     return 0

@@ -131,14 +131,6 @@ class TimeSignature(Record):
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 
-    @staticmethod
-    def parse(text: str) -> "TimeSignature":
-        num, _, den = text.partition("/")
-        try:
-            return TimeSignature(int(num), int(den))
-        except ValueError as exc:
-            raise ValidationError(f"bad time signature {text!r}") from exc
-
 
 class BeatGrid(Record):
     """Beat times plus bar structure.

@@ -350,14 +350,6 @@ class RhythmGrammar:
     def min_depth(self, head: str) -> int:
         return int(self._min_depth[head])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RhythmGrammar)
-            and self.starts == other.starts
-            and self.rules == other.rules
-            and self.max_depth == other.max_depth
-        )
-
 
 # ---------------------------------------------------------------------------
 # text format

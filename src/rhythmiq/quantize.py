@@ -573,14 +573,19 @@ def quantize_performance(
     # checked up front, not only once a measure falls back
     if fallback_resolution < 1:
         raise ValidationError(f"resolution must be >= 1, got {fallback_resolution}")
-    config = config or QuantConfig()
+    notes, m_lo, m_hi = _map(performance, grid)
+    tables, chosen = _solve(notes, m_lo, m_hi, grammar, config or QuantConfig(),
+                            grid.time_signature)
+    return _assemble(tables, chosen, grid, m_lo, on_error, fallback_resolution)
+
+
+def _map(performance: Performance, grid: BeatGrid):
+    """The monophonic line as sorted (onset, extent, pitch) in measures from
+    the first downbeat, and the score's first and last measure."""
     performance = enforce_monophony(performance)
     if len(performance) == 0:
         raise EmptyInputError("nothing to quantize")
-
-    sig = grid.time_signature
     bpb = grid.beats_per_bar
-
     beats = grid.beats
     top = len(beats) - 2  # past either end, the nearest interval's rate continues
 
@@ -615,23 +620,26 @@ def quantize_performance(
         m_hi = grid_bars - 1
     else:
         m_hi = max(m_hi, math.ceil(notes[-1][1]) - 1)
+    return notes, m_lo, m_hi
 
+
+def _solve(notes, m_lo: int, m_hi: int, grammar: RhythmGrammar, config: QuantConfig,
+           sig: TimeSignature):
+    """Each measure's ``MeasureStates``, solved once with the barline
+    Viterbi stepped after it, and its chosen (k_in, k_out, fallback)."""
     tables: list[MeasureStates] = []
-    pushes = False  # may the previous measure align its last onset onto the downbeat?
-    for m in range(m_lo, m_hi + 1):
-        onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
-        if pushes and carried_pitch is None:  # that note stopped before the barline
-            carried_pitch = notes[bisect_left(notes, (m,)) - 1][2]
-        table = quantize_measure(MeasureInput(onsets, extents, carried_pitch, carried_end),
-                                 grammar, config, sig, states=True, final=m == m_hi)
-        tables.append(table)
-        pushes = min(table.cost(0, 1), table.cost(1, 1)) < math.inf
-
     # per barline and k, the best (fallbacks, cost) of the measures before
     # it; per measure and k_out, the (k_in, fallback) that reached it
     best: list = [(0, 0.0), None]
     back = []
-    for table in tables:
+    for m in range(m_lo, m_hi + 1):
+        onsets, extents, carried_pitch, carried_end = slice_measure(notes, m)
+        # a path reaches k = 1 here, so the k_in = 1 entries need the pitch pushed in
+        if best[1] is not None and carried_pitch is None:  # it stopped before the barline
+            carried_pitch = notes[bisect_left(notes, (m,)) - 1][2]
+        table = quantize_measure(MeasureInput(onsets, extents, carried_pitch, carried_end),
+                                 grammar, config, sig, states=True, final=m == m_hi)
+        tables.append(table)
         reached: list = [None, None]
         choice: list = [None, None]
         for k_in, prev in enumerate(best):
@@ -642,7 +650,6 @@ def quantize_performance(
                        for k_out in (0, 1)]
             # a fallback puts an onset pushed in on the downbeat, so none
             # may be there yet
-            onsets = table.measure.onsets
             if not k_in or not onsets or onsets[0][0] > 0:
                 options.append(((fallbacks + 1, total), 0, True))
             for cand, k_out, fallback in options:
@@ -657,11 +664,17 @@ def quantize_performance(
         k_in, fallback = choice[k]
         chosen.append((k_in, k, fallback))
         k = k_in
-    chosen.reverse()
+    return tables, chosen[::-1]
 
+
+def _assemble(tables, chosen, grid: BeatGrid, m_lo: int, on_error: str,
+              fallback_resolution: int) -> tuple[ScoreModel, list[str]]:
+    """The score of the chosen entries, with a grid fallback where one was
+    chosen, its tempo marking and its pickup."""
+    sig = grid.time_signature
     warnings: list[str] = []
     measures = []
-    for m, table, (k_in, k_out, fallback) in zip(range(m_lo, m_hi + 1), tables, chosen):
+    for index, (table, (k_in, k_out, fallback)) in enumerate(zip(tables, chosen)):
         if not fallback:
             measures.append(table.tree(k_in, k_out))
             continue
@@ -676,16 +689,15 @@ def quantize_performance(
         resolution = _grid_resolution(n, sig, fallback_resolution)
         finer = (f"; {n} onsets need {resolution} grid slots per beat"
                  if resolution > fallback_resolution else "")
-        warnings.append(f"measure {m - m_lo}: {error}{finer}; grid fallback applied")
+        warnings.append(f"measure {index}: {error}{finer}; grid fallback applied")
         measures.append(fallback_quantize(measure, sig, fallback_resolution))
 
     intervals = [b - a for a, b in zip(grid.beats, grid.beats[1:])]
     tempo = 60.0 / (math.fsum(intervals) / len(intervals))
 
-    score = ScoreModel(sig, measures, tempo_marking=tempo)
+    pickup = 0
     if m_lo < 0:  # a note before the first downbeat opens a pickup
-        start = score.notes()[0][0]
-        if 0 < start < 1:
-            score = ScoreModel(sig, measures, tempo_marking=tempo,
-                               anacrusis_beats=(1 - start) * sig.numerator)
-    return score, warnings
+        start = next((left for leaf, left, _ in measures[0].leaves() if leaf.label == NOTE), 0)
+        if start:
+            pickup = (1 - start) * sig.numerator
+    return ScoreModel(sig, measures, tempo_marking=tempo, anacrusis_beats=pickup), warnings

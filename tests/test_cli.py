@@ -416,6 +416,13 @@ def test_quantize_rejects_a_non_finite_beat_time(tmp_path, capsys, time):
         f"error: line 3: beat time must be finite, got '{time}'\n")
 
 
+def _with_grace_note(xml: str) -> str:
+    """``xml`` with a grace note before its first note, which the reader skips."""
+    grace = ("<note><grace/><pitch><step>D</step><octave>4</octave></pitch>"
+             "<type>eighth</type></note>")
+    return xml.replace("<note>", grace + "<note>", 1)
+
+
 # --- train-grammar -----------------------------------------------------------
 
 def test_train_grammar_from_scores(tmp_path, capsys):
@@ -430,6 +437,20 @@ def test_train_grammar_from_scores(tmp_path, capsys):
     assert main(["train-grammar", *paths, "--out", str(out)]) == 0
     trained = parse_grammar_file(out.read_text())
     assert "M4_4" in trained.nonterminals
+
+
+def test_train_grammar_warns_of_what_the_reader_skips(tmp_path, capsys):
+    xml = emit_musicxml(sample_score(default_grammar(), 4, random.Random(5)))
+    clean, graced = tmp_path / "clean.musicxml", tmp_path / "graced.musicxml"
+    clean.write_text(xml)
+    graced.write_text(_with_grace_note(xml))
+    assert main(["train-grammar", str(clean)]) == 0
+    expected = capsys.readouterr()
+    assert expected.err == ""
+    assert main(["train-grammar", str(graced)]) == 0
+    got = capsys.readouterr()
+    assert got.out == expected.out
+    assert got.err == f"warning: {graced}: measure 1: grace note skipped\n"
 
 
 # --- rotations ---------------------------------------------------------------
@@ -683,6 +704,27 @@ def test_eval_score_identical(tmp_path, capsys):
     payload = _json_out(capsys)
     assert payload["total_error_rate"] == 0.0
     assert payload["timesig_mismatches"] == 0
+
+
+def test_eval_score_warns_of_what_the_reader_skips(tmp_path, capsys):
+    xml = emit_musicxml(sample_score(default_grammar(), 4, random.Random(2)))
+    for name in ("ref", "est"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "a.musicxml").write_text(xml)
+        (tmp_path / name / "b.musicxml").write_text(xml)
+    args = ["eval", "score", str(tmp_path / "ref"), str(tmp_path / "est")]
+    assert main(args) == 0
+    expected = capsys.readouterr()
+    assert expected.err == ""
+    graced = [tmp_path / "ref" / "b.musicxml", tmp_path / "est" / "a.musicxml"]
+    for path in graced:
+        path.write_text(_with_grace_note(xml))
+    assert main(args) == 0
+    got = capsys.readouterr()
+    assert got.out == expected.out
+    # in pair order, the reference of a pair before its estimate
+    assert got.err == "".join(f"warning: {path}: measure 1: grace note skipped\n"
+                              for path in reversed(graced))
 
 
 @pytest.mark.parametrize("pattern, replacement", [

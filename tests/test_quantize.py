@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from rhythmiq import (
     TimeSignature,
     ValidationError,
     default_grammar,
+    emit_musicxml,
     fallback_quantize,
     parse_grammar_file,
     quantize_measure,
@@ -794,6 +796,53 @@ def test_round_trip_through_an_irregular_grid(seed):
     out, warnings = quantize_performance(perf, BeatGrid(times, 4, (4 - q) % 4), g)
     assert not warnings
     assert (out.measures, out.anacrusis_beats) == (score.measures, 0)
+
+
+# SHA-256 over the cases of test_recorded_outputs.  A change that alters
+# the quantizer's output on purpose records the new digest here.
+RECORDED_OUTPUTS = "880bf109cb09187eaab5962f24ac4fefdc3b8c19d9f7094e348ab11441b5c377"
+
+
+def test_recorded_outputs():
+    # seeded performances on 4/4 grids of 2-40 beats, 0.25-0.7 s apart from
+    # a random start and bar phase.  Note lengths come from a menu of beat
+    # fractions, some played short, with 0, 4 or 15 ms of onset jitter; the
+    # first note starts up to 2 s before the first beat.  Each case hashes
+    # its MusicXML and warnings, or its error's class and message
+    g = default_grammar()
+    rng = random.Random(1955)
+    lengths = (0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0, 1.5, 2.0, 3.0)
+    digest = hashlib.sha256()
+    seen = {"pickup": 0, "fallback": 0, "error": 0}
+    for _ in range(200):
+        times = [2.0 + rng.uniform(0.0, 0.5)]
+        for _ in range(rng.randint(2, 40) - 1):
+            times.append(times[-1] + rng.uniform(0.25, 0.7))
+        grid = BeatGrid(times, 4, rng.randrange(4))
+        beat = (times[-1] - times[0]) / (len(times) - 1)
+        jitter = rng.choice((0.0, 0.004, 0.015))
+        t = times[0] - rng.uniform(0.0, 2.0)
+        notes = []
+        while t < times[-1]:
+            length = rng.choice(lengths) * beat
+            notes.append(NoteEvent(max(0.0, t + rng.gauss(0.0, jitter)),
+                                   length * rng.choice((1.0, 1.0, 0.6)),
+                                   rng.randint(55, 80)))
+            t += length
+        on_error = rng.choice(("raise", "fallback"))
+        try:
+            score, warnings = quantize_performance(Performance(notes), grid, g,
+                                                   on_error=on_error)
+        except RhythmiqError as exc:
+            seen["error"] += 1
+            digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+            continue
+        seen["pickup"] += score.anacrusis_beats > 0
+        seen["fallback"] += bool(warnings)
+        digest.update(emit_musicxml(score).encode())
+        digest.update("".join(w + "\n" for w in warnings).encode())
+    assert min(seen.values()) >= 10, seen  # every path is in the digest
+    assert digest.hexdigest() == RECORDED_OUTPUTS
 
 
 # ---------------------------------------------------------------------------
