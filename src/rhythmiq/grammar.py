@@ -82,21 +82,15 @@ class LatticeRule(NamedTuple):
     tuplet: int
 
 
-class LatticeNode(NamedTuple):
-    """A reachable (head, cell, depth) of a measure's derivations.
+class Lattice(NamedTuple):
+    """Every derivation of one measure in a time signature, as a DAG laid
+    out for the quantizer's bottom-up pass.
 
-    ``left``/``right`` are the cell's endpoints in measure units, rounded
-    once from exact fractions.  ``rules`` are the head's rules in grammar
-    order, splits only above the depth bound.
-    """
-
-    left: float
-    right: float
-    rules: tuple[LatticeRule, ...]
-
-
-class SolvePlan(NamedTuple):
-    """A lattice laid out for the quantizer's bottom-up pass.
+    Its nodes are the reachable (head, cell, depth) of the measure's
+    derivations, children before parents, the start symbol's node over the
+    whole measure last.  A node's cell endpoints (left, right) are in
+    measure units, rounded once from exact fractions, and its rules are the
+    head's rules in grammar order, splits only above the depth bound.
 
     ``edges``: the distinct cell endpoints, ascending, so a measure looks
     up its onsets once per edge rather than twice per node.
@@ -121,6 +115,12 @@ class SolvePlan(NamedTuple):
     ``unit``: the node count.  A derivation has fewer tuplet nodes than
     that, so leaves * unit + tuplets orders derivations as (leaves,
     tuplets) does.
+
+    ``capacity``: the most leaves of any derivation of the whole measure.
+
+    ``empty_entries``: per node, the (0, 0) state-table entry of a cell
+    with no onset under silence and under a sound held through it, in that
+    order; the quantizer's first solve on the lattice fills it.
     """
 
     edges: tuple[float, ...]
@@ -128,93 +128,19 @@ class SolvePlan(NamedTuple):
     note_cells: tuple[tuple, ...]
     steps: tuple[tuple, ...]
     unit: int
-
-
-def compile_plan(nodes: tuple[LatticeNode, ...]) -> SolvePlan:
-    """Lay out a lattice's nodes for the quantizer (see ``SolvePlan``)."""
-    edges = sorted({x for lf, rf, _ in nodes for x in (lf, rf)})
-    index = {x: i for i, x in enumerate(edges)}
-    ends: dict[float, set[float]] = {}  # right edge -> left edges of leaf cells
-    for lf, rf, rules in nodes:
-        if any(rule.label is not None for rule in rules):
-            ends.setdefault(rf, set()).add(lf)
-    pushers = []
-    for lf in sorted({node.left for node in nodes} & ends.keys()):
-        cells = sorted(((edge + lf) / 2, edge) for edge in ends[lf])
-        pushers.append((index[lf], cells[0][0], tuple(reversed(cells))))
-    fewest: list[float] = []  # per node, of the NOTE leaves of a derivation
-    most: list[float] = []
-    note_cells, steps = [], []
-    for node, (lf, rf, rules) in enumerate(nodes):
-        counts = [(int(rule.label == NOTE),) * 2 if rule.label is not None else
-                  (sum(fewest[c] for c in rule.children), sum(most[c] for c in rule.children))
-                  for rule in rules]
-        fewest.append(min((low for low, _ in counts), default=math.inf))
-        most.append(max((high for _, high in counts), default=-math.inf))
-        cell = (node, index[lf], index[rf], lf, rf, (lf + rf) / 2)
-        if len(rules) == 1 and rules[0].label == NOTE:
-            note_cells.append((*cell, rules[0]))
-            continue
-        leaves = tuple(rule for rule in rules if rule.label is not None)
-        by_label = {rule.label: rule for rule in leaves}
-        splits = tuple(
-            (rule.weight, rule.tuplet,
-             tuple((child, 2 << i) for i, child in enumerate(rule.children)), rule,
-             low, high + 1)
-            for rule, (low, high) in zip(rules, counts) if rule.label is None
-        )
-        steps.append((*cell, by_label.get(NOTE), by_label.get(REST),
-                      by_label.get(CONTINUATION), leaves, splits))
-    return SolvePlan(tuple(edges), tuple(pushers), tuple(note_cells), tuple(steps),
-                     len(nodes))
-
-
-class Lattice(Record):
-    """Every derivation of one measure in a time signature, as a DAG.
-
-    ``nodes`` list children before parents; the start symbol's node over the
-    whole measure is last.  ``plan`` is the nodes laid out for the
-    quantizer, compiled with the lattice.
-    ``empty_entries`` holds, per node, the (0, 0) state-table entry of a
-    cell with no onset under silence and under a sound held through it, in
-    that order; the quantizer's first solve on the lattice fills it.
-    Equality, hash and repr leave the plan and ``empty_entries`` out.
-    """
-
-    __slots__ = ("nodes", "empty_entries", "plan")
-    _fields = ("nodes",)
-
-    def __init__(self, nodes: tuple[LatticeNode, ...]):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "empty_entries", [])
-        object.__setattr__(self, "plan", compile_plan(nodes))
-
-    def max_leaves(self) -> int:
-        """Most leaves of any derivation of the whole measure."""
-        caps: list[int] = []
-        for node in self.nodes:
-            cap = 0
-            for rule in node.rules:
-                if rule.label is not None:
-                    cap = max(cap, 1)
-                    continue
-                sub = [caps[c] for c in rule.children]
-                if all(sub):  # a child with no derivation sinks the split
-                    cap = max(cap, sum(sub))
-            caps.append(cap)
-        return caps[-1]
+    capacity: int
+    empty_entries: list
 
 
 def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> Lattice:
-    """Expand the grammar's derivations of one measure into a ``Lattice``,
-    with its solve plan.
+    """Expand the grammar's derivations of one measure into a ``Lattice``.
 
     Raises GrammarError when the grammar has no start symbol for
     ``time_signature``.
     """
     start = grammar.start_for(time_signature)
     ids: dict[tuple, int] = {}
-    nodes: list[LatticeNode] = []
+    nodes: list[tuple[float, float, tuple[LatticeRule, ...]]] = []
 
     def visit(head: str, left: int, right: int, den: int, depth: int) -> int:
         # the cell [left / den, right / den) in lowest terms, so a cell
@@ -241,11 +167,54 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
                 rules.append(LatticeRule(rule.weight, None, children,
                                          int(k & (k - 1) != 0)))
         ids[key] = node = len(nodes)
-        nodes.append(LatticeNode(left / den, right / den, tuple(rules)))
+        nodes.append((left / den, right / den, tuple(rules)))
         return node
 
     visit(start, 0, 1, 1, 0)
-    return Lattice(tuple(nodes))
+
+    edges = sorted({x for lf, rf, _ in nodes for x in (lf, rf)})
+    index = {x: i for i, x in enumerate(edges)}
+    ends: dict[float, set[float]] = {}  # right edge -> left edges of leaf cells
+    for lf, rf, rules in nodes:
+        if any(rule.label is not None for rule in rules):
+            ends.setdefault(rf, set()).add(lf)
+    pushers = []
+    for lf in sorted({lf for lf, _, _ in nodes} & ends.keys()):
+        cells = sorted(((edge + lf) / 2, edge) for edge in ends[lf])
+        pushers.append((index[lf], cells[0][0], tuple(reversed(cells))))
+    # per node, over its derivations: the fewest and most NOTE leaves and
+    # the most leaves; a node with none has inf, -inf and -inf, so a child
+    # with no derivation sinks the split
+    fewest: list[float] = []
+    most: list[float] = []
+    caps: list[float] = []
+    note_cells, steps = [], []
+    for node, (lf, rf, rules) in enumerate(nodes):
+        counts = [(int(rule.label == NOTE),) * 2 + (1,) if rule.label is not None else
+                  tuple(sum(bound[c] for c in rule.children)
+                        for bound in (fewest, most, caps))
+                  for rule in rules]
+        fewest.append(min((low for low, _, _ in counts), default=math.inf))
+        most.append(max((high for _, high, _ in counts), default=-math.inf))
+        caps.append(max((cap for _, _, cap in counts), default=-math.inf))
+        cell = (node, index[lf], index[rf], lf, rf, (lf + rf) / 2)
+        if len(rules) == 1 and rules[0].label == NOTE:
+            note_cells.append((*cell, rules[0]))
+            continue
+        leaves = tuple(rule for rule in rules if rule.label is not None)
+        by_label = {rule.label: rule for rule in leaves}
+        splits = tuple(
+            (rule.weight, rule.tuplet,
+             tuple((child, 2 << i) for i, child in enumerate(rule.children)), rule,
+             low, high + 1)
+            for rule, (low, high, _) in zip(rules, counts) if rule.label is None
+        )
+        steps.append((*cell, by_label.get(NOTE), by_label.get(REST),
+                      by_label.get(CONTINUATION), leaves, splits))
+    # the start symbol derives a tree within the depth bound, so the
+    # measure's node has a derivation
+    return Lattice(tuple(edges), tuple(pushers), tuple(note_cells), tuple(steps),
+                   len(nodes), caps[-1], [])
 
 
 class RhythmGrammar:
@@ -285,7 +254,7 @@ class RhythmGrammar:
 
         for head, head_rules in self._by_head.items():
             total = sum(r.probability for r in head_rules)
-            if abs(total - 1.0) > PROB_TOLERANCE:
+            if not abs(total - 1.0) <= PROB_TOLERANCE:  # NaN fails it too
                 raise GrammarError(
                     f"probabilities for head {head!r} sum to {total!r}, not 1"
                 )
@@ -380,24 +349,35 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
         m = _MAXDEPTH_RE.match(line)
         if m:
             max_depth = int(m.group(1))
+            if max_depth < 1:
+                raise GrammarError(f"line {lineno}: maxdepth must be >= 1, got {max_depth}")
             continue
         m = _START_RE.match(line)
         if m:
-            sig = TimeSignature(int(m.group(1)), int(m.group(2)))
+            try:
+                sig = TimeSignature(int(m.group(1)), int(m.group(2)))
+            except ValidationError as exc:
+                raise GrammarError(f"line {lineno}: {exc}") from None
             starts[sig] = m.group(3)
             continue
         m = _RULE_RE.match(line)
         if m:
             head, body_text, prob_text = m.groups()
+            if head in LEAF_LABELS:
+                raise GrammarError(f"line {lineno}: {head!r} is a reserved leaf label")
             try:
                 prob = float(prob_text)
             except ValueError:
                 raise GrammarError(f"line {lineno}: bad probability {prob_text!r}")
-            if prob <= 0:
-                raise GrammarError(f"line {lineno}: probability must be > 0")
+            if not 0 < prob < math.inf:
+                raise GrammarError(
+                    f"line {lineno}: probability must be a finite number > 0, got {prob_text!r}")
             split_m = _SPLIT_RE.match(body_text)
             if split_m:
-                body: Split | Leaf = Split(tuple(split_m.group(1).split()))
+                try:
+                    body: Split | Leaf = Split(tuple(split_m.group(1).split()))
+                except ValidationError as exc:
+                    raise GrammarError(f"line {lineno}: {exc}") from None
             elif body_text in LEAF_LABELS:
                 body = Leaf(body_text)
             else:
@@ -472,6 +452,8 @@ def train_grammar(
     """
     if smoothing < 0:
         raise ValidationError(f"smoothing must be >= 0, got {smoothing}")
+    if not math.isfinite(smoothing):
+        raise ValidationError(f"smoothing must be finite, got {smoothing}")
     if not corpus:
         raise ValidationError("cannot train a grammar from an empty corpus")
 

@@ -144,16 +144,16 @@ def quantize_measure(
     the measure has a ``carried_pitch``, which is then the note aligned onto
     the downbeat (sounding until ``carried_end``, 0 when it stopped before).
 
-    One bottom-up pass over the solve plan of the grammar's compiled
-    lattice: per node, its leaf options per k_in, then each split's children
-    chained through the lanes k = 0 and k = 1.  A child whose only entry is
-    (0, 0) adds its cost to lane 0 and closes lane 1.  A cell whose one rule
-    is a NOTE leaf takes its entries directly, and a split whose children
-    cannot hold the cell's notes is not tried.  A cell with no onset that is
-    silent or held all through takes the (0, 0) entry that the lattice's
-    first solve worked out for it.  On equal (cost, leaves, tuplets) the
-    earlier rule keeps an entry, and a split's chain keeps, per k after each
-    child, the first best of k = 0, then k = 1, before it.
+    One bottom-up pass over the grammar's compiled lattice: per node, its
+    leaf options per k_in, then each split's children chained through the
+    lanes k = 0 and k = 1.  A child whose only entry is (0, 0) adds its
+    cost to lane 0 and closes lane 1.  A cell whose one rule is a NOTE leaf
+    takes its entries directly, and a split whose children cannot hold the
+    cell's notes is not tried.  A cell with no onset that is silent or held
+    all through takes the (0, 0) entry that the lattice's first solve
+    worked out for it.  On equal (cost, leaves, tuplets) the earlier rule
+    keeps an entry, and a split's chain keeps, per k after each child, the
+    first best of k = 0, then k = 1, before it.
     """
     config = config or QuantConfig()
     table = MeasureStates(measure, grammar, config, time_signature, states, final)
@@ -173,7 +173,7 @@ class MeasureStates:
     ``results`` holds each lattice node's (0, 0) entry and ``states`` all
     four, indexed 2 * k_in + k_out, or None where (0, 0) is the only one.
     An entry is (cost, size, rule, first onset, k mask), where size is
-    leaves * ``SolvePlan.unit`` + tuplets, so it orders as (leaves,
+    leaves * ``Lattice.unit`` + tuplets, so it orders as (leaves,
     tuplets) does; bit i of a split's mask is the k before child i, its
     last bit the k_out.
 
@@ -201,7 +201,7 @@ class MeasureStates:
                     for empty in (MeasureInput(), MeasureInput(carried_pitch=0, carried_end=2.0))
                 ]
             silent, held = shared
-        edges, pushers, note_cells, steps, unit = self.lattice.plan
+        edges, pushers, note_cells, steps, unit, _, _ = self.lattice
         alpha = config.alpha
         theta = config.rest_threshold + EPS
         onsets, extents = measure.onsets, measure.extents
@@ -211,7 +211,7 @@ class MeasureStates:
         # per cell edge: the onsets before it, and whether a leaf ending
         # there aligns one onto it, the last of at most two from its right
         # half.  Only the previous measure aligns one onto the downbeat
-        lows = [bisect_left(positions, edge - EPS) for edge in edges]
+        self.lows = lows = [bisect_left(positions, edge - EPS) for edge in edges]
         pushed = [False] * len(edges)
         pushed[0] = lead_in and measure.carried_pitch is not None
         for e, first, cells in pushers:
@@ -447,22 +447,26 @@ class MeasureStates:
     def failure(self) -> RhythmiqError:
         """Why the (0, 0) entry has no derivation."""
         onsets = self.measure.onsets
-        cap = self.lattice.max_leaves()
+        lattice = self.lattice
+        cap = lattice.capacity
         if len(onsets) > cap:
             return CapacityError(
                 f"{len(onsets)} onsets exceed the {cap} leaves reachable "
                 f"within depth {self.grammar.max_depth}"
             )
-        # align each onset in the narrowest cell a note may fill
-        cells = sorted((node.right - node.left, node.left, node.right)
-                       for node in self.lattice.nodes
-                       if any(rule.label == NOTE for rule in node.rules))
+        # align each onset in the narrowest cell a note may fill: onset i is
+        # in the cell between edges li and ri when lows[li] <= i < lows[ri],
+        # as in the solve
+        lows = self.lows
+        cells = sorted((rf - lf, lf, rf, li, ri)
+                       for _, li, ri, lf, rf, _, note, *_ in lattice.note_cells + lattice.steps
+                       if note is not None)
         taken: dict[float, float] = {}
-        for pos, _ in onsets:
-            cell = next((c for c in cells if c[1] - EPS <= pos < c[2] - EPS), None)
+        for i, (pos, _) in enumerate(onsets):
+            cell = next((c for c in cells if lows[c[3]] <= i < lows[c[4]]), None)
             if cell is None:
                 continue
-            _, lf, rf = cell
+            _, lf, rf, _, _ = cell
             stays = pos <= (lf + rf) / 2 + EPS or (self.final and rf == 1.0)
             edge = lf if stays else rf
             if edge in taken:

@@ -439,6 +439,31 @@ def test_train_grammar_from_scores(tmp_path, capsys):
     assert "M4_4" in trained.nonterminals
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_grammar_rejects_a_non_finite_smoothing(tmp_path, capsys, value):
+    score = tmp_path / "score.musicxml"
+    score.write_text(emit_musicxml(sample_score(default_grammar(), 4, random.Random(5))))
+    out = tmp_path / "trained.grammar"
+    assert main(["train-grammar", str(score), "--smoothing", value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: smoothing must be finite, got {value}\n"
+    assert not out.exists()
+
+
+def test_a_bad_grammar_line_exits_3_with_its_line_number(tmp_path, capsys):
+    midi, beats = _quarters_midi(tmp_path, n=4), _beats_csv(tmp_path, 5)
+    grammar = tmp_path / "bad.grammar"
+    for line, error in [
+        ("start 4/5 = S", "line 3: denominator must be one of (1, 2, 4, 8, 16, 32), got 5"),
+        ("S -> (S) : 1.0", "line 3: a split needs at least 2 children"),
+        ("S -> note : 1e400", "line 3: probability must be a finite number > 0, "
+                              "got '1e400'"),
+    ]:
+        grammar.write_text(TINY_GRAMMAR.replace("start 4/4 = S", f"start 4/4 = S\n{line}"))
+        assert main(["quantize", str(midi), "--beats", str(beats),
+                     "--grammar", str(grammar)]) == 3
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_train_grammar_warns_of_what_the_reader_skips(tmp_path, capsys):
     xml = emit_musicxml(sample_score(default_grammar(), 4, random.Random(5)))
     clean, graced = tmp_path / "clean.musicxml", tmp_path / "graced.musicxml"

@@ -79,6 +79,19 @@ def test_parse_errors():
         parse_grammar_file("start 4/4 = S\nS -> note : -1\n")
     with pytest.raises(GrammarError):
         parse_grammar_file("start 4/4 = S\nwhat is this line\n")
+    # each of these lines is malformed, and the error names it
+    for line, message in [
+        ("start 4/5 = S", "line 3: denominator must be one of"),
+        ("start 0/4 = S", "line 3: numerator must be >= 1"),
+        ("S -> (R) : 0.5", "line 3: a split needs at least 2 children"),
+        ("S -> rest : 1e400", "line 3: probability must be a finite number > 0"),
+        ("maxdepth = 0", "line 3: maxdepth must be >= 1"),
+        ("rest -> note : 1.0", "line 3: 'rest' is a reserved leaf label"),
+    ]:
+        with pytest.raises(GrammarError, match=message):
+            parse_grammar_file(f"start 4/4 = S\nS -> note : 0.5\n{line}\n")
+    with pytest.raises(GrammarError, match="line 2: probability must be a finite number"):
+        parse_grammar_file("start 4/4 = S\nS -> note : 1e400\n")  # alone, no NaN weight
 
 
 def test_grammar_structural_validation():
@@ -93,6 +106,8 @@ def test_grammar_structural_validation():
         # probabilities sum to 2
         RhythmGrammar({SIG: "S"}, [GrammarRule("S", Leaf(NOTE), 0.0),
                                    GrammarRule("S", Leaf("rest"), 0.0)])
+    with pytest.raises(GrammarError, match="sum to nan"):
+        RhythmGrammar({SIG: "S"}, [GrammarRule("S", Leaf(NOTE), math.nan)])
 
 
 def test_duplicate_rules_are_rejected():
@@ -185,6 +200,9 @@ def test_train_rejects_bad_args():
         train_grammar([], smoothing=1.0)
     with pytest.raises(ValidationError):
         train_grammar([_duplet_triplet_score(1, 1)], smoothing=-0.1)
+    for smoothing in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="smoothing must be finite"):
+            train_grammar([_duplet_triplet_score(1, 1)], smoothing=smoothing)
 
 
 def test_trained_grammar_usable_for_sampling():

@@ -849,24 +849,17 @@ def test_recorded_outputs():
 # compiled lattice
 
 def _count_compiles(monkeypatch) -> list:
-    """The time signature of each lattice compiled, and "plan" for each
-    solve plan built, in order."""
+    """The time signature of each lattice compiled, in order."""
     import rhythmiq.grammar as grammar_module
 
     calls = []
     compile_lattice = grammar_module.compile_lattice
-    compile_plan = grammar_module.compile_plan
 
     def counted(grammar, time_signature):
         calls.append(time_signature)
         return compile_lattice(grammar, time_signature)
 
-    def counted_plan(nodes):
-        calls.append("plan")
-        return compile_plan(nodes)
-
     monkeypatch.setattr(grammar_module, "compile_lattice", counted)
-    monkeypatch.setattr(grammar_module, "compile_plan", counted_plan)
     return calls
 
 
@@ -879,22 +872,20 @@ def test_lattice_compiles_once_per_grammar_and_signature(monkeypatch):
         + [NoteEvent(1.97, 1.0, 72)]  # an onset aligned across a barline
     )
     quantize_performance(perf, _grid(2), grammar)
-    assert calls == [SIG, "plan"]  # the plan is built with its lattice
+    assert calls == [SIG]
     for _ in range(3):
         quantize_measure(MeasureInput(((0.25, 60),), (0.5,)), grammar)
-    assert calls == [SIG, "plan"]
+    assert calls == [SIG]
     quantize_measure(MeasureInput(), default_grammar())
-    assert calls == [SIG, "plan"] * 2  # another grammar compiles its own
+    assert calls == [SIG] * 2  # another grammar compiles its own
 
 
 def test_equal_grammars_compile_equal_lattices_and_plans():
     first, second = default_grammar().lattice(SIG), default_grammar().lattice(SIG)
     assert first is not second
-    assert first == second and hash(first) == hash(second)
-    assert first.plan == second.plan
-    plan = first.plan
-    assert len(plan.edges) == 49  # 97 nodes, 49 distinct cell edges
-    assert len(plan.note_cells) == 56  # the X and G cells
+    assert first == second
+    assert len(first.edges) == 49  # 97 nodes, 49 distinct cell edges
+    assert len(first.note_cells) == 56  # the X and G cells
 
 
 def test_a_new_grammar_solves_from_its_own_plan():
@@ -924,5 +915,23 @@ def test_lattice_for_a_signature_without_start_symbol_raises(monkeypatch):
 
 def test_lattice_queries_of_the_default_grammar():
     lattice = default_grammar().lattice(SIG)
-    assert len(lattice.nodes) == 97
-    assert lattice.max_leaves() == 32  # four beats of eight 32nds
+    assert lattice.unit == 97  # nodes
+    assert lattice.capacity == 32  # four beats of eight 32nds
+
+
+def test_lattice_capacity_matches_the_recursive_reference():
+    rng = random.Random(3030)
+    grammars = [support.random_grammar(rng, max_depth=rng.randint(1, 5)) for _ in range(200)]
+    # A cannot split at the depth bound, so B's split has no derivation
+    # and sinks, though E's (N N N) under it does: 2 leaves, not 6
+    grammars.append(parse_grammar_file("\n".join([
+        "maxdepth = 3", "start 4/4 = M", "M -> (B B) : 1.0",
+        "B -> (A E) : 0.5", "B -> note : 0.5", "A -> (C C) : 1.0", "C -> (N N) : 1.0",
+        "E -> (N N N) : 1.0", "N -> note : 1.0",
+    ])))
+    for trial, grammar in enumerate(grammars):
+        assert (grammar.lattice(SIG).capacity
+                == support._max_leaves(grammar, grammar.start_for(SIG), grammar.max_depth,
+                                       {})), trial
+    assert grammars[-1].lattice(SIG).capacity == 2
+    assert len({g.lattice(SIG).capacity for g in grammars}) > 10

@@ -26,17 +26,11 @@ from rhythmiq import (
     TempoBounds,
     TempoEstimate,
     TimeSignature,
-    default_grammar,
-    parse_grammar_file,
 )
 from rhythmiq.cli import PipelineConfig
-from rhythmiq.grammar import Lattice
 from rhythmiq.trees import note, rest, split
 
 SIG = TimeSignature(4, 4)
-NODES = default_grammar().lattice(SIG).nodes
-OTHER_NODES = parse_grammar_file(
-    "start 4/4 = S\nS -> (H H) : 0.6\nS -> note : 0.4\nH -> note : 1.0\n").lattice(SIG).nodes
 
 # (type, arguments, arguments with one field changed)
 CASES = [
@@ -47,7 +41,6 @@ CASES = [
     (Split, (("A", "B"),), (("A", "C"),)),
     (Leaf, ("note",), ("rest",)),
     (GrammarRule, ("S", Leaf("note"), 0.5), ("S", Leaf("note"), 0.7)),
-    (Lattice, (NODES,), (OTHER_NODES,)),
     (QuantConfig, (2.0, 0.5), (2.0, 0.25)),
     (MeasureInput, (((0.0, 60),), (0.5,)), (((0.0, 62),), (0.5,))),
     (RhythmTree, ((note(60), rest()),), ((note(60), note(62)),)),
@@ -88,12 +81,3 @@ def test_record_semantics(cls, args, changed):
 def test_record_repr_names_every_field():
     assert repr(SIG) == "TimeSignature(numerator=4, denominator=4)"
     assert repr(note(60)) == "RhythmTree(children=(), label='note', pitch=60)"
-
-
-def test_lattice_equality_ignores_its_shared_entries():
-    filled = Lattice(NODES)
-    filled.empty_entries[:] = [None] * len(NODES)
-    assert filled == Lattice(NODES)
-    assert hash(filled) == hash(Lattice(NODES))
-    assert "empty_entries" not in repr(filled)
-    assert copy.copy(filled).empty_entries == []
