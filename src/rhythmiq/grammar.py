@@ -27,6 +27,13 @@ from .trees import (
 )
 
 PROB_TOLERANCE = 1e-9
+# the deepest depth bound: a binary cell at depth 29 spans 2**-29 of a
+# measure, still wider than the quantizer's 1e-9 tolerance, but its halves
+# would not be, so no deeper cell can be told apart from its neighbours
+_MAX_DEPTH = 29
+# the most lattice nodes a measure may compile to; the default grammar has
+# 97, while a grammar whose node splits into itself doubles them per level
+_MAX_NODES = 1 << 16
 
 
 class Split(Record):
@@ -99,11 +106,7 @@ class Lattice(NamedTuple):
     midpoint, ((midpoint, left) of those cells, narrowest first)).  Only
     such a leaf can align an onset onto the edge, one past its midpoint.
 
-    ``note_cells``: the nodes whose one rule is a NOTE leaf, as (node, left
-    edge index, right edge index, left, right, midpoint, rule).  They have
-    no children.
-
-    ``steps``: the other nodes in node order, as (node, left edge index,
+    ``steps``: every node in node order, as (node, left edge index,
     right edge index, left, right, midpoint, NOTE rule, REST rule,
     CONTINUATION rule, leaf rules, splits).  A label's rule is None where
     the head has no such leaf; the leaf rules keep grammar order.  A split
@@ -125,7 +128,6 @@ class Lattice(NamedTuple):
 
     edges: tuple[float, ...]
     pushers: tuple[tuple[int, float, tuple[tuple[float, float], ...]], ...]
-    note_cells: tuple[tuple, ...]
     steps: tuple[tuple, ...]
     unit: int
     capacity: int
@@ -136,7 +138,7 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
     """Expand the grammar's derivations of one measure into a ``Lattice``.
 
     Raises GrammarError when the grammar has no start symbol for
-    ``time_signature``.
+    ``time_signature``, or its derivations pass ``_MAX_NODES`` nodes.
     """
     start = grammar.start_for(time_signature)
     ids: dict[tuple, int] = {}
@@ -166,6 +168,9 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
                 )
                 rules.append(LatticeRule(rule.weight, None, children,
                                          int(k & (k - 1) != 0)))
+        if len(nodes) == _MAX_NODES:
+            raise GrammarError(f"the derivations of a {time_signature} measure pass "
+                               f"{_MAX_NODES} lattice nodes; lower maxdepth")
         ids[key] = node = len(nodes)
         nodes.append((left / den, right / den, tuple(rules)))
         return node
@@ -188,7 +193,7 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
     fewest: list[float] = []
     most: list[float] = []
     caps: list[float] = []
-    note_cells, steps = [], []
+    steps = []
     for node, (lf, rf, rules) in enumerate(nodes):
         counts = [(int(rule.label == NOTE),) * 2 + (1,) if rule.label is not None else
                   tuple(sum(bound[c] for c in rule.children)
@@ -197,10 +202,6 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
         fewest.append(min((low for low, _, _ in counts), default=math.inf))
         most.append(max((high for _, high, _ in counts), default=-math.inf))
         caps.append(max((cap for _, _, cap in counts), default=-math.inf))
-        cell = (node, index[lf], index[rf], lf, rf, (lf + rf) / 2)
-        if len(rules) == 1 and rules[0].label == NOTE:
-            note_cells.append((*cell, rules[0]))
-            continue
         leaves = tuple(rule for rule in rules if rule.label is not None)
         by_label = {rule.label: rule for rule in leaves}
         splits = tuple(
@@ -209,12 +210,11 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
              low, high + 1)
             for rule, (low, high, _) in zip(rules, counts) if rule.label is None
         )
-        steps.append((*cell, by_label.get(NOTE), by_label.get(REST),
-                      by_label.get(CONTINUATION), leaves, splits))
+        steps.append((node, index[lf], index[rf], lf, rf, (lf + rf) / 2, by_label.get(NOTE),
+                      by_label.get(REST), by_label.get(CONTINUATION), leaves, splits))
     # the start symbol derives a tree within the depth bound, so the
     # measure's node has a derivation
-    return Lattice(tuple(edges), tuple(pushers), tuple(note_cells), tuple(steps),
-                   len(nodes), caps[-1], [])
+    return Lattice(tuple(edges), tuple(pushers), tuple(steps), len(nodes), caps[-1], [])
 
 
 class RhythmGrammar:
@@ -223,8 +223,9 @@ class RhythmGrammar:
     def __init__(self, starts: dict[TimeSignature, str],
                  rules: list[GrammarRule] | tuple[GrammarRule, ...],
                  max_depth: int = 4):
-        if max_depth < 1:
-            raise GrammarError(f"max_depth must be >= 1, got {max_depth}")
+        if not 1 <= max_depth <= _MAX_DEPTH:
+            raise GrammarError(
+                f"max_depth must be >= 1 and <= {_MAX_DEPTH}, got {max_depth}")
         if not starts:
             raise GrammarError("grammar needs at least one start symbol")
         self.starts = dict(starts)
@@ -340,6 +341,7 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
     starts: dict[TimeSignature, str] = {}
     raw_rules: list[tuple[str, Split | Leaf, float]] = []
     first_line: dict[tuple[str, Split | Leaf], int] = {}
+    start_line: dict[TimeSignature, int] = {}
     max_depth = 4
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -349,8 +351,9 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
         m = _MAXDEPTH_RE.match(line)
         if m:
             max_depth = int(m.group(1))
-            if max_depth < 1:
-                raise GrammarError(f"line {lineno}: maxdepth must be >= 1, got {max_depth}")
+            if not 1 <= max_depth <= _MAX_DEPTH:
+                raise GrammarError(f"line {lineno}: maxdepth must be >= 1 and <= "
+                                   f"{_MAX_DEPTH}, got {max_depth}")
             continue
         m = _START_RE.match(line)
         if m:
@@ -358,6 +361,10 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
                 sig = TimeSignature(int(m.group(1)), int(m.group(2)))
             except ValidationError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from None
+            first = start_line.setdefault(sig, lineno)
+            if first != lineno:
+                raise GrammarError(
+                    f"line {lineno}: duplicate start for {sig} (first on line {first})")
             starts[sig] = m.group(3)
             continue
         m = _RULE_RE.match(line)

@@ -32,7 +32,9 @@ from .errors import (
 )
 from .grammar import RhythmGrammar
 from .trees import (
+    CONTINUATION,
     NOTE,
+    REST,
     RhythmTree,
     ScoreModel,
     decompose_measure,
@@ -40,6 +42,11 @@ from .trees import (
 )
 
 EPS = 1e-9
+
+# a tree is immutable, so the solver's leaves are shared: one per label,
+# and one per pitch for notes
+_LEAVES = {label: RhythmTree(label=label) for label in (REST, CONTINUATION)}
+_NOTE_LEAVES = {pitch: RhythmTree(label=NOTE, pitch=pitch) for pitch in range(128)}
 
 
 class QuantConfig(Record):
@@ -147,10 +154,9 @@ def quantize_measure(
     One bottom-up pass over the grammar's compiled lattice: per node, its
     leaf options per k_in, then each split's children chained through the
     lanes k = 0 and k = 1.  A child whose only entry is (0, 0) adds its
-    cost to lane 0 and closes lane 1.  A cell whose one rule is a NOTE leaf
-    takes its entries directly, and a split whose children cannot hold the
-    cell's notes is not tried.  A cell with no onset that is silent or held
-    all through takes the (0, 0) entry that the lattice's first solve
+    cost to lane 0 and closes lane 1.  A split whose children cannot hold
+    the cell's notes is not tried.  A cell with no onset that is silent or
+    held all through takes the (0, 0) entry that the lattice's first solve
     worked out for it.  On equal (cost, leaves, tuplets) the earlier rule
     keeps an entry, and a split's chain keeps, per k after each child, the
     first best of k = 0, then k = 1, before it.
@@ -177,11 +183,13 @@ class MeasureStates:
     tuplets) does; bit i of a split's mask is the k before child i, its
     last bit the k_out.
 
-    A node whose cell holds no onset and is silent or held all through
-    takes its (0, 0) entry from ``Lattice.empty_entries``, which the first
-    solve on the lattice fills by this same pass over two empty measures
-    (``share_empty`` off): one silent, one under a note held past the
-    closing barline.
+    Every node takes its entries from one leaf block, then from its
+    splits, in node order.  A node whose cell holds no onset and is silent
+    or held all through takes its (0, 0) entry from
+    ``Lattice.empty_entries`` instead, which the first solve on the lattice
+    fills by this same pass over two empty measures (``share_empty`` off):
+    one silent, one under a note held past the closing barline.  The trees
+    built from the entries share their leaves.
     """
 
     def __init__(self, measure: MeasureInput, grammar: RhythmGrammar,
@@ -201,7 +209,7 @@ class MeasureStates:
                     for empty in (MeasureInput(), MeasureInput(carried_pitch=0, carried_end=2.0))
                 ]
             silent, held = shared
-        edges, pushers, note_cells, steps, unit, _, _ = self.lattice
+        edges, pushers, steps, unit, _, _ = self.lattice
         alpha = config.alpha
         theta = config.rest_threshold + EPS
         onsets, extents = measure.onsets, measure.extents
@@ -227,50 +235,15 @@ class MeasureStates:
 
         self.results = results = [None] * unit
         self.states = states = [None] * unit
-        # a cell whose one rule is a NOTE leaf has an entry exactly when one
-        # note lands in it, whatever its tail: the relaxed leaf would be the
-        # same NOTE at the same cost.  Such cells have no children, so they
-        # go first
-        for node, li, ri, lf, rf, mid, note in note_cells:
-            lo = lows[li]
-            hi = lows[ri]
-            pushed_in = pushed[li]
-            # ``right`` is the first onset in the right half; at the
-            # score's end none moves
-            if lo == hi:
-                if not pushed_in:
-                    continue
-                right = hi
-            elif final and rf == 1.0:
-                right = hi
-            else:
-                right = bisect_right(positions, mid + EPS, lo, hi)
-            k_out = hi - right
-            if k_out > 1:
-                continue
-            push = alpha * (rf - positions[right]) if k_out else 0.0
-            own = carried = None
-            if right - lo == 1:
-                dist = abs(positions[lo] - lf)
-                own = (note.weight + (alpha * (dist if dist >= EPS else 0.0) + push),
-                       unit, note, lo, 0)
-            if pushed_in and right == lo:
-                carried = (note.weight + push, unit, note, lo, 0)
-            if k_out:
-                if own or carried:
-                    states[node] = [None, own, None, carried]
-            else:
-                results[node] = own
-                if carried:
-                    states[node] = [own, None, carried, None]
-
         for node, li, ri, lf, rf, mid, note, rest, cont, leaves, splits in steps:
             lo = lows[li]
             hi = lows[ri]
             pushed_in = pushed[li]
             sound_end = extents[lo - 1] if lo else carried_end
             own_lane = True  # the k_in = 0 entries are yet to find
-            if lo == hi:  # see above for ``right``
+            # ``right`` is the first onset in the right half; at the
+            # score's end none moves
+            if lo == hi:
                 right = hi
                 # a cell with no onset and k_in = 0 has the same (0, 0)
                 # entry in every measure where it is silent or held all
@@ -441,8 +414,9 @@ class MeasureStates:
                 pitch = self.measure.onsets[lo - 1][1] if lo else self.measure.carried_pitch
             else:
                 pitch = self.measure.onsets[lo][1]
-            return RhythmTree(label=NOTE, pitch=pitch)
-        return RhythmTree(label=rule.label)
+            leaf = _NOTE_LEAVES.get(pitch)
+            return leaf if leaf is not None else RhythmTree(label=NOTE, pitch=pitch)
+        return _LEAVES[rule.label]
 
     def failure(self) -> RhythmiqError:
         """Why the (0, 0) entry has no derivation."""
@@ -459,7 +433,7 @@ class MeasureStates:
         # as in the solve
         lows = self.lows
         cells = sorted((rf - lf, lf, rf, li, ri)
-                       for _, li, ri, lf, rf, _, note, *_ in lattice.note_cells + lattice.steps
+                       for _, li, ri, lf, rf, _, note, *_ in lattice.steps
                        if note is not None)
         taken: dict[float, float] = {}
         for i, (pos, _) in enumerate(onsets):

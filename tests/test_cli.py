@@ -457,11 +457,27 @@ def test_a_bad_grammar_line_exits_3_with_its_line_number(tmp_path, capsys):
         ("S -> (S) : 1.0", "line 3: a split needs at least 2 children"),
         ("S -> note : 1e400", "line 3: probability must be a finite number > 0, "
                               "got '1e400'"),
+        ("start 4/4 = S", "line 3: duplicate start for 4/4 (first on line 2)"),
+        ("maxdepth = 30", "line 3: maxdepth must be >= 1 and <= 29, got 30"),
     ]:
         grammar.write_text(TINY_GRAMMAR.replace("start 4/4 = S", f"start 4/4 = S\n{line}"))
         assert main(["quantize", str(midi), "--beats", str(beats),
                      "--grammar", str(grammar)]) == 3
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_a_grammar_too_large_to_compile_exits_3(tmp_path, capsys):
+    # M splits into itself, so its lattice doubles per level: 2 ** 17 - 1
+    # nodes at maxdepth 16
+    midi, beats = _quarters_midi(tmp_path, n=4), _beats_csv(tmp_path, 5)
+    grammar = tmp_path / "deep.grammar"
+    grammar.write_text("maxdepth = 16\nstart 4/4 = M\nM -> (M M) : 0.5\nM -> note : 0.5\n")
+    out = tmp_path / "out.musicxml"
+    assert main(["quantize", str(midi), "--beats", str(beats), "--grammar", str(grammar),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: the derivations of a 4/4 measure pass "
+                                       "65536 lattice nodes; lower maxdepth\n")
+    assert not out.exists()
 
 
 def test_train_grammar_warns_of_what_the_reader_skips(tmp_path, capsys):

@@ -87,6 +87,8 @@ def test_parse_errors():
         ("S -> rest : 1e400", "line 3: probability must be a finite number > 0"),
         ("maxdepth = 0", "line 3: maxdepth must be >= 1"),
         ("rest -> note : 1.0", "line 3: 'rest' is a reserved leaf label"),
+        ("start 4/4 = S", r"line 3: duplicate start for 4/4 \(first on line 1\)"),
+        ("maxdepth = 30", "line 3: maxdepth must be >= 1 and <= 29, got 30"),
     ]:
         with pytest.raises(GrammarError, match=message):
             parse_grammar_file(f"start 4/4 = S\nS -> note : 0.5\n{line}\n")
@@ -108,6 +110,18 @@ def test_grammar_structural_validation():
                                    GrammarRule("S", Leaf("rest"), 0.0)])
     with pytest.raises(GrammarError, match="sum to nan"):
         RhythmGrammar({SIG: "S"}, [GrammarRule("S", Leaf(NOTE), math.nan)])
+
+
+# M splits into itself, so its lattice has 2 ** (maxdepth + 1) - 1 nodes
+SELF_SPLIT = "maxdepth = {}\nstart 4/4 = M\nM -> (M M) : 0.5\nM -> note : 0.5\n"
+
+
+def test_a_grammar_past_the_depth_or_node_bound_is_refused():
+    with pytest.raises(GrammarError, match="max_depth must be >= 1 and <= 29, got 30"):
+        RhythmGrammar({SIG: "S"}, [GrammarRule("S", Leaf(NOTE), 0.0)], max_depth=30)
+    with pytest.raises(GrammarError, match="4/4 measure pass 65536 lattice nodes"):
+        parse_grammar_file(SELF_SPLIT.format(16)).lattice(SIG)
+    assert parse_grammar_file(SELF_SPLIT.format(10)).lattice(SIG).unit == 2 ** 11 - 1
 
 
 def test_duplicate_rules_are_rejected():

@@ -1,8 +1,11 @@
 import gc
 import hashlib
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +36,7 @@ from rhythmiq import (
     quantize_measure,
     quantize_performance,
 )
+from rhythmiq.cli import main
 from rhythmiq.quantize import DEFAULT_ALPHA
 from rhythmiq.trees import CONTINUATION, NOTE, REST
 
@@ -845,6 +849,58 @@ def test_recorded_outputs():
     assert digest.hexdigest() == RECORDED_OUTPUTS
 
 
+# SHA-256 over the outputs of test_bench_corpus_outputs.  A change that
+# alters them on purpose records the new digest here.
+BENCH_OUTPUTS = "a3f1f19eaeba8a073b91a82c5120b886bcb25a40e8aca86e98138b78460d8855"
+
+
+def test_bench_corpus_outputs(tmp_path, monkeypatch):
+    # ``quantize`` on the bench's five exact renders, then its five played
+    # takes, each written as the bench writes it.  Each case hashes its
+    # MusicXML and its warnings sidecar, or the sidecar's absence
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)  # its dataclasses look it up
+    spec.loader.exec_module(corpus)
+    solos = corpus.corpus()
+    takes = [corpus.played_take(solo) for solo in solos]
+    cases = ([("exact", s.name, corpus.exact_midi(s), corpus.exact_beats(s)) for s in solos]
+             + [("played", s.name, corpus.take_midi(t), t.beat_times)
+                for s, t in zip(solos, takes)])
+    digest = hashlib.sha256()
+    for kind, name, midi, beats in cases:
+        stem = tmp_path / kind / name
+        stem.parent.mkdir(exist_ok=True)
+        stem.with_suffix(".mid").write_bytes(midi)
+        stem.with_suffix(".beats.csv").write_text(corpus.beats_csv(beats))
+        out = stem.with_suffix(".musicxml")
+        assert main(["quantize", str(stem.with_suffix(".mid")),
+                     "--beats", str(stem.with_suffix(".beats.csv")), "--out", str(out)]) == 0
+        sidecar = stem.with_suffix(".warnings.txt")
+        digest.update(f"{kind}/{name}\n".encode())
+        digest.update(out.read_bytes())
+        digest.update(sidecar.read_bytes() if sidecar.exists() else b"no sidecar\n")
+    assert digest.hexdigest() == BENCH_OUTPUTS
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="ROADMAP item 5: the solve does not know whether the "
+                          "notation sounds at a cell's left edge")
+def test_a_continuation_never_follows_a_rest():
+    # under the held note, bar 2's D cell has a rest but no continuation, so
+    # it takes the relaxed rest, and the C cell after it a continuation
+    grammar = parse_grammar_file("\n".join([
+        "maxdepth = 2", "start 4/4 = A",
+        "A -> note : 0.218899", "A -> rest : 0.220487", "A -> (D C) : 0.560614",
+        "C -> continuation : 0.301360", "C -> note : 0.342323", "C -> (C C) : 0.356317",
+        "D -> note : 0.583647", "D -> rest : 0.416353",
+    ]))
+    score, _ = quantize_performance(Performance([NoteEvent(0.0, 3.052, 60)]),
+                                    BeatGrid([0.5 * k for k in range(9)], 4, 0), grammar)
+    emit_musicxml(score)  # raises "continuation leaf with nothing to continue"
+
+
 # ---------------------------------------------------------------------------
 # compiled lattice
 
@@ -885,7 +941,7 @@ def test_equal_grammars_compile_equal_lattices_and_plans():
     assert first is not second
     assert first == second
     assert len(first.edges) == 49  # 97 nodes, 49 distinct cell edges
-    assert len(first.note_cells) == 56  # the X and G cells
+    assert len(first.steps) == 97  # one step per node
 
 
 def test_a_new_grammar_solves_from_its_own_plan():
