@@ -34,7 +34,9 @@ if TYPE_CHECKING:
 
 
 class PipelineConfig(Record):
-    """Tunable pipeline settings, overridable from a key=value config file."""
+    """Tunable pipeline settings, overridable from a key=value config file.
+
+    rest_threshold changes nothing; it stays until its callers are gone."""
 
     __slots__ = ("alpha", "rest_threshold", "fallback_resolution", "onset_tolerance",
                  "beat_tolerance", "cluster_width", "min_bpm", "max_bpm", "on_error",

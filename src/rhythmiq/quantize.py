@@ -2,10 +2,11 @@
 
 The core solver searches all derivations of a weighted grammar for the tree
 whose leaves best explain a measure of performed onsets, each onset aligned
-to the nearer edge of its leaf.  The objective is
-alpha * sum(|onset - aligned edge|) + sum(rule weights); ties break toward
-fewer leaves, then fewer tuplet nodes, then the rule listed first, so
-results are deterministic.
+to the nearer edge of its leaf.  The objective is alpha * sum(|onset -
+aligned edge|) + alpha / 8 * sum(sound or silence a leaf gets wrong) +
+sum(rule weights); ties break toward fewer leaves, then fewer tuplet nodes,
+then a rest over a continuation or the split listed first, so results are
+deterministic.
 """
 from __future__ import annotations
 
@@ -48,6 +49,12 @@ EPS = 1e-9
 _LEAVES = {label: RhythmTree(label=label) for label in (REST, CONTINUATION)}
 _NOTE_LEAVES = {pitch: RhythmTree(label=NOTE, pitch=pitch) for pitch in range(128)}
 
+# beta / alpha: releases are less reliable than onsets (Nakamura, Yoshii &
+# Dixon, TASLP 2017), so a misplaced one costs less, but not nothing.  Below
+# about 1/13 a beat held into a silent bar reads as a whole-bar rest; 1/4
+# loses exact bars on the bench's takes with 8-15 ms of onset jitter
+_RELEASE_SHARE = 0.125
+
 
 class QuantConfig(Record):
     """Solver knobs.
@@ -58,6 +65,8 @@ class QuantConfig(Record):
     exp(-4).  The default comes from a sweep over sampled scores rendered
     with 2-15 ms of timing jitter at 120 and 200 bpm: per-bar onset and
     pitch agreement rises with alpha up to about 192 and is flat above.
+    rest_threshold is checked but changes nothing (each leaf pays for its
+    tail instead); it stays until the callers that pass it are gone.
     """
 
     __slots__ = ("alpha", "rest_threshold")
@@ -106,6 +115,8 @@ class MeasureInput(Record):
             if not 0 <= pitch <= 127:
                 raise ValidationError(f"pitch {pitch} outside 0..127")
             prev = pos
+        if carried_pitch is not None and not 0 <= carried_pitch <= 127:
+            raise ValidationError(f"carried pitch {carried_pitch} outside 0..127")
         if carried_end < 0:
             raise ValidationError("carried_end must be >= 0")
         if carried_end > 0 and carried_pitch is None:
@@ -139,6 +150,13 @@ def quantize_measure(
     ends there keeps an onset of its right half as its note, at
     alpha * (p - l), and no entry gives an onset out.
 
+    With e the end of the sound ringing into [l, r) and beta = alpha / 8, a
+    note pays beta * (r - end) when its release end < r (for one aligned
+    in, end = max(e, l)); a continuation needs e > l + EPS and
+    pays beta * (r - e) when e < r; a rest needs e <= r + EPS and pays
+    beta * (e - l) when e > l + EPS.  So one test at each edge decides both
+    sides of it, and no continuation follows a rest.
+
     Returns the (0, 0) entry, where nothing crosses either barline: the
     winning tree and its total cost.  Raises CapacityError when the measure
     holds more onsets than any derivation within the grammar's depth bound
@@ -157,9 +175,10 @@ def quantize_measure(
     cost to lane 0 and closes lane 1.  A split whose children cannot hold
     the cell's notes is not tried.  A cell with no onset that is silent or
     held all through takes the (0, 0) entry that the lattice's first solve
-    worked out for it.  On equal (cost, leaves, tuplets) the earlier rule
-    keeps an entry, and a split's chain keeps, per k after each child, the
-    first best of k = 0, then k = 1, before it.
+    worked out for it.  On equal (cost, leaves, tuplets) a rest keeps an
+    entry from a continuation and the earlier split from a later one, and a
+    split's chain keeps, per k after each child, the first best of k = 0,
+    then k = 1, before it.
     """
     config = config or QuantConfig()
     table = MeasureStates(measure, grammar, config, time_signature, states, final)
@@ -211,7 +230,7 @@ class MeasureStates:
             silent, held = shared
         edges, pushers, steps, unit, _, _ = self.lattice
         alpha = config.alpha
-        theta = config.rest_threshold + EPS
+        beta = alpha * _RELEASE_SHARE
         onsets, extents = measure.onsets, measure.extents
         positions = [pos for pos, _ in onsets]
         carried_end = measure.carried_end if measure.carried_pitch is not None else 0.0
@@ -247,15 +266,15 @@ class MeasureStates:
                 right = hi
                 # a cell with no onset and k_in = 0 has the same (0, 0)
                 # entry in every measure where it is silent or held all
-                # through: nothing is displaced, so alpha adds nothing; a
-                # silent cell is a rest and a held one has no tail, so theta
-                # decides nothing; and ``final`` moves nothing, since
-                # right == hi.  The shared entry's first onset is never
+                # through (past rf + EPS, so no rest): nothing is displaced
+                # and a silent cell's rest and a held cell's continuation pay
+                # 0, so alpha decides nothing; and ``final`` moves nothing,
+                # since right == hi.  The shared entry's first onset is never
                 # read: a k_in = 0 derivation of an empty cell has no NOTE
                 # leaf.  Nor can such a cell give an onset out, so an onset
                 # aligned onto it from before leaves only the k_in = 1
                 # entries to find
-                if silent is not None and (sound_end <= lf + EPS or sound_end >= rf):
+                if silent is not None and (sound_end <= lf + EPS or sound_end > rf + EPS):
                     same = silent[node] if sound_end <= lf + EPS else held[node]
                     if not pushed_in:
                         results[node] = same
@@ -272,12 +291,9 @@ class MeasureStates:
             else:
                 entries = [same, None, None, None]
                 k_ins = (1,)
-            # as a leaf: the leaf whose tail is at most theta of its width,
-            # or else, once no split fits either, the relaxed leaf, which
-            # drops that bound the way the notation builder does at its
-            # depth limit.  A leaf never ties a split, which has more
-            # leaves, so leaves go first
-            relaxed = None
+            # as a leaf, priced as ``quantize_measure`` says; a rest wins a
+            # tie with a continuation, and a leaf never ties a split, which
+            # has more leaves, so leaves go first
             if leaves and k_out <= 1:
                 push = alpha * (rf - positions[right]) if k_out else 0.0
                 stay = right - lo  # the onsets that stay in the cell
@@ -285,39 +301,24 @@ class MeasureStates:
                     if stay:  # the cell's own note
                         if note is not None:
                             dist = abs(positions[lo] - lf)
-                            entry = (note.weight + (alpha * (dist if dist >= EPS else 0.0)
-                                                    + push), unit, note, lo, 0)
-                            # the silence after the note, relative to the width
                             end = extents[lo]
-                            if end >= rf or (rf - (end if end > lf else lf)) / (rf - lf) <= theta:
-                                entries[k_out] = entry
-                            else:
-                                relaxed = [(k_out, entry)]
-                    elif sound_end <= lf + EPS:
-                        if rest is not None:
-                            entries[k_out] = (rest.weight + push, unit, rest, lo, 0)
-                    # a continuation needs sound at the left edge, and its
-                    # uncovered tail is the silence after that sound; a rest
-                    # there is only a relaxed option
-                    elif cont is not None and (sound_end >= rf
-                                               or (rf - sound_end) / (rf - lf) <= theta):
-                        entries[k_out] = (cont.weight + push, unit, cont, lo, 0)
+                            tail = beta * (rf - end) if end < rf else 0.0
+                            entries[k_out] = (note.weight + (
+                                alpha * (dist if dist >= EPS else 0.0) + push + tail),
+                                unit, note, lo, 0)
                     else:
-                        best = None
-                        for rule in leaves:
-                            if rule is not note:
-                                cost = rule.weight + push
-                                if best is None or cost < best[0]:
-                                    best = (cost, unit, rule, lo, 0)
-                        if best:
-                            relaxed = [(k_out, best)]
+                        if rest is not None and sound_end <= rf + EPS:
+                            rung = beta * (sound_end - lf) if sound_end > lf + EPS else 0.0
+                            entries[k_out] = (rest.weight + (push + rung), unit, rest, lo, 0)
+                        if cont is not None and sound_end > lf + EPS:
+                            tail = beta * (rf - sound_end) if sound_end < rf else 0.0
+                            cost = cont.weight + (push + tail)
+                            if entries[k_out] is None or cost < entries[k_out][0]:
+                                entries[k_out] = (cost, unit, cont, lo, 0)
                 if pushed_in and not stay and note is not None:  # the note aligned in
-                    entry = (note.weight + push, unit, note, lo, 0)
-                    end = sound_end
-                    if end >= rf or (rf - (end if end > lf else lf)) / (rf - lf) <= theta:
-                        entries[2 + k_out] = entry
-                    else:
-                        relaxed = (relaxed or []) + [(2 + k_out, entry)]
+                    end = sound_end if sound_end > lf else lf
+                    tail = beta * (rf - end) if end < rf else 0.0
+                    entries[2 + k_out] = (note.weight + (push + tail), unit, note, lo, 0)
 
             # a candidate must beat an entry's (cost, size) outright; a split
             # whose children cannot hold k_in + onsets - k_out notes for
@@ -380,10 +381,6 @@ class MeasureStates:
                             old = entries[i + 1]
                             if old is None or c1 < old[0] or c1 == old[0] and s1 < old[1]:
                                 entries[i + 1] = (c1, s1, rule, lo, m1)
-            if relaxed:
-                for i, entry in relaxed:
-                    if entries[i] is None:
-                        entries[i] = entry
             results[node] = entries[0]
             if entries[1] or entries[2] or entries[3]:
                 states[node] = entries
@@ -414,8 +411,7 @@ class MeasureStates:
                 pitch = self.measure.onsets[lo - 1][1] if lo else self.measure.carried_pitch
             else:
                 pitch = self.measure.onsets[lo][1]
-            leaf = _NOTE_LEAVES.get(pitch)
-            return leaf if leaf is not None else RhythmTree(label=NOTE, pitch=pitch)
+            return _NOTE_LEAVES[pitch]
         return _LEAVES[rule.label]
 
     def failure(self) -> RhythmiqError:

@@ -185,13 +185,16 @@ def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
     alpha * (r - p), as the next leaf's note.  k_in = 1 at the measure's
     start makes the carried note the one aligned onto the downbeat.  In a
     ``final`` measure a leaf ending at the closing barline keeps all its
-    onsets, none moves past the measure.  A leaf may absorb at most
-    rest_threshold of uncovered tail, note leaves need exactly one note,
-    rests silence, continuations running sound; when no strict option of an
-    entry exists at a subinterval, the leaf coverage rule is relaxed there.
+    onsets, none moves past the measure.  Each leaf pays beta = alpha / 8
+    per unit of sound it gets wrong, e being the end of the sound ringing
+    in: a note, which needs exactly one note, beta * (r - end) for the
+    silence after its release; a continuation, which needs e > l + EPS,
+    beta * (r - e) when e < r; a rest, which needs e <= r + EPS,
+    beta * (e - l) when e > l + EPS.
     """
     config = config or QuantConfig()
-    alpha, theta = config.alpha, config.rest_threshold
+    alpha = config.alpha
+    beta = alpha * 0.125
 
     def sounding_at(left: float) -> float:
         end = measure.carried_end if measure.carried_pitch is not None else 0.0
@@ -216,12 +219,8 @@ def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
                 if pos <= mid + EPS or (final and right == 1)]
         moved = contained[len(stay):]
         end = sounding_at(lf)
-        width = rf - lf
 
-        def tail(e: float) -> float:
-            return (rf - min(max(e, lf), rf)) / width
-
-        def leaf_costs(degraded: bool) -> list[tuple[float, int]]:
+        def leaf_costs() -> list[tuple[float, int]]:
             if len(moved) > 1 or k_in + len(stay) > 1:
                 return []
             push = alpha * (rf - moved[0][0]) if moved else 0.0
@@ -234,29 +233,26 @@ def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
                     if k_in + len(stay) != 1:
                         continue
                     if k_in:
-                        note_end, extra = end, push
+                        note_end, extra = max(end, lf), push
                     else:
                         (pos, note_end), = stay
                         d = abs(pos - lf)
                         extra = alpha * (0.0 if d < EPS else d) + push
-                    if not degraded and tail(note_end) > theta + EPS:
-                        continue
-                    out.append((rule.weight + extra, len(moved)))
+                    silence = beta * (rf - note_end) if note_end < rf else 0.0
+                    out.append((rule.weight + (extra + silence), len(moved)))
                 elif label == "rest":
-                    if k_in or stay:
+                    if k_in or stay or end > rf + EPS:
                         continue
-                    if not degraded and end > lf + EPS:
-                        continue
-                    out.append((rule.weight + push, len(moved)))
+                    sound = beta * (end - lf) if end > lf + EPS else 0.0
+                    out.append((rule.weight + (push + sound), len(moved)))
                 else:
                     if k_in or stay or end <= lf + EPS:
                         continue
-                    if not degraded and tail(end) > theta + EPS:
-                        continue
-                    out.append((rule.weight + push, len(moved)))
+                    silence = beta * (rf - end) if end < rf else 0.0
+                    out.append((rule.weight + (push + silence), len(moved)))
             return out
 
-        found = leaf_costs(degraded=False)
+        found = leaf_costs()
         if depth < grammar.max_depth:
             for rule in grammar.rules_for(head):
                 if isinstance(rule.body, Leaf):
@@ -271,9 +267,7 @@ def enumerate_min_cost(measure: MeasureInput, grammar: RhythmGrammar,
                     partial = [(cost + c, k_next) for cost, k_mid in partial
                                for c, k_next in subs[k_mid]]
                 found += partial
-        strict_outs = {k for _, k in found}
-        return found + [(cost, k) for cost, k in leaf_costs(degraded=True)
-                        if k not in strict_outs]
+        return found
 
     costs = [cost for cost, k in derivations(grammar.start_for(sig), Fraction(0),
                                              Fraction(1), 0, k_in) if k == k_out]
@@ -358,8 +352,11 @@ def reference_quantize_measure(
     those at or before its midpoint (within EPS) are its note, at
     alpha * (p - l), and at most one past it moves to r, at alpha * (r - p),
     as the next leaf's note; in a ``final`` measure a leaf ending at the
-    closing barline keeps all its onsets.  ``best`` keeps each cell's winner
-    per (k_in, k_out); a split chains k through its children left to right.
+    closing barline keeps all its onsets.  Leaves pay beta = alpha / 8 for
+    the sound they get wrong, as ``enumerate_min_cost`` says, and are
+    offered in label order note, rest, continuation, so a rest wins a tie.
+    ``best`` keeps each cell's winner per (k_in, k_out); a split chains k
+    through its children left to right.
 
     Returns the (0, 0) entry's tree and cost, or raises CapacityError,
     AlignmentError or ParseFailureError.  With ``states`` returns
@@ -369,7 +366,7 @@ def reference_quantize_measure(
     config = config or QuantConfig()
     start = grammar.start_for(time_signature)
     alpha = config.alpha
-    theta = config.rest_threshold
+    beta = alpha * 0.125
     onsets = measure.onsets
 
     def inside(left: float, right: float):
@@ -378,9 +375,6 @@ def reference_quantize_measure(
             for (pos, pitch), ext in zip(onsets, measure.extents)
             if left - EPS <= pos < right - EPS
         ]
-
-    def uncovered_after(end: float, left: float, right: float) -> float:
-        return (right - min(max(end, left), right)) / (right - left)
 
     memo: dict = {}
 
@@ -399,7 +393,8 @@ def reference_quantize_measure(
         push = alpha * (rf - moved[0][0]) if moved else 0.0
         # the leaf's note: the onset aligned in from before, or its own
         if k_in:
-            note = (sound_pitch, sound_end, 0.0) if sound_pitch is not None else None
+            note = ((sound_pitch, max(sound_end, lf), 0.0) if sound_pitch is not None
+                    else None)
         elif stay:
             pos, pitch, ext = stay[0]
             dist = abs(pos - lf)
@@ -408,27 +403,31 @@ def reference_quantize_measure(
             note = None
         notes = k_in + len(stay)
 
-        def leaf_legal(label: str, degraded: bool) -> bool:
+        def leaf_price(label: str) -> float | None:
+            """What the leaf pays for the sound it gets wrong, None where
+            the label is not admissible."""
             if k_out > 1 or notes > 1:
-                return False
+                return None
             if label == NOTE:
                 if notes != 1 or note is None:
-                    return False
-                return degraded or uncovered_after(note[1], lf, rf) <= theta + EPS
+                    return None
+                return beta * (rf - note[1]) if note[1] < rf else 0.0
             if notes:
-                return False
+                return None
             if label == REST:
-                return sound_end <= lf + EPS or degraded
-            # continuation: something must still be sounding at the left edge
+                if sound_end > rf + EPS:
+                    return None
+                return beta * (sound_end - lf) if sound_end > lf + EPS else 0.0
+            # continuation: something must still be sounding past the left edge
             if sound_end <= lf + EPS:
-                return False
-            return degraded or uncovered_after(sound_end, lf, rf) <= theta + EPS
+                return None
+            return beta * (rf - sound_end) if sound_end < rf else 0.0
 
-        def leaf_candidate(rule):
+        def leaf_candidate(rule, price: float):
             if rule.body.label == NOTE:
-                return (rule.weight + (note[2] + push), 1, 0,
+                return (rule.weight + (note[2] + push + price), 1, 0,
                         RhythmTree(label=NOTE, pitch=note[0]))
-            return (rule.weight + push, 1, 0, RhythmTree(label=rule.body.label))
+            return (rule.weight + (push + price), 1, 0, RhythmTree(label=rule.body.label))
 
         winners: dict = {}
 
@@ -436,14 +435,15 @@ def reference_quantize_measure(
             if k not in winners or cand[:3] < winners[k][:3]:
                 winners[k] = cand
 
-        for rule in grammar.rules:
-            if rule.head != head:
-                continue
-            if isinstance(rule.body, Leaf):
-                if leaf_legal(rule.body.label, degraded=False):
-                    offer(k_out, leaf_candidate(rule))
-                continue
-            if depth >= grammar.max_depth:
+        head_rules = grammar.rules_for(head)
+        for label in (NOTE, REST, CONTINUATION):
+            for rule in head_rules:
+                if rule.body == Leaf(label):
+                    price = leaf_price(label)
+                    if price is not None:
+                        offer(k_out, leaf_candidate(rule, price))
+        for rule in head_rules:
+            if isinstance(rule.body, Leaf) or depth >= grammar.max_depth:
                 continue
             children = rule.body.children
             k = len(children)
@@ -471,15 +471,6 @@ def reference_quantize_measure(
                 if k_end in front:
                     cost, leaves, tuplets, subtrees = front[k_end]
                     offer(k_end, (cost, leaves, tuplets, RhythmTree(children=subtrees)))
-
-        if k_out not in winners:
-            # nothing strict fits: relax the coverage rule the way the
-            # notation builder does at its depth limit, so a lone displaced
-            # onset or an awkward tail still gets some leaf
-            for rule in grammar.rules:
-                if (rule.head == head and isinstance(rule.body, Leaf)
-                        and leaf_legal(rule.body.label, degraded=True)):
-                    offer(k_out, leaf_candidate(rule))
         memo[key] = winners
         return winners
 

@@ -6,6 +6,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,16 +26,20 @@ from rhythmiq import (
     QuantConfig,
     RhythmGrammar,
     RhythmiqError,
-    RhythmTree,
     Split,
     TimeSignature,
     ValidationError,
     default_grammar,
     emit_musicxml,
     fallback_quantize,
+    load_beats,
+    load_midi,
     parse_grammar_file,
+    parse_musicxml,
     quantize_measure,
     quantize_performance,
+    serialize_grammar,
+    train_grammar,
 )
 from rhythmiq.cli import main
 from rhythmiq.quantize import DEFAULT_ALPHA
@@ -66,6 +71,9 @@ def test_measure_input_validation():
         MeasureInput(((0.0, 60),), (0.0,))  # extent not past onset
     with pytest.raises(ValidationError):
         MeasureInput((), (), carried_pitch=None, carried_end=0.5)
+    for pitch in (200, -1):  # the carried pitch is checked as onset pitches are
+        with pytest.raises(ValidationError):
+            MeasureInput(carried_pitch=pitch, carried_end=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +153,7 @@ def test_lattice_solver_matches_the_recursive_reference(seed, at_boundaries, tie
     if ties:
         grammar = _equal_weights(grammar)
     measure = _boundary_measure(rng) if at_boundaries else support.random_measure(rng)
-    config = QuantConfig(alpha=rng.choice((0.0, 8.0, 30.0, 128.0, DEFAULT_ALPHA)),
-                         rest_threshold=rng.choice((0.25, 0.5, 1.0)))
+    config = QuantConfig(alpha=rng.choice((0.0, 8.0, 30.0, 128.0, DEFAULT_ALPHA)))
     final = rng.random() < 0.5
     assert (_solve(quantize_measure, measure, grammar, config, final)
             == _solve(support.reference_quantize_measure, measure, grammar, config, final))
@@ -276,7 +283,7 @@ def _sparse_measure(rng: random.Random) -> MeasureInput:
 
 def test_empty_cells_share_entries_across_measures_and_configs():
     # the entries of empty cells come from the first solve on a lattice and
-    # serve every later measure, whatever its alpha, theta and ``final``:
+    # serve every later measure, whatever its alpha and ``final``:
     # each sparse measure still gives the reference's trees, bit-identical
     # costs and error class, for the (0, 0) entry and all four
     rng = random.Random(1101)
@@ -287,8 +294,7 @@ def test_empty_cells_share_entries_across_measures_and_configs():
             grammar = _without_leaf(grammar, rng.choice((REST, CONTINUATION)))
         for _ in range(5):
             measure = _sparse_measure(rng)
-            config = QuantConfig(alpha=rng.choice((0.0, 8.0, 128.0, DEFAULT_ALPHA, 1e4)),
-                                 rest_threshold=rng.choice((0.25, 0.5, 1.0)))
+            config = QuantConfig(alpha=rng.choice((0.0, 8.0, 128.0, DEFAULT_ALPHA, 1e4)))
             final = rng.random() < 0.5
             assert (_solve(quantize_measure, measure, grammar, config, final)
                     == _solve(support.reference_quantize_measure, measure, grammar,
@@ -368,11 +374,12 @@ def test_carried_note_becomes_continuation():
     assert tree.leaf_labels() == [CONTINUATION, REST, REST, REST]
 
 
-def test_carried_half_measure_absorbed_whole():
-    # trailing silence up to the threshold may merge into one leaf
+def test_carried_half_measure_then_silence_reads_as_written():
+    # half a bar held, then half a bar of silence: the canonical
+    # decomposition of that measure, not one leaf that ignores the silence
     measure = MeasureInput(carried_pitch=60, carried_end=0.5)
     tree, _ = quantize_measure(measure, default_grammar())
-    assert tree.leaf_labels() == [CONTINUATION]
+    assert tree.leaf_labels() == [CONTINUATION, CONTINUATION, REST, REST]
 
 
 def test_capacity_error_for_dense_measure():
@@ -615,8 +622,8 @@ def test_downbeat_entry_takes_the_carried_note():
                               default_grammar(), states=True)
     assert solved.cost(0, 0) < math.inf and solved.cost(1, 0) < math.inf
     assert solved.cost(0, 1) == solved.cost(1, 1) == math.inf
-    assert solved.tree(0, 0).leaf_labels() == [CONTINUATION]
-    assert solved.tree(1, 0) == RhythmTree(label=NOTE, pitch=72)
+    assert solved.tree(0, 0).leaf_labels() == [CONTINUATION, CONTINUATION, REST, REST]
+    assert solved.tree(1, 0).leaf_labels() == [NOTE, CONTINUATION, REST, REST]
     # a lone call is the (0, 0) entry
     alone = MeasureInput(carried_pitch=72, carried_end=0.5)
     assert quantize_measure(alone, default_grammar()) == (
@@ -804,7 +811,7 @@ def test_round_trip_through_an_irregular_grid(seed):
 
 # SHA-256 over the cases of test_recorded_outputs.  A change that alters
 # the quantizer's output on purpose records the new digest here.
-RECORDED_OUTPUTS = "880bf109cb09187eaab5962f24ac4fefdc3b8c19d9f7094e348ab11441b5c377"
+RECORDED_OUTPUTS = "b592555c7012d16aab5ce6d56e7169144da4a185f94a5603ec6267a62ff458b9"
 
 
 def test_recorded_outputs():
@@ -851,19 +858,31 @@ def test_recorded_outputs():
 
 # SHA-256 over the outputs of test_bench_corpus_outputs.  A change that
 # alters them on purpose records the new digest here.
-BENCH_OUTPUTS = "a3f1f19eaeba8a073b91a82c5120b886bcb25a40e8aca86e98138b78460d8855"
+BENCH_OUTPUTS = "d98dccc6f041f7bc57e1e36a0e7b9ecc1adb824062d5561161e26ee627d1cd0c"
 
 
-def test_bench_corpus_outputs(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def bench():
+    """The bench's corpus generator, reader and checks, loaded by path, and
+    its five solos."""
+    modules = {}
+    with pytest.MonkeyPatch.context() as patch:
+        # by their own names: checks imports the other two, and a module's
+        # dataclasses look it up while it loads
+        for name in ("corpus", "reader", "checks"):
+            path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+            spec = importlib.util.spec_from_file_location(name, path)
+            modules[name] = module = importlib.util.module_from_spec(spec)
+            patch.setitem(sys.modules, name, module)
+            spec.loader.exec_module(module)
+    return SimpleNamespace(**modules, solos=modules["corpus"].corpus())
+
+
+def test_bench_corpus_outputs(tmp_path, bench):
     # ``quantize`` on the bench's five exact renders, then its five played
     # takes, each written as the bench writes it.  Each case hashes its
     # MusicXML and its warnings sidecar, or the sidecar's absence
-    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, corpus)  # its dataclasses look it up
-    spec.loader.exec_module(corpus)
-    solos = corpus.corpus()
+    corpus, solos = bench.corpus, bench.solos
     takes = [corpus.played_take(solo) for solo in solos]
     cases = ([("exact", s.name, corpus.exact_midi(s), corpus.exact_beats(s)) for s in solos]
              + [("played", s.name, corpus.take_midi(t), t.beat_times)
@@ -884,12 +903,97 @@ def test_bench_corpus_outputs(tmp_path, monkeypatch):
     assert digest.hexdigest() == BENCH_OUTPUTS
 
 
-@pytest.mark.xfail(strict=True, raises=ValidationError,
-                   reason="ROADMAP item 5: the solve does not know whether the "
-                          "notation sounds at a cell's left edge")
+def _bench_score(bench, solo, grammar, sigma=None):
+    """The score ``quantize_performance`` gives the solo's exact render, or
+    its take played with ``sigma`` s of onset jitter, read from MIDI."""
+    corpus = bench.corpus
+    if sigma is None:
+        midi, beats = corpus.exact_midi(solo), corpus.exact_beats(solo)
+    else:
+        take = corpus.played_take(solo, sigma)
+        midi, beats = corpus.take_midi(take), take.beat_times
+    score, _ = quantize_performance(load_midi(midi), load_beats(corpus.beats_csv(beats)),
+                                    grammar, on_error="fallback")
+    return score
+
+
+def test_played_takes_are_written_as_the_exact_renders(bench):
+    # bar by bar, a played take's tree is its exact render's, and the order
+    # of the rule lines in a grammar file changes no tree.  Trees, not parsed
+    # MusicXML: parsing makes both readings canonical, which hides a rest
+    # split in two
+    grammar = default_grammar()
+    text = serialize_grammar(grammar)
+    lines = text.splitlines()
+    rules = [line for line in lines if "->" in line]
+    e_rest, e_cont = "E -> rest : 0.160000", "E -> continuation : 0.160000"
+    reordered = [
+        parse_grammar_file("\n".join([line for line in lines if "->" not in line]
+                                     + rules[::-1])),
+        parse_grammar_file(text.replace(e_rest, "@").replace(e_cont, e_rest)
+                           .replace("@", e_cont)),
+    ]
+    matching = {0: 0, 0.004: 0}
+    bars = 0
+    for solo in bench.solos:
+        written = _bench_score(bench, solo, grammar).measures
+        for sigma in matching:
+            played = _bench_score(bench, solo, grammar, sigma).measures
+            matching[sigma] += sum(a == b for a, b in zip(played, written))
+        for other in reordered:
+            assert _bench_score(bench, solo, other, 0.004).measures == played, solo.name
+        bars += solo.bars
+    assert bars == 992
+    assert matching[0] == 992 and matching[0.004] >= 991
+
+
+def test_a_learned_grammar_transcribes_as_well_as_the_default(bench):
+    # leave one out: a grammar trained on four of the bench's reference
+    # scores quantizes the fifth solo's played take
+    corpus = bench.corpus
+    references = [parse_musicxml(corpus.musicxml(s.notes, s.bars, s.bpm))[0]
+                  for s in bench.solos]
+    exact = 0
+    for i, solo in enumerate(bench.solos):
+        grammar = train_grammar(references[:i] + references[i + 1:])
+        score = _bench_score(bench, solo, grammar, 0.004)
+        exact += bench.checks.exact_bars(bench.reader.read_musicxml(emit_musicxml(score)).notes,
+                                         solo)
+    assert exact >= 991
+
+
+def test_every_quantized_score_prints():
+    # seeded performances on 4/4 grids of 5-13 beats, quantized with random
+    # grammars and the grid fallback, then written as MusicXML: a score with
+    # a continuation after a rest, or one opening on a continuation, cannot
+    # be written
+    rng = random.Random(77)
+    lengths = (0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0, 1.5, 2.0, 3.0)
+    for case in range(1000):
+        grammar = support.random_grammar(rng)
+        times = [0.5]
+        for _ in range(rng.randint(4, 12)):
+            times.append(times[-1] + rng.uniform(0.4, 0.6))
+        beat = (times[-1] - times[0]) / (len(times) - 1)
+        jitter = rng.choice((0.0, 0.004, 0.015))
+        t = times[0] - rng.uniform(0.0, 0.5)
+        notes = []
+        while t < times[-1]:
+            length = rng.choice(lengths) * beat
+            notes.append(NoteEvent(max(0.0, t + rng.gauss(0.0, jitter)),
+                                   length * rng.choice((1.0, 1.0, 0.6)), rng.randint(55, 80)))
+            t += length
+        score, _ = quantize_performance(Performance(notes),
+                                        BeatGrid(times, 4, rng.randrange(4)), grammar,
+                                        on_error="fallback")
+        emit_musicxml(score)
+
+
 def test_a_continuation_never_follows_a_rest():
-    # under the held note, bar 2's D cell has a rest but no continuation, so
-    # it takes the relaxed rest, and the C cell after it a continuation
+    # under the held note, bar 2's D cell has a rest but no continuation,
+    # and a rest is admissible only where the sound ends by the cell's
+    # right edge: so the D cell is no rest there, and no C cell after a
+    # rest holds a continuation
     grammar = parse_grammar_file("\n".join([
         "maxdepth = 2", "start 4/4 = A",
         "A -> note : 0.218899", "A -> rest : 0.220487", "A -> (D C) : 0.560614",
@@ -898,7 +1002,7 @@ def test_a_continuation_never_follows_a_rest():
     ]))
     score, _ = quantize_performance(Performance([NoteEvent(0.0, 3.052, 60)]),
                                     BeatGrid([0.5 * k for k in range(9)], 4, 0), grammar)
-    emit_musicxml(score)  # raises "continuation leaf with nothing to continue"
+    emit_musicxml(score)  # a continuation after a rest would have nothing to continue
 
 
 # ---------------------------------------------------------------------------
