@@ -29,21 +29,19 @@ class Record:
 
     A subclass names its fields in ``__slots__`` and sets them once in its
     ``__init__`` with ``object.__setattr__``; any later assignment raises
-    AttributeError.  Equality, ``hash`` and ``repr`` follow the fields named
-    in ``_fields`` (all of ``__slots__`` unless the class says otherwise), in
-    order, and records of different types never compare equal.  A copy or a
-    pickle is rebuilt through ``__init__`` from the ``_fields`` values.
+    AttributeError.  Equality, ``hash`` and ``repr`` follow the fields in
+    ``__slots__``, in order, and records of different types never compare
+    equal.  A copy or a pickle is rebuilt through ``__init__`` from the
+    field values.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__dict__.get("_fields", cls.__slots__)
-        get = attrgetter(*fields)
-        cls._fields = fields
+        get = attrgetter(*cls.__slots__)
         # the field values as a tuple; attrgetter of one name returns the bare value
-        cls._values = property(get if len(fields) > 1 else lambda record: (get(record),))
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda record: (get(record),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -54,7 +52,7 @@ class Record:
         return hash(self._values)
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({args})"
 
     def __setattr__(self, name, value):

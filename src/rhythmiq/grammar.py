@@ -94,17 +94,15 @@ class Lattice(NamedTuple):
     out for the quantizer's bottom-up pass.
 
     Its nodes are the reachable (head, cell, depth) of the measure's
-    derivations, children before parents, the start symbol's node over the
-    whole measure last.  A node's cell endpoints (left, right) are in
-    measure units, rounded once from exact fractions, and its rules are the
-    head's rules in grammar order, splits only above the depth bound.
+    derivations, ordered by right edge, narrowest first: children come
+    before parents, every cell that ends at an edge before any that starts
+    there, and the start symbol's node over the whole measure last.  A
+    node's cell endpoints (left, right) are in measure units, rounded once
+    from exact fractions, and its rules are the head's rules in grammar
+    order, splits only above the depth bound.
 
     ``edges``: the distinct cell endpoints, ascending, so a measure looks
     up its onsets once per edge rather than twice per node.
-
-    ``pushers``: per left edge that leaf cells end at, (edge index, lowest
-    midpoint, ((midpoint, left) of those cells, narrowest first)).  Only
-    such a leaf can align an onset onto the edge, one past its midpoint.
 
     ``steps``: every node in node order, as (node, left edge index,
     right edge index, left, right, midpoint, NOTE rule, REST rule,
@@ -120,18 +118,12 @@ class Lattice(NamedTuple):
     tuplets) does.
 
     ``capacity``: the most leaves of any derivation of the whole measure.
-
-    ``empty_entries``: per node, the (0, 0) state-table entry of a cell
-    with no onset under silence and under a sound held through it, in that
-    order; the quantizer's first solve on the lattice fills it.
     """
 
     edges: tuple[float, ...]
-    pushers: tuple[tuple[int, float, tuple[tuple[float, float], ...]], ...]
     steps: tuple[tuple, ...]
     unit: int
     capacity: int
-    empty_entries: list
 
 
 def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> Lattice:
@@ -176,17 +168,16 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
         return node
 
     visit(start, 0, 1, 1, 0)
+    # by right edge, then narrowest first: a split has two or more
+    # children, so each is narrower than its parent or ends before it
+    order = sorted(range(len(nodes)), key=lambda n: (nodes[n][1], -nodes[n][0]))
+    rank = {n: i for i, n in enumerate(order)}
+    nodes = [(lf, rf, tuple(rule._replace(children=tuple(rank[c] for c in rule.children))
+                            for rule in rules))
+             for lf, rf, rules in map(nodes.__getitem__, order)]
 
     edges = sorted({x for lf, rf, _ in nodes for x in (lf, rf)})
     index = {x: i for i, x in enumerate(edges)}
-    ends: dict[float, set[float]] = {}  # right edge -> left edges of leaf cells
-    for lf, rf, rules in nodes:
-        if any(rule.label is not None for rule in rules):
-            ends.setdefault(rf, set()).add(lf)
-    pushers = []
-    for lf in sorted({lf for lf, _, _ in nodes} & ends.keys()):
-        cells = sorted(((edge + lf) / 2, edge) for edge in ends[lf])
-        pushers.append((index[lf], cells[0][0], tuple(reversed(cells))))
     # per node, over its derivations: the fewest and most NOTE leaves and
     # the most leaves; a node with none has inf, -inf and -inf, so a child
     # with no derivation sinks the split
@@ -214,7 +205,7 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
                       by_label.get(REST), by_label.get(CONTINUATION), leaves, splits))
     # the start symbol derives a tree within the depth bound, so the
     # measure's node has a derivation
-    return Lattice(tuple(edges), tuple(pushers), tuple(steps), len(nodes), caps[-1], [])
+    return Lattice(tuple(edges), tuple(steps), len(nodes), caps[-1])
 
 
 class RhythmGrammar:

@@ -110,15 +110,15 @@ class MeasureInput(Record):
                 raise ValidationError(f"onset {pos} outside [0, 1)")
             if pos <= prev:
                 raise ValidationError("onsets must be strictly increasing")
-            if ext <= pos:
+            if not ext > pos:
                 raise ValidationError(f"extent {ext} not beyond onset {pos}")
             if not 0 <= pitch <= 127:
                 raise ValidationError(f"pitch {pitch} outside 0..127")
             prev = pos
         if carried_pitch is not None and not 0 <= carried_pitch <= 127:
             raise ValidationError(f"carried pitch {carried_pitch} outside 0..127")
-        if carried_end < 0:
-            raise ValidationError("carried_end must be >= 0")
+        if not carried_end >= 0:
+            raise ValidationError(f"carried_end must be >= 0, got {carried_end}")
         if carried_end > 0 and carried_pitch is None:
             raise ValidationError("carried_end without carried_pitch")
         object.__setattr__(self, "onsets", onsets)
@@ -165,23 +165,22 @@ def quantize_measure(
     ParseFailureError when the grammar lacks a rule for a needed leaf.
 
     With ``states`` it returns the ``MeasureStates`` of all four entries
-    instead and raises none of these; there the k_in = 1 entries exist when
-    the measure has a ``carried_pitch``, which is then the note aligned onto
-    the downbeat (sounding until ``carried_end``, 0 when it stopped before).
+    instead and raises none of these.  The k_in = 1 entries exist when the
+    measure has a ``carried_pitch``, which is then the note aligned onto
+    the downbeat (sounding until ``carried_end``, 0 when it stopped
+    before); the (0, 0) entry does not depend on them.
 
     One bottom-up pass over the grammar's compiled lattice: per node, its
     leaf options per k_in, then each split's children chained through the
     lanes k = 0 and k = 1.  A child whose only entry is (0, 0) adds its
     cost to lane 0 and closes lane 1.  A split whose children cannot hold
-    the cell's notes is not tried.  A cell with no onset that is silent or
-    held all through takes the (0, 0) entry that the lattice's first solve
-    worked out for it.  On equal (cost, leaves, tuplets) a rest keeps an
-    entry from a continuation and the earlier split from a later one, and a
-    split's chain keeps, per k after each child, the first best of k = 0,
-    then k = 1, before it.
+    the cell's notes is not tried.  On equal (cost, leaves, tuplets) a rest
+    keeps an entry from a continuation and the earlier split from a later
+    one, and a split's chain keeps, per k after each child, the first best
+    of k = 0, then k = 1, before it.
     """
     config = config or QuantConfig()
-    table = MeasureStates(measure, grammar, config, time_signature, states, final)
+    table = MeasureStates(measure, grammar, config, time_signature, final)
     if states:
         return table
     cost = table.cost(0, 0)
@@ -203,54 +202,35 @@ class MeasureStates:
     last bit the k_out.
 
     Every node takes its entries from one leaf block, then from its
-    splits, in node order.  A node whose cell holds no onset and is silent
-    or held all through takes its (0, 0) entry from
-    ``Lattice.empty_entries`` instead, which the first solve on the lattice
-    fills by this same pass over two empty measures (``share_empty`` off):
-    one silent, one under a note held past the closing barline.  The trees
-    built from the entries share their leaves.
+    splits, in node order, in one pass that reads the lattice and writes
+    only this table.  A leaf that aligns an onset onto its right edge marks
+    the edge, so the nodes that start there, which come later, also find
+    their k_in = 1 entries.  The trees built from the entries share their
+    leaves.
     """
 
     def __init__(self, measure: MeasureInput, grammar: RhythmGrammar,
-                 config: QuantConfig, time_signature: TimeSignature,
-                 lead_in: bool, final: bool, *, share_empty: bool = True):
+                 config: QuantConfig, time_signature: TimeSignature, final: bool):
         self.measure = measure
         self.grammar = grammar
         self.final = final
         self.lattice = grammar.lattice(time_signature)
-        silent = held = None
-        if share_empty:
-            shared = self.lattice.empty_entries
-            if not shared:  # one slice assignment, so a racing first solve is harmless
-                shared[:] = [
-                    MeasureStates(empty, grammar, config, time_signature, False, False,
-                                  share_empty=False).results
-                    for empty in (MeasureInput(), MeasureInput(carried_pitch=0, carried_end=2.0))
-                ]
-            silent, held = shared
-        edges, pushers, steps, unit, _, _ = self.lattice
+        edges, steps, unit, _ = self.lattice
         alpha = config.alpha
         beta = alpha * _RELEASE_SHARE
         onsets, extents = measure.onsets, measure.extents
         positions = [pos for pos, _ in onsets]
-        carried_end = measure.carried_end if measure.carried_pitch is not None else 0.0
+        # per count of onsets before a point, the end of the sound ringing
+        # there; carried_end is 0 without a carried note
+        ends = [measure.carried_end, *extents]
 
         # per cell edge: the onsets before it, and whether a leaf ending
-        # there aligns one onto it, the last of at most two from its right
-        # half.  Only the previous measure aligns one onto the downbeat
+        # there aligns one onto it.  The leaves ending at an edge come
+        # before the cells starting there; only the previous measure aligns
+        # an onset onto the downbeat
         self.lows = lows = [bisect_left(positions, edge - EPS) for edge in edges]
         pushed = [False] * len(edges)
-        pushed[0] = lead_in and measure.carried_pitch is not None
-        for e, first, cells in pushers:
-            lo = lows[e]
-            if lo and positions[lo - 1] > first + EPS:
-                # of the leaves past whose midpoint the last onset lies,
-                # the narrowest holds the fewest onsets
-                last = positions[lo - 1]
-                for middle, start in cells:
-                    if last > middle + EPS:
-                        pushed[e] = lo < 3 or positions[lo - 3] < start - EPS
-                        break
+        pushed[0] = measure.carried_pitch is not None
 
         self.results = results = [None] * unit
         self.states = states = [None] * unit
@@ -258,46 +238,23 @@ class MeasureStates:
             lo = lows[li]
             hi = lows[ri]
             pushed_in = pushed[li]
-            sound_end = extents[lo - 1] if lo else carried_end
-            own_lane = True  # the k_in = 0 entries are yet to find
+            sound_end = ends[lo]
             # ``right`` is the first onset in the right half; at the
             # score's end none moves
-            if lo == hi:
-                right = hi
-                # a cell with no onset and k_in = 0 has the same (0, 0)
-                # entry in every measure where it is silent or held all
-                # through (past rf + EPS, so no rest): nothing is displaced
-                # and a silent cell's rest and a held cell's continuation pay
-                # 0, so alpha decides nothing; and ``final`` moves nothing,
-                # since right == hi.  The shared entry's first onset is never
-                # read: a k_in = 0 derivation of an empty cell has no NOTE
-                # leaf.  Nor can such a cell give an onset out, so an onset
-                # aligned onto it from before leaves only the k_in = 1
-                # entries to find
-                if silent is not None and (sound_end <= lf + EPS or sound_end > rf + EPS):
-                    same = silent[node] if sound_end <= lf + EPS else held[node]
-                    if not pushed_in:
-                        results[node] = same
-                        continue
-                    own_lane = False
-            elif final and rf == 1.0:
+            if lo == hi or final and rf == 1.0:
                 right = hi
             else:
                 right = bisect_right(positions, mid + EPS, lo, hi)
             k_out = hi - right
-            if own_lane:
-                entries: list = [None] * 4
-                k_ins = (0, 1) if pushed_in else (0,)
-            else:
-                entries = [same, None, None, None]
-                k_ins = (1,)
+            entries: list = [None] * 4
+            k_ins = (0, 1) if pushed_in else (0,)
             # as a leaf, priced as ``quantize_measure`` says; a rest wins a
             # tie with a continuation, and a leaf never ties a split, which
             # has more leaves, so leaves go first
             if leaves and k_out <= 1:
                 push = alpha * (rf - positions[right]) if k_out else 0.0
                 stay = right - lo  # the onsets that stay in the cell
-                if own_lane and stay <= 1:
+                if stay <= 1:
                     if stay:  # the cell's own note
                         if note is not None:
                             dist = abs(positions[lo] - lf)
@@ -319,6 +276,8 @@ class MeasureStates:
                     end = sound_end if sound_end > lf else lf
                     tail = beta * (rf - end) if end < rf else 0.0
                     entries[2 + k_out] = (note.weight + (push + tail), unit, note, lo, 0)
+                if entries[1] or entries[3]:
+                    pushed[ri] = True
 
             # a candidate must beat an entry's (cost, size) outright; a split
             # whose children cannot hold k_in + onsets - k_out notes for

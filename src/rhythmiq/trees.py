@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 from .core import Record, TimeSignature
 from .errors import DecompositionError, ValidationError
@@ -461,8 +461,9 @@ class ScoreModel(Record):
         measures = tuple(measures)
         if not measures:
             raise ValidationError("a score needs at least one measure")
-        if tempo_marking <= 0:
-            raise ValidationError(f"tempo_marking must be positive, got {tempo_marking}")
+        if not (isfinite(tempo_marking) and tempo_marking > 0):
+            raise ValidationError(
+                f"tempo_marking must be finite and positive, got {tempo_marking}")
         anacrusis_beats = Fraction(anacrusis_beats)
         if not 0 <= anacrusis_beats < time_signature.numerator:
             raise ValidationError("anacrusis must be shorter than a full measure")

@@ -74,6 +74,13 @@ def test_measure_input_validation():
     for pitch in (200, -1):  # the carried pitch is checked as onset pitches are
         with pytest.raises(ValidationError):
             MeasureInput(carried_pitch=pitch, carried_end=0.3)
+    # a NaN passes no comparison, so it must fail each check, not slip past it
+    # and reach the solver, which would blame the grammar
+    with pytest.raises(ValidationError):
+        MeasureInput(((0.0, 60),), (math.nan,))
+    for pitch in (None, 60):
+        with pytest.raises(ValidationError):
+            MeasureInput(carried_pitch=pitch, carried_end=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +288,13 @@ def _sparse_measure(rng: random.Random) -> MeasureInput:
     return MeasureInput(tuple(onsets), tuple(extents))
 
 
-def test_empty_cells_share_entries_across_measures_and_configs():
-    # the entries of empty cells come from the first solve on a lattice and
-    # serve every later measure, whatever its alpha and ``final``:
-    # each sparse measure still gives the reference's trees, bit-identical
-    # costs and error class, for the (0, 0) entry and all four
+def test_sparse_measures_match_the_reference_across_configs():
+    # measures of a few onsets leave most cells empty, silent or held all
+    # through, on grammars that may lack a rest or a continuation leaf: over
+    # one lattice, whatever the alpha and ``final``, each gives the
+    # reference's trees, bit-identical costs and error class, for the
+    # (0, 0) entry and all four
     rng = random.Random(1101)
-    missing = 0  # shared entries that are None: no rest or continuation fits
     for trial in range(120):
         grammar = support.random_grammar(rng)
         if rng.random() < 0.5:
@@ -303,9 +310,6 @@ def test_empty_cells_share_entries_across_measures_and_configs():
                     == support.reference_quantize_measure(measure, grammar, config,
                                                           states=True, final=final)
                     ), (trial, measure)
-        silent, held = grammar.lattice(SIG).empty_entries
-        missing += silent.count(None) + held.count(None)
-    assert missing
 
 
 @pytest.mark.parametrize("flat_first", [True, False])
@@ -1040,7 +1044,7 @@ def test_lattice_compiles_once_per_grammar_and_signature(monkeypatch):
     assert calls == [SIG] * 2  # another grammar compiles its own
 
 
-def test_equal_grammars_compile_equal_lattices_and_plans():
+def test_equal_grammars_compile_equal_lattices():
     first, second = default_grammar().lattice(SIG), default_grammar().lattice(SIG)
     assert first is not second
     assert first == second
@@ -1048,8 +1052,40 @@ def test_equal_grammars_compile_equal_lattices_and_plans():
     assert len(first.steps) == 97  # one step per node
 
 
+def test_lattice_orders_cells_ending_at_an_edge_before_those_starting_there():
+    # the solve marks an edge when a leaf aligns an onset onto it, so each
+    # node must come after its children and after every cell ending at its
+    # left edge
+    rng = random.Random(34)
+    for grammar in [default_grammar()] + [support.random_grammar(rng) for _ in range(100)]:
+        steps = grammar.lattice(SIG).steps
+        last_ending = {ri: node for node, _, ri, *_ in steps}
+        for node, li, _, *_, splits in steps:
+            assert last_ending.get(li, -1) < node
+            assert all(child < node for *_, children, _, _, _ in splits
+                       for child, _ in children)
+        assert steps[-1][3:5] == (0.0, 1.0)  # the measure's node comes last
+
+
+def test_a_solve_leaves_the_lattice_unchanged():
+    # the solver only reads the lattice: after a score, with onsets aligned
+    # across barlines and empty, held and final measures, it still equals a
+    # fresh compile and hashes
+    from rhythmiq.grammar import compile_lattice
+
+    grammar = default_grammar()
+    perf = Performance(
+        [NoteEvent(0.5 * k, 0.5, 60) for k in range(3)]
+        + [NoteEvent(1.97, 3.0, 72), NoteEvent(6.2, 0.1, 64)]
+    )
+    quantize_performance(perf, _grid(4), grammar)
+    lattice = grammar.lattice(SIG)
+    assert lattice == compile_lattice(grammar, SIG)
+    assert hash(lattice) == hash(compile_lattice(grammar, SIG))
+
+
 def test_a_new_grammar_solves_from_its_own_plan():
-    # each grammar keeps its lattice and plan, so a grammar built after
+    # each grammar keeps its own lattice, so a grammar built after
     # another one is collected (and may reuse its id) still solves as the
     # reference does
     rng = random.Random(2027)

@@ -367,8 +367,9 @@ def test_leading_continuation_needs_carried_pitch():
 def test_score_model_validation():
     with pytest.raises(ValidationError):
         ScoreModel(SIG, [])
-    with pytest.raises(ValidationError):
-        ScoreModel(SIG, [note(60)], tempo_marking=0)
+    for tempo in (0, -60.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            ScoreModel(SIG, [note(60)], tempo_marking=tempo)
     with pytest.raises(ValidationError):
         ScoreModel(SIG, [note(60)], anacrusis_beats=4)
 
