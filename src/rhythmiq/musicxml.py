@@ -129,7 +129,9 @@ def emit_musicxml(
 
     Durations are integer divisions: a piece of ``duration / den`` of the
     measure lasts ``duration * 4 * beats / (den * beat_type)`` quarters,
-    and <divisions> is the LCM of those denominators.
+    and <divisions> is the LCM of those denominators.  A pickup prints
+    exactly its ``anacrusis_beats``: a note before them, or a rest across
+    their start, raises ValidationError, as does a tempo that overflows.
     """
     sig = score.time_signature
     measures = score.notated_measures()
@@ -140,6 +142,7 @@ def emit_musicxml(
     ))
 
     pickup = score.anacrusis_beats > 0
+    lead = sig.numerator - score.anacrusis_beats  # beats of measure 0 before the pickup
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<!DOCTYPE score-partwise PUBLIC "-//Recordare//DTD MusicXML 3.1 '
@@ -159,6 +162,8 @@ def emit_musicxml(
 
     beat_unit = _TYPE_NAMES[Fraction(1, sig.denominator)]
     quarter_bpm = score.tempo_marking * 4 / sig.denominator
+    if math.isinf(quarter_bpm):
+        raise ValidationError(f"tempo {score.tempo_marking} overflows in quarters per minute")
     # the printed pitch of each MIDI pitch and the <type>/<dot> lines of each
     # notated value, worked out once per call
     pitches: dict[int, str] = {}
@@ -172,7 +177,12 @@ def emit_musicxml(
         attrs = f'number="{number}"'
         if pickup and i == 0:
             attrs += ' implicit="yes"'
-            while pieces and pieces[0][0] is None:
+            # print exactly the pickup: drop the rests that end where it starts
+            while pieces[0][2] * sig.numerator < lead * pieces[0][4]:
+                midi, _, onset, duration, den = pieces[0][:5]
+                if midi is not None or (onset + duration) * sig.numerator > lead * den:
+                    raise ValidationError(f"the pickup of {score.anacrusis_beats} beats "
+                                          "starts after a note or inside a rest")
                 pieces = pieces[1:]
         lines.append(f"    <measure {attrs}>")
 
@@ -321,6 +331,10 @@ def parse_musicxml(
     one signature).  Measures are re-quantized onto the canonical tree form,
     so parse(emit(s)) == s for canonical scores.
 
+    Each measure's fill is checked as it ends: none may be over-full, and
+    only the last, or the first of several, may be short.  That first one
+    is the pickup, placed at the first barline as it is read.
+
     Positions are integer ticks: measure m spans [m * length, (m + 1) *
     length), and ``length`` grows to a common multiple whenever a measure's
     <divisions> and <time> need finer ticks; each measure is decomposed in
@@ -362,38 +376,33 @@ def parse_musicxml(
     extents: list[int] = []
     pitches: list[int] = []
     tie_open = False
-    contents: list[tuple[int, int]] = []  # (filled divisions, divisions per quarter)
-
-    def ticks_per_division(per_quarter: int, beats: int, beat_type: int) -> int:
-        """Ticks in one division of a beats/beat_type measure with
-        ``per_quarter`` divisions to the quarter; ``length`` and every
-        position grow first if that is not a whole number."""
-        nonlocal length
-        per_measure = 4 * beats * per_quarter  # divisions in beat_type measures
-        need = per_measure // gcd(per_measure, beat_type)
-        if length % need:
-            factor = need // gcd(length, need)
-            length *= factor
-            onsets[:] = [t * factor for t in onsets]
-            extents[:] = [t * factor for t in extents]
-        return length * beat_type // per_measure
+    anacrusis = Fraction(0)
 
     part = parts[0]
     measure_elems = part.findall("measure")
     if not measure_elems:
         raise FormatError("part has no measures")
+    n = len(measure_elems)
 
     def measure_step() -> int:
         """Ticks per division in the current measure, once its <divisions>
-        and <time> are read; a missing one takes its default."""
-        nonlocal sig, divisions
+        and <time> are read (a missing one takes its default); ``length``
+        and every position grow first if that is not a whole number."""
+        nonlocal sig, divisions, length
         if sig is None:
             sig = TimeSignature(4, 4)
             warnings.append("no time signature; assuming 4/4")
         if divisions is None:
             divisions = 1
             warnings.append("no divisions declared; assuming 1")
-        return ticks_per_division(divisions, sig.numerator, sig.denominator)
+        per_measure = 4 * sig.numerator * divisions  # divisions in beat_type measures
+        need = per_measure // gcd(per_measure, sig.denominator)
+        if length % need:
+            factor = need // gcd(length, need)
+            length *= factor
+            onsets[:] = [t * factor for t in onsets]
+            extents[:] = [t * factor for t in extents]
+        return length * sig.denominator // per_measure
 
     for m_index, measure in enumerate(measure_elems):
         where = f"measure {m_index + 1}: "
@@ -470,8 +479,21 @@ def parse_musicxml(
                 pitches.append(midi)
             tie_open = "start" in ties
         if step is None:
-            measure_step()
-        contents.append((cursor, divisions))
+            step = measure_step()
+        # the measure holds cursor / divisions quarters of the score's
+        # 4 * beats / beat_type
+        held, full = cursor * sig.denominator, 4 * sig.numerator * divisions
+        if held > full or held < full and 0 < m_index < n - 1:
+            raise ValidationError(
+                f"measure {m_index + 1} holds {Fraction(cursor, divisions)} quarters, "
+                f"{'more' if held > full else 'fewer'} than "
+                f"{Fraction(4 * sig.numerator, sig.denominator)}"
+            )
+        if held < full and m_index < n - 1:  # the pickup, placed at the first barline
+            anacrusis = Fraction(held, 4 * divisions)
+            gap = length - cursor * step
+            onsets[:] = [t + gap for t in onsets]
+            extents[:] = [t + gap for t in extents]
 
         sound = None if tempo_marking is not None else measure.find(".//sound[@tempo]")
         if sound is not None:
@@ -484,33 +506,6 @@ def parse_musicxml(
                 raise FormatError(
                     f"{where}sound tempo must be a positive number, got {tempo_text!r}")
             tempo_marking = tempo * sig.denominator / 4
-
-    n = len(measure_elems)
-    beats, beat_type = sig.numerator, sig.denominator
-    anacrusis = Fraction(0)
-    for m_index, (filled, per_quarter) in enumerate(contents):
-        # the measure holds filled / per_quarter quarters of the score's
-        # 4 * beats / beat_type
-        held, full = filled * beat_type, 4 * beats * per_quarter
-        if held > full:
-            raise ValidationError(
-                f"measure {m_index + 1} holds {Fraction(filled, per_quarter)} quarters, "
-                f"more than {Fraction(4 * beats, beat_type)}"
-            )
-        if held < full:
-            if m_index == 0 and n > 1:
-                per_division = ticks_per_division(per_quarter, beats, beat_type)
-                gap = length - filled * per_division
-                anacrusis = Fraction(held, 4 * per_quarter)
-                for i, onset in enumerate(onsets):
-                    if onset < length:
-                        onsets[i] = onset + gap
-                        extents[i] += gap
-            elif m_index != n - 1:
-                raise ValidationError(
-                    f"measure {m_index + 1} holds {Fraction(filled, per_quarter)} quarters, "
-                    f"fewer than {Fraction(4 * beats, beat_type)}"
-                )
 
     if decomposed is None:
         decomposed = {}

@@ -48,6 +48,7 @@ from rhythmiq import (
     TimeSignature,
     UnsupportedContentError,
     ValidationError,
+    sample_score,
 )
 from rhythmiq.midi_io import _CHANNEL_DATA_BYTES, _Reader, _TempoMap, _varlen
 from rhythmiq.musicxml import _NATURAL_PC, _integer
@@ -57,6 +58,7 @@ from rhythmiq.trees import (
     REST,
     _nominal_power,
     continuation,
+    decompose_measure,
     notatable,
     note,
     rest,
@@ -836,12 +838,13 @@ def reference_parse_musicxml(text: str) -> tuple[ScoreModel, list[str]]:
 
     # (global onset in measure units, extent, pitch, tie_start_open)
     events: list[list] = []
-    measure_contents: list[Fraction] = []
 
     part = parts[0]
     measure_elems = part.findall("measure")
     if not measure_elems:
         raise FormatError("part has no measures")
+    n = len(measure_elems)
+    anacrusis = Fraction(0)
 
     for m_index, measure in enumerate(measure_elems):
         where = f"measure {m_index + 1}: "
@@ -946,12 +949,10 @@ def reference_parse_musicxml(text: str) -> tuple[ScoreModel, list[str]]:
                     )
                 events.append([onset_u, extent_u, midi, tie_start])
             cursor += dur
-        measure_contents.append(cursor)
 
-    n = len(measure_elems)
-    quarters_per_measure = Fraction(sig.numerator * 4, sig.denominator)
-    anacrusis = Fraction(0)
-    for m_index, content in enumerate(measure_contents):
+        # the fill is checked, and a pickup placed at the first barline, as
+        # each measure ends
+        content = cursor
         if content > quarters_per_measure:
             raise ValidationError(
                 f"measure {m_index + 1} holds {content} quarters, "
@@ -1024,6 +1025,41 @@ def random_score(rng: random.Random, sig: TimeSignature | None = None,
     if n_measures is None:
         n_measures = rng.randint(1, 5)
     return ScoreModel(sig, [tree(3) for _ in range(n_measures)])
+
+
+def pickup_score(rng: random.Random, grammar: RhythmGrammar, tie_out: bool,
+                 rest_open: bool) -> ScoreModel:
+    """A sampled 4/4 score of 2-5 measures whose first 1-3 beats are rests,
+    with ``anacrusis_beats`` the rest of the measure.  With ``tie_out`` the
+    last note of the pickup is held into bar 1; with ``rest_open`` the
+    pickup opens with half a beat of rest.  Measures are re-decomposed at
+    the parser's depth bound, so the score is in canonical form."""
+    score = sample_score(grammar, rng.randint(2, 5), rng)
+    num = score.time_signature.numerator
+    silent = rng.randint(1, 3)
+    lead = Fraction(silent, num)
+    cut = lead + Fraction(1, 2 * num) if rest_open else lead
+    notes = [(max(start, lead), end, pitch) for start, end, pitch in score.notes()
+             if (start >= cut if rest_open else end > lead)]
+    if not any(start < 1 for start, _, _ in notes):  # a pickup holds a note
+        notes.insert(0, (Fraction(num - 1, num), Fraction(1), 67))
+    if tie_out:
+        last = max(i for i, (start, _, _) in enumerate(notes) if start < 1)
+        later = notes[last + 1:]
+        end = later[0][1] if later else 1 + Fraction(1, num)
+        notes[last:] = [(notes[last][0], end, notes[last][2]), *later[1:]]
+    length = math.lcm(*(x.denominator for note_ in notes for x in note_[:2]))
+    ticks = [(start.numerator * (length // start.denominator),
+              end.numerator * (length // end.denominator), pitch)
+             for start, end, pitch in notes]
+    measures = []
+    for m in range(len(score.measures)):
+        onsets, extents, carried_pitch, carried_end = slice_measure(ticks, m, length)
+        measures.append(decompose_measure(
+            onsets, extents, score.time_signature, length, max_depth=10,
+            carried_pitch=carried_pitch, carried_end=carried_end))
+    return ScoreModel(score.time_signature, measures, score.tempo_marking,
+                      anacrusis_beats=num - silent)
 
 
 def reference_notated_measures(score: ScoreModel) -> list[list[Event]]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.io import wavfile
 
+import support
 from rhythmiq import (
     BeatGrid,
     ConfigError,
@@ -21,6 +22,7 @@ from rhythmiq import (
     enumerate_rotations,
     load_beats,
     parse_grammar_file,
+    render_performance,
     sample_score,
     save_beats,
     save_midi,
@@ -745,6 +747,27 @@ def test_eval_score_identical(tmp_path, capsys):
     payload = _json_out(capsys)
     assert payload["total_error_rate"] == 0.0
     assert payload["timesig_mismatches"] == 0
+
+
+def test_a_pickup_tied_into_bar_1_quantizes_and_grades_cleanly(tmp_path, capsys):
+    # the grid starts on the pickup's first beat, mid-bar
+    score = support.pickup_score(random.Random(1), default_grammar(), tie_out=True,
+                                 rest_open=False)
+    pickup = int(score.anacrusis_beats)
+    period = 60.0 / score.tempo_marking
+    n_beats = pickup + 4 * (len(score.measures) - 1) + 1
+    midi, beats = tmp_path / "take.mid", tmp_path / "take.csv"
+    midi.write_bytes(save_midi(render_performance(score), score.tempo_marking))
+    beats.write_text(save_beats(BeatGrid([period * k for k in range(n_beats)], 4, pickup)))
+    out = tmp_path / "take.musicxml"
+    assert main(["quantize", str(midi), "--beats", str(beats), "--out", str(out)]) == 0
+    assert main(["eval", "score", str(out), str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "warning:" not in captured.err
+    payload = json.loads(captured.out)
+    assert [payload[f"{kind}_{edit}"] for kind in ("note", "rest")
+            for edit in ("insertions", "deletions")] == [0, 0, 0, 0]
+    assert payload["n_ref_notes"] == len(score.notes())
 
 
 def test_eval_score_warns_of_what_the_reader_skips(tmp_path, capsys):

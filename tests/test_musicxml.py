@@ -209,6 +209,45 @@ def test_round_trip_sampled_scores():
         assert back == score
 
 
+@pytest.mark.parametrize("rest_open", [False, True])
+@pytest.mark.parametrize("tie_out", [False, True])
+def test_round_trip_sampled_pickups(tie_out, rest_open):
+    # a tie out of the pickup merges into bar 1, and a pickup that opens
+    # with a rest keeps it
+    rng = random.Random(17)
+    for _ in range(30):
+        try:
+            score = support.pickup_score(rng, support.random_grammar(rng), tie_out, rest_open)
+        except RhythmiqError:  # a random grammar that cannot fill or re-notate a measure
+            score = support.pickup_score(rng, default_grammar(), tie_out, rest_open)
+        assert parse_musicxml(emit_musicxml(score)) == (score, [])
+
+
+def test_emit_prints_exactly_the_pickup():
+    score = ScoreModel(
+        SIG,
+        [split(rest(), split(rest(), note(60)), note(62), note(64)),
+         split(note(60), note(62), note(64), note(65))],
+        anacrusis_beats=Fraction(3),
+    )
+    text = emit_musicxml(score)
+    # the rest before the pickup is dropped, the one opening it is kept
+    assert text.split("</measure>")[0].count("<rest/>") == 1
+    assert parse_musicxml(text) == (score, [])
+    # a note before the pickup, or a rest across its start, cannot be printed
+    for measure, beats in ((split(rest(), note(60), note(62), note(64)), 2),
+                           (split(rest(), rest(), note(62), note(64)), Fraction(5, 2))):
+        with pytest.raises(ValidationError, match=f"^the pickup of {beats} beats starts"):
+            emit_musicxml(ScoreModel(SIG, [measure, rest()], anacrusis_beats=beats))
+
+
+def test_emit_rejects_a_tempo_that_overflows():
+    # 1e308 whole notes per minute are 4e308 quarters, past the largest float
+    score = ScoreModel(TimeSignature(4, 1), [note(60)], tempo_marking=1e308)
+    with pytest.raises(ValidationError, match=r"^tempo 1e\+308 overflows"):
+        emit_musicxml(score)
+
+
 # --- parsing ---------------------------------------------------------------
 
 HEAD = (
