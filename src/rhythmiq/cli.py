@@ -219,6 +219,27 @@ def _quantize_to_xml(perf, grid, grammar, cfg: PipelineConfig, title=None):
     return xml, warnings
 
 
+def _write_score(xml: str, warnings: list[str], out: Path | None, where: str = "") -> None:
+    """Write a quantized score to ``out``, or to stdout when it is None, and
+    print each warning on stderr after ``where``, which names the file when
+    one run writes several.
+
+    A file's warnings also go to its ``.warnings.txt`` sidecar, which is
+    removed when there are none: a sidecar from an earlier run must not
+    outlive a clean one."""
+    if out is None:
+        sys.stdout.write(xml)
+    else:
+        out.write_text(xml)
+        sidecar = out.with_suffix(".warnings.txt")
+        if warnings:
+            sidecar.write_text("\n".join(warnings) + "\n")
+        else:
+            sidecar.unlink(missing_ok=True)
+    for w in warnings:
+        print(f"warning: {where}{w}", file=sys.stderr)
+
+
 def cmd_quantize(args) -> int:
     from .midi_io import load_midi
 
@@ -227,19 +248,7 @@ def cmd_quantize(args) -> int:
     grid = load_beats(Path(args.beats).read_text())
     grammar = _load_grammar(args)
     xml, warnings = _quantize_to_xml(perf, grid, grammar, cfg, title=args.title)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(xml)
-        # a sidecar from an earlier run must not outlive a clean one
-        sidecar = out.with_suffix(".warnings.txt")
-        if warnings:
-            sidecar.write_text("\n".join(warnings) + "\n")
-        else:
-            sidecar.unlink(missing_ok=True)
-    else:
-        sys.stdout.write(xml)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _write_score(xml, warnings, Path(args.out) if args.out else None)
     return 0
 
 
@@ -295,10 +304,10 @@ def cmd_rotations(args) -> int:
     if args.out_dir:
         keep = [best] if cfg.rotation_mode == "best" else range(len(rotations))
         for phase in keep:
-            xml, _ = _quantize_to_xml(perf, rotations[phase], grammar, cfg)
+            xml, warnings = _quantize_to_xml(perf, rotations[phase], grammar, cfg)
             out = Path(args.out_dir) / f"{Path(args.midi).stem}.rot{phase}.musicxml"
             out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(xml)
+            _write_score(xml, warnings, out, f"{out}: ")
             entries[phase]["file"] = str(out)
     _print_json(report)
     return 0
@@ -351,10 +360,15 @@ def _run_pairs(pairs, fn, jobs: int):
     return [fn(r, e) for _, r, e in pairs]
 
 
-def _emit_eval(pairs, results: list[dict]) -> None:
-    if len(pairs) == 1:
+def _evaluate(args, suffixes: tuple[str, ...], one) -> int:
+    """Run ``one`` on the reference and estimate files of ``args`` and print
+    its payload; for two directories, every same-stemmed pair's payload as
+    ``items`` and a ``summary`` of them."""
+    pairs = _pair_paths(args.ref, args.est, suffixes)
+    results = _run_pairs(pairs, one, args.jobs)
+    if not Path(args.ref).is_dir():
         _print_json(results[0])
-        return
+        return 0
     from .metrics import summarize
 
     items = {stem: res for (stem, _, _), res in zip(pairs, results)}
@@ -367,6 +381,7 @@ def _emit_eval(pairs, results: list[dict]) -> None:
         if values
     }
     _print_json({"items": items, "summary": summary})
+    return 0
 
 
 def cmd_eval_notes(args) -> int:
@@ -374,7 +389,6 @@ def cmd_eval_notes(args) -> int:
     from .midi_io import load_midi
 
     cfg = _config_from_args(args)
-    pairs = _pair_paths(args.ref, args.est, (".mid", ".midi"))
 
     def one(ref_path: Path, est_path: Path) -> dict:
         ref = load_midi(ref_path.read_bytes())
@@ -389,15 +403,13 @@ def cmd_eval_notes(args) -> int:
             "n_est": m.n_est,
         }
 
-    _emit_eval(pairs, _run_pairs(pairs, one, args.jobs))
-    return 0
+    return _evaluate(args, (".mid", ".midi"), one)
 
 
 def cmd_eval_downbeats(args) -> int:
     from .metrics import downbeat_fmeasure
 
     cfg = _config_from_args(args)
-    pairs = _pair_paths(args.ref, args.est, (".csv", ".txt"))
 
     def one(ref_path: Path, est_path: Path) -> dict:
         f = downbeat_fmeasure(
@@ -406,8 +418,7 @@ def cmd_eval_downbeats(args) -> int:
         )
         return {"f_measure": _round(f)}
 
-    _emit_eval(pairs, _run_pairs(pairs, one, args.jobs))
-    return 0
+    return _evaluate(args, (".csv", ".txt"), one)
 
 
 def _edit_payload(m: EditMetrics) -> dict:
@@ -430,8 +441,6 @@ def _edit_payload(m: EditMetrics) -> dict:
 def cmd_eval_score(args) -> int:
     from .metrics import score_edit_metrics
 
-    pairs = _pair_paths(args.ref, args.est, (".musicxml", ".xml"))
-
     def one(ref_path: Path, est_path: Path) -> dict:
         # a measure the two scores share is one tree, decomposed and keyed
         # once; each pair owns its map, so `--jobs` threads share nothing
@@ -439,14 +448,11 @@ def cmd_eval_score(args) -> int:
         ref = _read_score(ref_path, decomposed)
         return _edit_payload(score_edit_metrics(ref, _read_score(est_path, decomposed)))
 
-    _emit_eval(pairs, _run_pairs(pairs, one, args.jobs))
-    return 0
+    return _evaluate(args, (".musicxml", ".xml"), one)
 
 
 def cmd_eval_sdr(args) -> int:
     from .metrics import sdr
-
-    pairs = _pair_paths(args.ref, args.est, (".wav",))
 
     def one(ref_path: Path, est_path: Path) -> dict:
         ref_rate, ref_sig = load_wav(ref_path)
@@ -457,8 +463,7 @@ def cmd_eval_sdr(args) -> int:
             )
         return {"sdr_db": _round(sdr(ref_sig, est_sig))}
 
-    _emit_eval(pairs, _run_pairs(pairs, one, args.jobs))
-    return 0
+    return _evaluate(args, (".wav",), one)
 
 
 # ---------------------------------------------------------------------------

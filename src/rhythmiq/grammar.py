@@ -10,7 +10,6 @@ import math
 import re
 import warnings
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 from .core import Record, TimeSignature
@@ -27,6 +26,9 @@ from .trees import (
 )
 
 PROB_TOLERANCE = 1e-9
+# the decimals a grammar file gives each probability; a head's n rule lines
+# can then miss a sum of 1 by up to n half units of the last decimal
+PROB_DECIMALS = 6
 # the deepest depth bound: a binary cell at depth 29 spans 2**-29 of a
 # measure, still wider than the quantizer's 1e-9 tolerance, but its halves
 # would not be, so no deeper cell can be told apart from its neighbours
@@ -75,7 +77,7 @@ class GrammarRule(Record):
         return math.exp(-self.weight)
 
     def __str__(self) -> str:
-        return f"{self.head} -> {self.body} : {self.probability:.6f}"
+        return f"{self.head} -> {self.body} : {self.probability:.{PROB_DECIMALS}f}"
 
 
 class LatticeRule(NamedTuple):
@@ -327,7 +329,8 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
     Lines are ``maxdepth = N``, ``start N/D = SYM``, rule lines
     ``HEAD -> (C1 C2 ... Ck) : prob`` or ``HEAD -> note|rest|continuation :
     prob``, and ``#`` comments.  Probabilities are renormalized per head; a
-    deviation beyond 1e-6 draws a warning.
+    sum that misses 1 by more than the rounding of its lines to
+    ``PROB_DECIMALS`` decimals draws a warning.
     """
     starts: dict[TimeSignature, str] = {}
     raw_rules: list[tuple[str, Split | Leaf, float]] = []
@@ -395,12 +398,14 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
         raise GrammarError("grammar file defines no start symbols")
 
     totals: dict[str, float] = {}
+    lines = Counter(head for head, _, _ in raw_rules)
     for head, _, prob in raw_rules:
         totals[head] = totals.get(head, 0.0) + prob
     for head, total in totals.items():
-        if abs(total - 1.0) > 1e-6:
+        # past the rounding of the head's lines, and the grammar's own slack
+        if abs(total - 1.0) > lines[head] * 0.5 * 10.0 ** -PROB_DECIMALS + PROB_TOLERANCE:
             warnings.warn(
-                f"probabilities for head {head!r} sum to {total:.6g}; renormalizing",
+                f"probabilities for head {head!r} sum to {total!r}; renormalizing",
                 stacklevel=2,
             )
     rules = [
@@ -411,7 +416,8 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
 
 
 def serialize_grammar(grammar: RhythmGrammar) -> str:
-    """Render a grammar in the text format with 6-decimal probabilities."""
+    """Render a grammar in the text format with ``PROB_DECIMALS``-decimal
+    probabilities."""
     lines = [f"maxdepth = {grammar.max_depth}"]
     for sig in sorted(grammar.starts, key=lambda s: (s.numerator, s.denominator)):
         lines.append(f"start {sig} = {grammar.starts[sig]}")
@@ -423,30 +429,19 @@ def serialize_grammar(grammar: RhythmGrammar) -> str:
 # ---------------------------------------------------------------------------
 # training
 
-def _head_name(width: Fraction, time_signature: TimeSignature) -> str:
-    if width == 1:
-        return f"M{time_signature.numerator}_{time_signature.denominator}"
-    if width.numerator == 1:
-        return f"D{width.denominator}"
-    return f"D{width.denominator}_{width.numerator}"
-
-
-def train_grammar(
-    corpus: list[ScoreModel],
-    smoothing: float = 1.0,
-    max_depth: int | None = None,
-) -> RhythmGrammar:
+def train_grammar(corpus: list[ScoreModel], smoothing: float = 1.0) -> RhythmGrammar:
     """Estimate a grammar from notated scores.
 
-    Every measure already is a rhythm tree; its nodes are mapped to
-    duration-class symbols (measure, beat, half-beat, ...) and each production
-    is counted.  Probabilities use add-k smoothing over the observed rule
-    inventory of each head: (count + k) / (total + k * |rules of head|).
+    Every measure already is a rhythm tree; each node is named by the cell
+    it spans, ``M{N}_{D}`` for the whole measure and ``D{n}`` for one of n
+    equal cells of it, and each production is counted.  The depth bound is
+    that of the deepest tree seen.  Probabilities use add-k smoothing over
+    the observed rule inventory of each head:
+    (count + k) / (total + k * |rules of head|).
 
     Args:
         corpus: scores to count productions from.
         smoothing: the k in add-k smoothing, >= 0.
-        max_depth: depth bound of the result; default is the deepest tree seen.
     """
     if smoothing < 0:
         raise ValidationError(f"smoothing must be >= 0, got {smoothing}")
@@ -459,27 +454,25 @@ def train_grammar(
     starts: dict[TimeSignature, str] = {}
     deepest = 1
 
-    def count_node(node: RhythmTree, head: str, width: Fraction,
-                   sig: TimeSignature, depth: int):
+    def count_node(node: RhythmTree, head: str, cells: int, depth: int):
+        # ``node`` spans one of ``cells`` equal cells of its measure
         nonlocal deepest
-        deepest = max(deepest, depth + node.depth())
         bucket = counts.setdefault(head, Counter())
         if node.is_leaf:
             bucket[Leaf(node.label)] += 1
+            deepest = max(deepest, depth)
             return
-        k = len(node.children)
-        child_width = width / k
-        child_head = _head_name(child_width, sig)
-        bucket[Split((child_head,) * k)] += 1
+        cells *= len(node.children)
+        child_head = f"D{cells}"
+        bucket[Split((child_head,) * len(node.children))] += 1
         for child in node.children:
-            count_node(child, child_head, child_width, sig, depth + 1)
+            count_node(child, child_head, cells, depth + 1)
 
     for score in corpus:
         sig = score.time_signature
-        start = _head_name(Fraction(1), sig)
-        starts[sig] = start
+        starts[sig] = start = f"M{sig.numerator}_{sig.denominator}"
         for tree in score.measures:
-            count_node(tree, start, Fraction(1), sig, 0)
+            count_node(tree, start, 1, 0)
 
     rules = []
     for head in counts:
@@ -492,8 +485,7 @@ def train_grammar(
             prob = (count + smoothing) / (total + smoothing * inventory)
             rules.append(GrammarRule(head, body, -math.log(prob)))
 
-    depth_bound = max_depth if max_depth is not None else deepest
-    return RhythmGrammar(starts, rules, depth_bound)
+    return RhythmGrammar(starts, rules, deepest)
 
 
 # ---------------------------------------------------------------------------

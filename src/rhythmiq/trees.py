@@ -77,11 +77,6 @@ class RhythmTree(Record):
                 out.append(node.label)
         return out
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(c.depth() for c in self.children)
-
 
 def note(pitch: int) -> RhythmTree:
     return RhythmTree(label=NOTE, pitch=pitch)

@@ -546,6 +546,43 @@ def test_rotations_render_all_vs_best(tmp_path, capsys):
     assert payload["rotations"][2]["file"] == str(best_files[0])
 
 
+def test_rotations_write_each_rendering_as_quantize_writes_it(tmp_path, capsys):
+    # each rendered rotation gets quantize --out's score and sidecar, and
+    # its warnings on stderr name its file; a clean rendering removes the
+    # sidecar an earlier run left
+    grammar = tmp_path / "tiny.grammar"
+    grammar.write_text(TINY_GRAMMAR)
+    perf = Performance([NoteEvent(0.0, 0.5, 60), NoteEvent(1.0, 0.5, 62)])
+    midi = tmp_path / "two.mid"
+    midi.write_bytes(save_midi(perf, 120.0))
+    beats = _beats_csv(tmp_path, 9)
+    grid = load_beats(beats.read_text())
+    out_dir = tmp_path / "rots"
+    args = ["rotations", str(midi), "--beats", str(beats), "--out-dir", str(out_dir)]
+    assert main([*args, "--grammar", str(grammar)]) == 0
+    err = capsys.readouterr().err
+    expected = ""
+    for phase, rotated in enumerate(enumerate_rotations(grid)):
+        rotated_beats = tmp_path / f"rot{phase}.csv"
+        rotated_beats.write_text(save_beats(rotated))
+        out = tmp_path / f"q{phase}.musicxml"
+        assert main(["quantize", str(midi), "--beats", str(rotated_beats),
+                     "--grammar", str(grammar), "--out", str(out)]) == 0
+        rendered = out_dir / f"two.rot{phase}.musicxml"
+        assert rendered.read_text() == out.read_text()
+        sidecar, written = (path.with_suffix(".warnings.txt") for path in (out, rendered))
+        assert written.exists() == sidecar.exists()
+        if sidecar.exists():
+            assert written.read_text() == sidecar.read_text()
+            expected += "".join(f"warning: {rendered}: {w}\n"
+                                for w in sidecar.read_text().splitlines())
+    capsys.readouterr()
+    assert expected and err == expected
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert not list(out_dir.glob("*.warnings.txt"))
+
+
 def test_rotation_mode_flag_overrides_config(tmp_path, capsys):
     midi, beats, ref = _rotation_setup(tmp_path)
     cfg = tmp_path / "pipeline.cfg"
@@ -656,6 +693,29 @@ def test_eval_notes_directory_batch(tmp_path, capsys):
     for stats in payload["summary"].values():
         assert set(stats) == {"mean", "std", "max"}
     assert payload["summary"]["f_measure"] == {"mean": 100.0, "std": 0.0, "max": 100.0}
+
+
+@pytest.mark.parametrize("metric", ["notes", "score"])
+def test_eval_directories_of_one_pair_print_items_and_a_summary(tmp_path, capsys, metric):
+    # the shape follows the inputs: two directories give items and a
+    # summary however many pairs they hold
+    dirs = [tmp_path / "ref", tmp_path / "est"]
+    name = "solo.mid" if metric == "notes" else "solo.musicxml"
+    for directory in dirs:
+        directory.mkdir()
+        if metric == "notes":
+            _quarters_midi(directory, n=8, name=name)
+        else:
+            (directory / name).write_text(
+                emit_musicxml(ScoreModel(TimeSignature(4, 4), [split(note(60), rest())])))
+    assert main(["eval", metric, *map(str, dirs)]) == 0
+    batch = _json_out(capsys)
+    assert set(batch) == {"items", "summary"}
+    assert main(["eval", metric, *(str(d / name) for d in dirs)]) == 0
+    single = _json_out(capsys)
+    assert batch["items"] == {"solo": single}
+    assert set(batch["summary"]) == {name for name, value in single.items()
+                                     if value is not None}
 
 
 def test_eval_unpaired_directories_exit_4(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,23 @@ def test_train_normalization_within_tolerance():
 def test_train_depth_matches_deepest_tree():
     g = train_grammar([_duplet_triplet_score(3, 1)], smoothing=1.0)
     assert g.max_depth == 2
+
+
+def test_a_trained_grammar_reads_back_without_a_warning():
+    # a head's probabilities are written rounded, so their sum may miss 1
+    # by half a unit of the last decimal per line, which the reader forgives
+    rng = random.Random(1)
+    g = default_grammar()
+    for trial in range(200):
+        if trial % 2:
+            corpus = [support.random_score(rng) for _ in range(rng.randint(1, 6))]
+        else:
+            corpus = [sample_score(g, rng.randint(1, 8), rng) for _ in range(rng.randint(1, 6))]
+        trained = train_grammar(corpus, rng.choice((0.0, 1.0, 2.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            read = parse_grammar_file(serialize_grammar(trained))
+        assert [(r.head, r.body) for r in read.rules] == [(r.head, r.body) for r in trained.rules]
 
 
 def test_train_rejects_bad_args():

@@ -1,6 +1,8 @@
+import bisect
 import gc
 import hashlib
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -43,7 +45,7 @@ from rhythmiq import (
 )
 from rhythmiq.cli import main
 from rhythmiq.quantize import DEFAULT_ALPHA
-from rhythmiq.trees import CONTINUATION, NOTE, REST
+from rhythmiq.trees import CONTINUATION, NOTE, REST, slice_measure
 
 import support
 
@@ -324,7 +326,7 @@ def test_equal_cost_derivations_go_to_the_earlier_rule(flat_first):
     ]))
     measure = MeasureInput(tuple((k / 4, 60) for k in range(4)), (0.25, 0.5, 0.75, 1.0))
     tree, cost = quantize_measure(measure, g)
-    assert tree.depth() == (1 if flat_first else 2)
+    assert len(tree.children) == (4 if flat_first else 2)
     assert (tree, cost) == support.reference_quantize_measure(measure, g)
 
 
@@ -572,6 +574,93 @@ def test_quantize_performance_solves_each_measure_once(monkeypatch):
     )
     score, _ = quantize_performance(perf, _grid(4), default_grammar())
     assert len(seen) == len(score.measures) == 4
+
+
+def _least_path(tables):
+    """The least (fallbacks, cost) over every k at each inner barline and
+    every set of fallback measures, under the driver's rules: the first
+    measure takes nothing in, the last gives nothing out, a fallback
+    measure gives nothing out and takes an onset in only when none of its
+    own is on its downbeat."""
+    least = None
+    for inner in itertools.product((0, 1), repeat=len(tables) - 1):
+        ks = (0, *inner, 0)
+        for fallbacks in itertools.product((False, True), repeat=len(tables)):
+            total = 0.0
+            for m, (table, fallback) in enumerate(zip(tables, fallbacks)):
+                k_in, k_out = ks[m], ks[m + 1]
+                onsets = table.measure.onsets
+                if not fallback:
+                    total += table.cost(k_in, k_out)
+                elif k_out or k_in and onsets and onsets[0][0] == 0:
+                    total = math.inf
+            if total < math.inf:
+                path = (sum(fallbacks), total)
+                least = path if least is None else min(least, path)
+    return least
+
+
+def test_the_barline_viterbi_finds_the_least_fallbacks_then_cost():
+    # seeded 1-3-bar performances, half on the default grammar and half on
+    # random ones: each measure solved on its own, with the pitch that a
+    # k_in = 1 entry takes in always given, then every path brute-forced
+    import rhythmiq.quantize as quantize
+
+    rng = random.Random(21)
+    default = default_grammar()
+    config = QuantConfig()
+    seen = {"inner k = 1": 0, "fallback": 0, "fallback taking an onset in": 0}
+    for trial in range(1500):
+        grammar = default if trial % 2 else support.random_grammar(rng)
+        bars = rng.randint(1, 3)
+        grid = BeatGrid([1.0 + 0.5 * k for k in range(4 * bars + 1)], 4, 0)
+        jitter = rng.choice((0.0, 0.004, 0.015))
+        # in a third of the takes, a 10 ms grace note 20 ms early now and
+        # then crowds two onsets onto one edge, or is pushed onto a silent one
+        graces = rng.choice((0.0, 0.0, 0.2))
+        notes = []
+        # half the takes start on the downbeat, so their untimed notes stay
+        # on the beats
+        t = rng.choice((1.0, rng.uniform(0.7, 1.3)))
+        while t < grid.beats[-1]:
+            gap = rng.choice((0.125, 0.25, 1 / 6, 0.5, 0.75, 1.0))
+            pitch = rng.randint(55, 80)
+            if rng.random() < graces:
+                notes.append(NoteEvent(t - 0.02, 0.01, pitch + 1))
+            if rng.random() < 0.8:  # else a rest
+                notes.append(NoteEvent(max(0.0, t + rng.gauss(0.0, jitter)),
+                                       gap * rng.choice((1.0, 0.6, 2.5)), pitch))
+            t += gap
+        if not notes:
+            continue
+        notes_in, m_lo, m_hi = quantize._map(Performance(notes), grid)
+        tables = []
+        for m in range(m_lo, m_hi + 1):
+            onsets, extents, pitch, end = slice_measure(notes_in, m)
+            before = bisect.bisect_left(notes_in, (m,))
+            if pitch is None and before:
+                pitch = notes_in[before - 1][2]
+            tables.append(quantize_measure(MeasureInput(onsets, extents, pitch, end),
+                                           grammar, config, SIG, states=True,
+                                           final=m == m_hi))
+
+        solved, chosen = quantize._solve(notes_in, m_lo, m_hi, grammar, config, SIG)
+        assert chosen[0][0] == 0 and chosen[-1][1] == 0
+        assert all(a[1] == b[0] for a, b in zip(chosen, chosen[1:]))
+        total = 0.0
+        for table, (k_in, k_out, fallback) in zip(solved, chosen):
+            onsets = table.measure.onsets
+            if fallback:
+                assert not k_out and not (k_in and onsets and onsets[0][0] == 0)
+            else:
+                total += table.cost(k_in, k_out)
+        got = (sum(fallback for *_, fallback in chosen), total)
+        assert got == _least_path(tables), (trial, chosen)
+        seen["inner k = 1"] += any(k_out for _, k_out, _ in chosen)
+        seen["fallback"] += got[0] > 0
+        seen["fallback taking an onset in"] += any(k_in and fallback
+                                                   for k_in, _, fallback in chosen)
+    assert min(seen.values()) >= 10, seen  # every rule is exercised
 
 
 def test_on_lattice_onset_is_never_deferred():

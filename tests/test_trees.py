@@ -78,7 +78,6 @@ def test_leaves_intervals_are_exact():
         (NOTE, F(1, 2), F(3, 4)),
         (NOTE, F(3, 4), F(1)),
     ]
-    assert tree.depth() == 2
 
 
 def test_validate_flow():
