@@ -13,10 +13,12 @@ from typing import TYPE_CHECKING
 
 from .core import (DEFAULT_ALPHA, DEFAULT_BEAT_TOLERANCE, DEFAULT_CLUSTER_WIDTH,
                    DEFAULT_FALLBACK_RESOLUTION, DEFAULT_MAX_BPM, DEFAULT_MIN_BPM,
-                   DEFAULT_ONSET_TOLERANCE, DEFAULT_REST_THRESHOLD, Record, load_beats)
+                   DEFAULT_ONSET_TOLERANCE, DEFAULT_REST_THRESHOLD, Record, data_lines,
+                   load_beats)
 from .errors import (
     ConfigError,
     EmptyInputError,
+    FormatError,
     GrammarError,
     InsufficientDataError,
     NoTempoError,
@@ -80,25 +82,46 @@ class PipelineConfig(Record):
                                  for name in self.__slots__})
 
 
+def _read_input(path: str | Path, parse, binary: bool = False):
+    """``parse`` of the text, or with ``binary`` the bytes, of the input file
+    ``path``.  An input error is raised again as the same class, so the exit
+    code stays, with the path in front: a command that reads several files
+    says which one failed."""
+    path = Path(path)
+    try:
+        return parse(path.read_bytes() if binary else path.read_text())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+    except RhythmiqError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read ``key = value`` lines (# comments allowed) into a PipelineConfig."""
+    """Read ``key = value`` data lines (``data_lines``) into a
+    PipelineConfig; a key may appear once."""
+    return _read_input(path, _parse_config)
+
+
+def _parse_config(text: str) -> PipelineConfig:
     defaults = PipelineConfig()
     names = PipelineConfig.__slots__
     overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    first_line: dict[str, int] = {}
+    for lineno, line in data_lines(text):
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
+            raise ConfigError(f"line {lineno}: expected key = value")
         if key not in names:
-            raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+            raise ConfigError(f"line {lineno}: unknown setting {key!r}")
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(
+                f"line {lineno}: duplicate setting {key!r} (first on line {first})")
         try:
             # each setting takes the type of its default
             overrides[key] = type(getattr(defaults, key))(value)
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}")
+            raise ConfigError(f"line {lineno}: bad value {value!r} for {key}")
     return defaults.replace(**overrides)
 
 
@@ -130,44 +153,42 @@ def _load_grammar(args):
     from .grammar import default_grammar, parse_grammar_file
 
     if getattr(args, "grammar", None):
-        return parse_grammar_file(Path(args.grammar).read_text())
+        return _read_input(args.grammar, parse_grammar_file)
     return default_grammar()
 
 
-def _load_downbeats(path: Path) -> list[float]:
-    """Downbeat times from a beats CSV, or one time per line."""
-    text = path.read_text()
-    try:
+def _load_downbeats(text: str) -> list[float]:
+    """Downbeat times from a beats CSV, when every data line is a
+    ``time,beat_in_bar`` pair, or else from the first field of each line."""
+    lines = data_lines(text)
+    if lines and all(line.count(",") == 1 for _, line in lines):
         return load_beats(text).downbeats()
-    except RhythmiqError as exc:
-        lines = [(lineno, raw.split("#", 1)[0].strip())
-                 for lineno, raw in enumerate(text.splitlines(), start=1)]
-        lines = [(lineno, line) for lineno, line in lines if line]
-        if lines and all(line.count(",") == 1 for _, line in lines):
-            # every line is a time,beat_in_bar record: a bad beats CSV
-            raise ValidationError(f"{path}: {exc}") from None
-        times = []
-        for lineno, line in lines:
-            try:
-                t = float(line.split(",")[0])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: bad downbeat time {line!r}")
-            if not math.isfinite(t):
-                raise ValidationError(
-                    f"{path}:{lineno}: downbeat time must be finite, got {line!r}")
-            times.append(t)
-        if not times:
-            raise EmptyInputError(f"{path}: no downbeat times found")
-        return times
+    times = []
+    for lineno, line in lines:
+        try:
+            t = float(line.split(",")[0])
+        except ValueError:
+            raise ValidationError(f"line {lineno}: bad downbeat time {line!r}") from None
+        if not math.isfinite(t):
+            raise ValidationError(f"line {lineno}: downbeat time must be finite, got {line!r}")
+        times.append(t)
+    if not times:
+        raise EmptyInputError("no downbeat times found")
+    return times
 
 
 def load_wav(path: str | Path) -> tuple[int, np.ndarray]:
     """Read a WAV file as float64 in [-1, 1], first channel only."""
     # only `eval sdr` reads audio; numpy and scipy stay out of every other command
+    import struct
+
     import numpy as np
     from scipy.io import wavfile
 
-    rate, data = wavfile.read(path)
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:  # not RIFF, or a header cut short
+        raise FormatError(f"{path}: not a WAV file: {exc}") from None
     x = np.asarray(data)
     if x.ndim > 1:
         x = x[:, 0]
@@ -188,7 +209,7 @@ def cmd_tempo(args) -> int:
     from .tempo import TempoBounds, estimate_tempo_ioi, tempo_bounds
 
     cfg = _config_from_args(args)
-    perf = load_midi(Path(args.midi).read_bytes())
+    perf = _read_input(args.midi, load_midi, binary=True)
     estimate = estimate_tempo_ioi(
         perf,
         cluster_width=cfg.cluster_width,
@@ -244,8 +265,8 @@ def cmd_quantize(args) -> int:
     from .midi_io import load_midi
 
     cfg = _config_from_args(args)
-    perf = load_midi(Path(args.midi).read_bytes())
-    grid = load_beats(Path(args.beats).read_text())
+    perf = _read_input(args.midi, load_midi, binary=True)
+    grid = _read_input(args.beats, load_beats)
     grammar = _load_grammar(args)
     xml, warnings = _quantize_to_xml(perf, grid, grammar, cfg, title=args.title)
     _write_score(xml, warnings, Path(args.out) if args.out else None)
@@ -256,7 +277,8 @@ def _read_score(path: Path, decomposed: dict):
     """Parse a MusicXML file, printing each of the parser's warnings."""
     from .musicxml import parse_musicxml
 
-    score, warnings = parse_musicxml(path.read_text(), decomposed=decomposed)
+    score, warnings = _read_input(
+        path, lambda text: parse_musicxml(text, decomposed=decomposed))
     for w in warnings:  # one write, so lines of parallel pairs do not mix
         sys.stderr.write(f"warning: {path}: {w}\n")
     return score
@@ -284,10 +306,10 @@ def cmd_rotations(args) -> int:
     cfg = _config_from_args(args)
     if args.out_dir and cfg.rotation_mode == "best" and not args.ref:
         raise ConfigError("rendering only the best rotation needs reference downbeats (--ref)")
-    perf = load_midi(Path(args.midi).read_bytes())
-    grid = load_beats(Path(args.beats).read_text())
+    perf = _read_input(args.midi, load_midi, binary=True)
+    grid = _read_input(args.beats, load_beats)
     grammar = _load_grammar(args)
-    ref = _load_downbeats(Path(args.ref)) if args.ref else None
+    ref = _read_input(args.ref, _load_downbeats) if args.ref else None
 
     rotations = enumerate_rotations(grid)
     # a grid shorter than a bar leaves some phases without a downbeat
@@ -391,8 +413,8 @@ def cmd_eval_notes(args) -> int:
     cfg = _config_from_args(args)
 
     def one(ref_path: Path, est_path: Path) -> dict:
-        ref = load_midi(ref_path.read_bytes())
-        est = load_midi(est_path.read_bytes())
+        ref = _read_input(ref_path, load_midi, binary=True)
+        est = _read_input(est_path, load_midi, binary=True)
         m = note_metrics(ref, est, cfg.onset_tolerance)
         return {
             "precision": _round(m.precision),
@@ -413,7 +435,7 @@ def cmd_eval_downbeats(args) -> int:
 
     def one(ref_path: Path, est_path: Path) -> dict:
         f = downbeat_fmeasure(
-            _load_downbeats(ref_path), _load_downbeats(est_path),
+            _read_input(ref_path, _load_downbeats), _read_input(est_path, _load_downbeats),
             cfg.beat_tolerance,
         )
         return {"f_measure": _round(f)}

@@ -187,32 +187,39 @@ def enforce_monophony(perf: Performance) -> Performance:
     return Performance(out)
 
 
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """A text input's data lines as (line number, line): ``#`` starts a
+    comment that runs to the end of the line, a line left blank once its
+    comment and outer whitespace are cut holds no data, and lines count from 1.
+    """
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
 def load_beats(text: str) -> BeatGrid:
     """Parse a beat annotation CSV into a BeatGrid.
 
-    Each data line is ``time_sec,beat_in_bar`` where beat_in_bar counts from 1
-    at the downbeat.  Lines starting with ``#`` are comments; a non-numeric
-    first line is treated as a header.  The bar is as long as the largest
-    position, and every position must be the one that bar gives its line.
+    Each data line (``data_lines``) is ``time_sec,beat_in_bar`` where
+    beat_in_bar counts from 1 at the downbeat.  Only the first may be a
+    header: one whose time field is not a number.  The bar is as long as the
+    largest position, and every position must be the one that bar gives its line.
     """
     times: list[float] = []
     positions: list[int] = []
     linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for index, (lineno, line) in enumerate(data_lines(text)):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
             raise ValidationError(f"line {lineno}: expected 2 fields, got {len(fields)}")
+        t = None
         try:
             t = float(fields[0])
             b = float(fields[1])
             position = int(b)
         except (ValueError, OverflowError):  # OverflowError: int() of inf
-            if not times:
-                continue  # header line
-            raise ValidationError(f"line {lineno}: non-numeric beat record {line!r}")
+            if index == 0 and t is None:
+                continue  # a header
+            raise ValidationError(f"line {lineno}: non-numeric beat record {line!r}") from None
         if not math.isfinite(t):
             raise ValidationError(
                 f"line {lineno}: beat time must be finite, got {fields[0]!r}")
@@ -224,16 +231,12 @@ def load_beats(text: str) -> BeatGrid:
         linenos.append(lineno)
     if not times:
         raise ValidationError("no beat records found")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValidationError("beat times must be strictly increasing")
     beats_per_bar = max(positions)
-    if min(positions) < 1:
-        raise ValidationError("beat positions count from 1")
     try:
         phase = positions.index(1)
     except ValueError:
         raise ValidationError("no downbeat (beat position 1) in annotation")
-    grid = BeatGrid(times, beats_per_bar, phase)
+    grid = BeatGrid(times, beats_per_bar, phase)  # rejects times that do not increase
     for i, (position, lineno) in enumerate(zip(positions, linenos)):
         if position != grid.beat_position(i):
             raise ValidationError(

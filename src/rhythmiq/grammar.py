@@ -12,7 +12,7 @@ import warnings
 from collections import Counter
 from typing import NamedTuple
 
-from .core import Record, TimeSignature
+from .core import Record, TimeSignature, data_lines
 from .errors import GrammarError, ValidationError
 from .trees import (
     CONTINUATION,
@@ -108,12 +108,11 @@ class Lattice(NamedTuple):
 
     ``steps``: every node in node order, as (node, left edge index,
     right edge index, left, right, midpoint, NOTE rule, REST rule,
-    CONTINUATION rule, leaf rules, splits).  A label's rule is None where
-    the head has no such leaf; the leaf rules keep grammar order.  A split
-    is (weight, tuplet, ((child, 2 << i) for each child i), rule, fewest,
-    most + 1), where fewest and most bound the NOTE leaves of its
-    derivations: a derivation of a cell that takes k_in onsets in and gives
-    k_out out has k_in + onsets - k_out of them.
+    CONTINUATION rule, splits).  A label's rule is None where the head has
+    no such leaf.  A split is (weight, tuplet, ((child, 2 << i) for each
+    child i), rule, fewest, most + 1), where fewest and most bound the NOTE
+    leaves of its derivations: a derivation of a cell that takes k_in onsets
+    in and gives k_out out has k_in + onsets - k_out of them.
 
     ``unit``: the node count.  A derivation has fewer tuplet nodes than
     that, so leaves * unit + tuplets orders derivations as (leaves,
@@ -195,8 +194,7 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
         fewest.append(min((low for low, _, _ in counts), default=math.inf))
         most.append(max((high for _, high, _ in counts), default=-math.inf))
         caps.append(max((cap for _, _, cap in counts), default=-math.inf))
-        leaves = tuple(rule for rule in rules if rule.label is not None)
-        by_label = {rule.label: rule for rule in leaves}
+        by_label = {rule.label: rule for rule in rules if rule.label is not None}
         splits = tuple(
             (rule.weight, rule.tuplet,
              tuple((child, 2 << i) for i, child in enumerate(rule.children)), rule,
@@ -204,7 +202,7 @@ def compile_lattice(grammar: RhythmGrammar, time_signature: TimeSignature) -> La
             for rule, (low, high, _) in zip(rules, counts) if rule.label is None
         )
         steps.append((node, index[lf], index[rf], lf, rf, (lf + rf) / 2, by_label.get(NOTE),
-                      by_label.get(REST), by_label.get(CONTINUATION), leaves, splits))
+                      by_label.get(REST), by_label.get(CONTINUATION), splits))
     # the start symbol derives a tree within the depth bound, so the
     # measure's node has a derivation
     return Lattice(tuple(edges), tuple(steps), len(nodes), caps[-1])
@@ -326,28 +324,31 @@ _MAXDEPTH_RE = re.compile(r"^maxdepth\s*=\s*(\d+)$")
 def parse_grammar_file(text: str) -> RhythmGrammar:
     """Parse the grammar text format.
 
-    Lines are ``maxdepth = N``, ``start N/D = SYM``, rule lines
-    ``HEAD -> (C1 C2 ... Ck) : prob`` or ``HEAD -> note|rest|continuation :
-    prob``, and ``#`` comments.  Probabilities are renormalized per head; a
-    sum that misses 1 by more than the rounding of its lines to
-    ``PROB_DECIMALS`` decimals draws a warning.
+    Data lines (``data_lines``) are ``maxdepth = N``, ``start N/D = SYM``
+    and rule lines ``HEAD -> (C1 C2 ... Ck) : prob`` or ``HEAD ->
+    note|rest|continuation : prob``; the maxdepth line, a time signature's
+    start line and a rule line may each appear once.  Probabilities are
+    renormalized per head; a sum that misses 1 by more than the rounding of
+    its lines to ``PROB_DECIMALS`` decimals draws a warning.
     """
     starts: dict[TimeSignature, str] = {}
     raw_rules: list[tuple[str, Split | Leaf, float]] = []
-    first_line: dict[tuple[str, Split | Leaf], int] = {}
-    start_line: dict[TimeSignature, int] = {}
+    first_line: dict[object, int] = {}
     max_depth = 4
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    def once(key, what: str) -> None:
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise GrammarError(f"line {lineno}: duplicate {what} (first on line {first})")
+
+    for lineno, line in data_lines(text):
         m = _MAXDEPTH_RE.match(line)
         if m:
             max_depth = int(m.group(1))
             if not 1 <= max_depth <= _MAX_DEPTH:
                 raise GrammarError(f"line {lineno}: maxdepth must be >= 1 and <= "
                                    f"{_MAX_DEPTH}, got {max_depth}")
+            once("maxdepth", "maxdepth")
             continue
         m = _START_RE.match(line)
         if m:
@@ -355,10 +356,7 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
                 sig = TimeSignature(int(m.group(1)), int(m.group(2)))
             except ValidationError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from None
-            first = start_line.setdefault(sig, lineno)
-            if first != lineno:
-                raise GrammarError(
-                    f"line {lineno}: duplicate start for {sig} (first on line {first})")
+            once(sig, f"start for {sig}")
             starts[sig] = m.group(3)
             continue
         m = _RULE_RE.match(line)
@@ -383,11 +381,7 @@ def parse_grammar_file(text: str) -> RhythmGrammar:
                 body = Leaf(body_text)
             else:
                 raise GrammarError(f"line {lineno}: bad rule body {body_text!r}")
-            first = first_line.setdefault((head, body), lineno)
-            if first != lineno:
-                raise GrammarError(
-                    f"line {lineno}: duplicate rule {head} -> {body} (first on line {first})"
-                )
+            once((head, body), f"rule {head} -> {body}")
             raw_rules.append((head, body, prob))
             continue
         raise GrammarError(f"line {lineno}: cannot parse {line!r}")

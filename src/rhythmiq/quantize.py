@@ -234,7 +234,7 @@ class MeasureStates:
 
         self.results = results = [None] * unit
         self.states = states = [None] * unit
-        for node, li, ri, lf, rf, mid, note, rest, cont, leaves, splits in steps:
+        for node, li, ri, lf, rf, mid, note, rest, cont, splits in steps:
             lo = lows[li]
             hi = lows[ri]
             pushed_in = pushed[li]
@@ -251,7 +251,7 @@ class MeasureStates:
             # as a leaf, priced as ``quantize_measure`` says; a rest wins a
             # tie with a continuation, and a leaf never ties a split, which
             # has more leaves, so leaves go first
-            if leaves and k_out <= 1:
+            if (note or rest or cont) and k_out <= 1:
                 push = alpha * (rf - positions[right]) if k_out else 0.0
                 stay = right - lo  # the onsets that stay in the cell
                 if stay <= 1:

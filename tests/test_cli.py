@@ -13,6 +13,7 @@ from rhythmiq import (
     ConfigError,
     NoteEvent,
     Performance,
+    RhythmiqError,
     ScoreModel,
     TimeSignature,
     best_rotation_fmeasure,
@@ -27,7 +28,9 @@ from rhythmiq import (
     save_beats,
     save_midi,
 )
-from rhythmiq.cli import PipelineConfig, load_config, main
+from rhythmiq.cli import PipelineConfig, _load_downbeats, load_config, main
+from rhythmiq.core import data_lines
+from rhythmiq.grammar import _DEFAULT_GRAMMAR_TEXT, serialize_grammar
 from rhythmiq.metrics import rotation_fmeasures
 from rhythmiq.musicxml import parse_musicxml
 from rhythmiq.trees import note, rest, split
@@ -68,6 +71,44 @@ def test_load_config_overrides(tmp_path):
     assert cfg.fallback_resolution == 8
     assert cfg.on_error == "raise"
     assert cfg.rest_threshold == 0.5
+
+
+def _with_comments(text: str) -> str:
+    """``text`` with a blank line and a whole-line comment before each line,
+    and a trailing comment after it: line k moves to line 3k."""
+    return "".join(f"\n  # before line {k}\n{line}  # line {k}, a,b\n"
+                   for k, line in enumerate(text.splitlines(), start=1))
+
+
+@pytest.mark.parametrize("kind, text, bad_line", [
+    ("beats", save_beats(BeatGrid([0.5 * k for k in range(11)], 4, 3)), "2.0,x"),
+    ("grammar", _DEFAULT_GRAMMAR_TEXT, "what is this"),
+    ("config", "alpha = 300\nfifths = -2\non_error = raise\nrotation_mode = best\n",
+     "alpha = fast"),
+    ("downbeats", "0.0\n2.0\n4.0\n6.0\n", "abc"),
+], ids=["beats", "grammar", "config", "downbeats"])
+def test_every_text_input_reads_comments_and_blank_lines_alike(tmp_path, kind, text,
+                                                               bad_line):
+    # one line rule for all four formats: comments and blank lines change
+    # no result, and an error names the line it named before they moved it
+    def read(text):
+        if kind == "config":
+            path = tmp_path / "settings.cfg"
+            path.write_text(text)
+            return load_config(path)
+        parse = {"beats": load_beats, "downbeats": _load_downbeats,
+                 "grammar": lambda t: serialize_grammar(parse_grammar_file(t))}[kind]
+        return parse(text)
+
+    assert read(_with_comments(text)) == read(text)
+    data = data_lines(text)
+    k = data[len(data) // 2][0]  # a data line to spoil
+    lines = text.splitlines()
+    lines[k - 1] = bad_line
+    bad = "\n".join(lines) + "\n"
+    for source, lineno in ((bad, k), (_with_comments(bad), 3 * k)):
+        with pytest.raises(RhythmiqError, match=rf"\bline {lineno}: "):
+            read(source)
 
 
 def test_pipeline_config_takes_the_quantizer_defaults():
@@ -355,7 +396,11 @@ def test_bad_config_exits_3(tmp_path, capsys):
     cfg.write_text("on_error = bogus\n")
     assert main(["tempo", str(midi), "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.endswith(
-        "error: on_error must be raise|fallback, got 'bogus'\n")
+        f"error: {cfg}: on_error must be raise|fallback, got 'bogus'\n")
+    cfg.write_text("alpha = 100\n# faster\nalpha = 300\n")
+    assert main(["tempo", str(midi), "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 3: duplicate setting 'alpha' (first on line 1)\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -394,7 +439,7 @@ def test_a_key_signature_out_of_range_exits_1_before_any_work(tmp_path, capsys):
     cfg.write_text("fifths = 99\n")
     for command in ("quantize", "rotations"):
         assert main([command, str(midi), "--beats", str(beats), "--config", str(cfg)]) == 1
-        assert capsys.readouterr() == ("", error)
+        assert capsys.readouterr() == ("", f"error: {cfg}: fifths 99 outside -7..7\n")
     for fifths in (-7, 7):
         assert PipelineConfig(fifths=fifths).fifths == fifths
 
@@ -415,7 +460,7 @@ def test_quantize_rejects_a_non_finite_beat_time(tmp_path, capsys, time):
     beats.write_text(f"0.0,1\n0.5,2\n{time},3\n1.5,4\n2.0,1\n")
     assert main(["quantize", str(midi), "--beats", str(beats)]) == 1
     assert capsys.readouterr().err == (
-        f"error: line 3: beat time must be finite, got '{time}'\n")
+        f"error: {beats}: line 3: beat time must be finite, got '{time}'\n")
 
 
 def _with_grace_note(xml: str) -> str:
@@ -461,11 +506,12 @@ def test_a_bad_grammar_line_exits_3_with_its_line_number(tmp_path, capsys):
                               "got '1e400'"),
         ("start 4/4 = S", "line 3: duplicate start for 4/4 (first on line 2)"),
         ("maxdepth = 30", "line 3: maxdepth must be >= 1 and <= 29, got 30"),
+        ("maxdepth = 2", "line 3: duplicate maxdepth (first on line 1)"),
     ]:
         grammar.write_text(TINY_GRAMMAR.replace("start 4/4 = S", f"start 4/4 = S\n{line}"))
         assert main(["quantize", str(midi), "--beats", str(beats),
                      "--grammar", str(grammar)]) == 3
-        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert capsys.readouterr() == ("", f"error: {grammar}: {error}\n")
 
 
 def test_a_grammar_too_large_to_compile_exits_3(tmp_path, capsys):
@@ -524,7 +570,7 @@ def test_rotations_rejects_a_bad_reference_line(tmp_path, capsys):
     ref.write_text("1.0\n# a comment\n3.0 s\n")
     assert main(["rotations", str(midi), "--beats", str(beats),
                  "--ref", str(ref)]) == 1
-    assert capsys.readouterr().err == f"error: {ref}:3: bad downbeat time '3.0 s'\n"
+    assert capsys.readouterr().err == f"error: {ref}: line 3: bad downbeat time '3.0 s'\n"
 
 
 def test_rotations_render_all_vs_best(tmp_path, capsys):
@@ -768,7 +814,7 @@ def test_eval_downbeats_rejects_a_bad_line(tmp_path, capsys, line, message):
     a.write_text(f"0.0\n{line}\n4.0\n")
     b.write_text("0.0\n2.0\n4.0\n")
     assert main(["eval", "downbeats", str(a), str(b)]) == 1
-    assert capsys.readouterr().err == f"error: {a}:2: {message}\n"
+    assert capsys.readouterr().err == f"error: {a}: line 2: {message}\n"
 
 
 # bars of 3 beats until line 4 restarts the count; its downbeats are at 0,
@@ -794,9 +840,7 @@ def test_a_beats_csv_whose_positions_disagree_with_its_bar_exits_1(tmp_path, cap
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # a downbeats file is named, since `eval downbeats` reads two of them
-    where = "" if command == "quantize" else f"{bad}: "
-    assert captured.err == f"error: {where}line 4: beat position 1 where bars of 4 beats put 4\n"
+    assert captured.err == f"error: {bad}: line 4: beat position 1 where bars of 4 beats put 4\n"
 
 
 def test_eval_score_identical(tmp_path, capsys):
@@ -868,7 +912,7 @@ def test_eval_score_malformed_musicxml_exits_1(tmp_path, capsys, pattern, replac
     est.write_text(bad)
     assert main(["eval", "score", str(ref), str(est)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {est}: ")
     assert "Traceback" not in err
 
 
@@ -948,7 +992,7 @@ def test_eval_score_measure_deeper_than_the_parse_bound_exits_1(tmp_path, capsys
     assert main(["eval", "score", str(ref), str(est)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: onsets at ['1/4096'] unreachable at depth 10\n"
+    assert captured.err == f"error: {est}: onsets at ['1/4096'] unreachable at depth 10\n"
 
 
 def test_eval_sdr_identity(tmp_path, capsys):
@@ -960,3 +1004,26 @@ def test_eval_sdr_identity(tmp_path, capsys):
     wavfile.write(est, rate, signal)
     assert main(["eval", "sdr", str(ref), str(est)]) == 0
     assert _json_out(capsys)["sdr_db"] == 200.0
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"not a wav file\n", "File format b'not ' not understood"),
+    (b"RIFF\x24\x00\x00\x00WAVEfmt \x10\x00\x00\x00\x01\x00", "unpack requires"),
+], ids=["not-riff", "cut-header"])
+def test_eval_sdr_on_a_file_that_is_not_wav_exits_1(tmp_path, capsys, content, reason):
+    ref, est = tmp_path / "ref.wav", tmp_path / "est.wav"
+    wavfile.write(ref, 8000, np.zeros(80, dtype=np.int16))
+    est.write_bytes(content)
+    assert main(["eval", "sdr", str(ref), str(est)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {est}: not a WAV file: {reason}")
+
+
+def test_an_input_that_is_not_text_exits_1_naming_it(tmp_path, capsys):
+    midi = _quarters_midi(tmp_path)
+    assert main(["quantize", str(midi), "--beats", str(midi)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: {re.escape(str(midi))}: not a text file \(.+ at byte \d+\)\n",
+                        captured.err)

@@ -154,10 +154,23 @@ SHIFTING_BARS = "0,1\n.5,2\n1,3\n1.5,1\n2,2\n2.5,3\n3,4\n3.5,1\n"
     ("# time,beat\n0,1\n.5,2.9\n1,3\n", "line 3: beat position must be a whole number, got '2.9'"),
     ("0,1\n.5,2\n1,4\n1.5,1\n", "line 3: beat position 4 where bars of 4 beats put 3"),
     ("0,3\n.5,1\n1,3\n", "line 3: beat position 3 where bars of 3 beats put 2"),
-], ids=["restarted-bar", "fraction", "skipped-beat", "short-bar"])
+    ("0,0\n.5,1\n1,2\n", "line 1: beat position 0 where bars of 2 beats put 2"),
+], ids=["restarted-bar", "fraction", "skipped-beat", "short-bar", "position-0"])
 def test_load_beats_rejects_positions_that_disagree_with_the_bar(text, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         load_beats(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("time,beat\nbeat,bar\n0,1\n.5,2\n", "line 2: non-numeric beat record 'beat,bar'"),
+    ("0,x\n.5,2\n1,1\n", "line 1: non-numeric beat record '0,x'"),
+    ("# time,beat\n0,inf\n.5,2\n1,1\n", "line 2: non-numeric beat record '0,inf'"),
+], ids=["second-header", "bad-position", "infinite-position"])
+def test_load_beats_takes_only_a_first_line_without_a_time_as_a_header(text, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_beats(text)
+    grid = load_beats("time , beat\n0,2\n.5,1 # downbeat\n")
+    assert (grid.beats, grid.phase) == ((0.0, 0.5), 1)
 
 
 @given(st.integers(min_value=1, max_value=9), st.data())

@@ -176,7 +176,7 @@ def test_a_data_byte_with_its_high_bit_set_is_a_format_error(event, byte, tmp_pa
     path = tmp_path / "bad.mid"
     path.write_bytes(data)
     assert main(["tempo", str(path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_fifty_tempo_changes_by_hand():

@@ -996,6 +996,31 @@ def test_bench_corpus_outputs(tmp_path, bench):
     assert digest.hexdigest() == BENCH_OUTPUTS
 
 
+def test_the_bench_beats_csv_with_a_comment_or_a_bad_first_record(tmp_path, bench, capsys):
+    # a comment after solo032's first record, or a header line, reads as the
+    # plain file does; a first record that does not parse is an error, not
+    # a header that would drop the first downbeat
+    corpus, solo = bench.corpus, bench.solos[0]
+    midi, beats = tmp_path / "solo.mid", tmp_path / "solo.beats.csv"
+    midi.write_bytes(corpus.exact_midi(solo))
+    text = corpus.beats_csv(corpus.exact_beats(solo))
+    assert text.splitlines()[:2] == ["# time_sec,beat_in_bar", "0.24,1"]
+    outputs = []
+    for variant in (text, text.replace("0.24,1\n", "0.24,1 # bar 1\n", 1),
+                    text.replace("# time_sec,beat_in_bar", "time,beat", 1)):
+        grid = load_beats(variant)
+        assert (len(grid.beats), grid.phase) == (129, 0)
+        beats.write_text(variant)
+        assert main(["quantize", str(midi), "--beats", str(beats)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == ""
+    assert outputs[1] == outputs[0] == outputs[2]
+    beats.write_text(text.replace("0.24,1\n", "0.24,1x\n", 1))
+    assert main(["quantize", str(midi), "--beats", str(beats)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {beats}: line 2: non-numeric beat record '0.24,1x'\n")
+
+
 def _bench_score(bench, solo, grammar, sigma=None):
     """The score ``quantize_performance`` gives the solo's exact render, or
     its take played with ``sigma`` s of onset jitter, read from MIDI."""
